@@ -167,20 +167,32 @@ def _softmax_jacobian_vec(probs, g):
     return probs * (g - inner)
 
 
+def _likelihood_values(kind, dec_out, x_rows, input_dim):
+    """Per-row log-likelihood of x_rows under the raw decoder output."""
+    if kind == "bernoulli":
+        return np.sum(x_rows * dec_out - dist.softplus(dec_out), axis=1)
+    return _gaussian_log_lik(*_gaussian_residual_and_var(dec_out, x_rows, input_dim))
+
+
+def _gaussian_residual_and_var(dec_out, x_rows, input_dim):
+    var = dist.softplus(dec_out[:, input_dim:]) + mdl.VAR_FLOOR
+    return x_rows - dec_out[:, :input_dim], var
+
+
+def _gaussian_log_lik(diff, var):
+    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=1)
+
+
 def _likelihood_values_and_grads(kind, dec_out, x_rows, input_dim):
     """Per-row log-likelihood and its gradient w.r.t. the raw decoder output."""
     if kind == "bernoulli":
-        r = np.sum(x_rows * dec_out - dist.softplus(dec_out), axis=1)
-        grad = x_rows - dist.sigmoid(dec_out)
-        return r, grad
-    mean = dec_out[:, :input_dim]
-    raw = dec_out[:, input_dim:]
-    var = dist.softplus(raw) + mdl.VAR_FLOOR
-    diff = x_rows - mean
-    r = -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=1)
+        return (_likelihood_values(kind, dec_out, x_rows, input_dim),
+                x_rows - dist.sigmoid(dec_out))
+    diff, var = _gaussian_residual_and_var(dec_out, x_rows, input_dim)
     g_mean = diff / var
     g_var = -0.5 / var + 0.5 * diff * diff / (var * var)
-    return r, np.concatenate([g_mean, g_var * dist.sigmoid(raw)], axis=1)
+    return _gaussian_log_lik(diff, var), np.concatenate(
+        [g_mean, g_var * dist.sigmoid(dec_out[:, input_dim:])], axis=1)
 
 
 def _check_finite(name, *arrays):
@@ -191,7 +203,8 @@ def _check_finite(name, *arrays):
 
 def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
                             mode="marginalize", alpha_sup=0.0,
-                            frozen_sticks=None, prior_weight=1.0):
+                            frozen_sticks=None, prior_weight=1.0,
+                            with_grads=True):
     """Estimate the full-data ELBO and its gradients from one minibatch.
 
     x is (B, D); labels is (B,) with -1 marking unlabeled points.  For
@@ -205,7 +218,11 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     the default 1 the gradients are the ELBO's.
 
     Returns an ElboBreakdown whose gradients point in the ELBO-ascent
-    direction and include the decoder weight-decay prior.
+    direction and include the decoder weight-decay prior.  With
+    `with_grads=False` only the ELBO is estimated: the same draws give the
+    same term values, bit for bit, and the same finiteness checks run, but
+    no backward pass, likelihood gradient or score gradient is computed,
+    and `grads` is {}.
     """
     if mode not in mdl.UNLABELED_MODES:
         raise ValueError(f"unknown unlabeled mode {mode!r}")
@@ -263,6 +280,8 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     def run_decoder(z_rows, y_rows, x_rows, weight_rows):
         dec_in = np.concatenate([z_rows, y_rows], axis=1)
         out, tape = nn.forward(m.decoder, dec_in)
+        if not with_grads:
+            return _likelihood_values(m.likelihood_kind, out, x_rows, m.D), None, None
         r_rows, g_out = _likelihood_values_and_grads(
             m.likelihood_kind, out, x_rows, m.D)
         g_params, g_in = nn.backward(m.decoder, tape, g_out * weight_rows[:, None])
@@ -277,8 +296,9 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         w_rows = np.full(bl * s, scale / s)
         r_rows, g_params, gz_rows = run_decoder(z_rows, y_rows, x_rows, w_rows)
         recon[idx_lab] = r_rows.reshape(bl, s)
-        g_z[idx_lab] = gz_rows.reshape(bl, s, k)
-        dec_grads += g_params
+        if with_grads:
+            g_z[idx_lab] = gz_rows.reshape(bl, s, k)
+            dec_grads += g_params
 
     idx_unl = np.flatnonzero(~labeled)
     if idx_unl.size:
@@ -295,7 +315,8 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
             recon[idx_unl] = np.sum(probs_y[idx_unl][:, None, :] * r_per_class, axis=2)
             # class one-hots are constants; the z-gradient sums the
             # probability-weighted class rows (weights already folded in)
-            g_z[idx_unl] = gz_rows.reshape(bu, s, c, k).sum(axis=2)
+            if with_grads:
+                g_z[idx_unl] = gz_rows.reshape(bu, s, c, k).sum(axis=2)
         else:
             z_rows = z[idx_unl].reshape(bu * s, k)
             y_rows = np.zeros((bu * s, c))
@@ -303,8 +324,10 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
             w_rows = np.full(bu * s, scale / s)
             r_rows, g_params, gz_rows = run_decoder(z_rows, y_rows, x_rows, w_rows)
             recon[idx_unl] = r_rows.reshape(bu, s)
-            g_z[idx_unl] = gz_rows.reshape(bu, s, k)
-        dec_grads += g_params
+            if with_grads:
+                g_z[idx_unl] = gz_rows.reshape(bu, s, k)
+        if with_grads:
+            dec_grads += g_params
     _check_finite("recon", recon)
 
     # --- spike (zhat) score gradients, per-point control variates ----------
@@ -312,27 +335,29 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     # entropy terms; the other spikes' terms are independent of its score
     f_zhat = recon[:, :, None] + prior_weight * (logp_zhat_k - logq_zhat_k)  # (B, S, K)
     _check_finite("term_zhat", f_zhat)
-    h_zhat = zhat - pi_hat[:, None, :]                    # (B, S, K)
-    # the S samples of every (point, spike) pair: (S, B * K)
-    spikes = ScoreSampleSet(f_zhat.transpose(1, 0, 2).reshape(s, -1),
-                            h_zhat.transpose(1, 0, 2).reshape(s, -1))
-    a_zhat = (control_variate_coeffs(spikes, cfg.cv_eps, leave_one_out=True)
-              if cfg.use_control_variates else None)
-    g_logits = score_function_grad(spikes, a_zhat).reshape(batch_size, k)
+    if with_grads:
+        h_zhat = zhat - pi_hat[:, None, :]                # (B, S, K)
+        # the S samples of every (point, spike) pair: (S, B * K)
+        spikes = ScoreSampleSet(f_zhat.transpose(1, 0, 2).reshape(s, -1),
+                                h_zhat.transpose(1, 0, 2).reshape(s, -1))
+        a_zhat = (control_variate_coeffs(spikes, cfg.cv_eps, leave_one_out=True)
+                  if cfg.use_control_variates else None)
+        g_logits = score_function_grad(spikes, a_zhat).reshape(batch_size, k)
 
-    # --- pathwise gradients for the Gaussian slab ---------------------------
-    g_ztilde = g_z * zhat                                  # masked by the spikes
-    g_mean = g_ztilde.sum(axis=1)                          # scale/S folded in
-    g_var = np.sum(g_ztilde * eps, axis=1) / (2.0 * sigma)
-    # analytic -KL(q(ztilde) || N(0, I)) and its gradients
+    # analytic -KL(q(ztilde) || N(0, I))
     kl_gauss_points = 0.5 * np.sum(mean ** 2 + var - 1.0 - np.log(var), axis=1)
-    g_mean += scale * (-mean)
-    g_var += scale * (-0.5 * (1.0 - 1.0 / var))
+    if with_grads:
+        # pathwise gradients for the Gaussian slab, plus those of -KL
+        g_ztilde = g_z * zhat                              # masked by the spikes
+        g_mean = g_ztilde.sum(axis=1)                      # scale/S folded in
+        g_var = np.sum(g_ztilde * eps, axis=1) / (2.0 * sigma)
+        g_mean += scale * (-mean)
+        g_var += scale * (-0.5 * (1.0 - 1.0 / var))
 
-    raw = enc_out[:, k:2 * k]
-    enc_grad_out = np.concatenate(
-        [g_mean, g_var * dist.sigmoid(raw), scale * g_logits], axis=1)
-    enc_grads, _ = nn.backward(m.encoder, enc_tape, enc_grad_out)
+        raw = enc_out[:, k:2 * k]
+        enc_grad_out = np.concatenate(
+            [g_mean, g_var * dist.sigmoid(raw), scale * g_logits], axis=1)
+        enc_grads, _ = nn.backward(m.encoder, enc_tape, enc_grad_out)
 
     # --- label terms ---------------------------------------------------------
     term_y_points = np.zeros(batch_size)
@@ -342,17 +367,20 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
             logp = np.where(p_u > 0, np.log(np.maximum(p_u, 1e-300)), 0.0)
         kl_y = np.sum(p_u * (logp + np.log(c)), axis=1)
         term_y_points[idx_unl] = -kl_y
-        g_probs = -(logp + np.log(c) + 1.0) * scale       # d(-KL)/d probs
-        if mode == "marginalize" and r_per_class is not None:
-            g_probs = g_probs + r_per_class.mean(axis=1) * scale
-        g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
+        if with_grads:
+            g_probs = -(logp + np.log(c) + 1.0) * scale   # d(-KL)/d probs
+            if mode == "marginalize" and r_per_class is not None:
+                g_probs = g_probs + r_per_class.mean(axis=1) * scale
+            g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
     if idx_lab.size and alpha_sup != 0.0:
-        y_onehots = np.eye(c)[labels[idx_lab]]
         term_y_points[idx_lab] = alpha_sup * np.log(
             np.maximum(probs_y[idx_lab][np.arange(idx_lab.size), labels[idx_lab]],
                        1e-300))
-        g_cls_logits[idx_lab] = scale * alpha_sup * (y_onehots - probs_y[idx_lab])
-    cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
+        if with_grads:
+            y_onehots = np.eye(c)[labels[idx_lab]]
+            g_cls_logits[idx_lab] = scale * alpha_sup * (y_onehots - probs_y[idx_lab])
+    if with_grads:
+        cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
 
     # --- stick gradients, pooled over every (point, sample) draw ------------
     if frozen_sticks is not None:
@@ -367,19 +395,22 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         # the stick's own prior and entropy
         tails = np.cumsum(expected_logp_zhat_k[..., ::-1], axis=2)[..., ::-1]
         f_v = (n_data * tails + logp_v_k - logq_v_k).reshape(-1, k)
-        h_v = m.sticks.score_grads(v).reshape(-1, 2 * k)
-        _check_finite("term_v", f_v, h_v)
-        # every (point, sample) draw of v is independent; stick j's signal
-        # goes with both of its scores, d/d log a_j and d/d log b_j
-        draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
-        a_v = (control_variate_coeffs(draws, cfg.cv_eps, leave_one_out=True)
-               if cfg.use_control_variates else None)
-        stick_grads = score_function_grad(draws, a_v)
+        _check_finite("term_v", f_v)
+        if with_grads:
+            h_v = m.sticks.score_grads(v).reshape(-1, 2 * k)
+            _check_finite("term_v", h_v)
+            # every (point, sample) draw of v is independent; stick j's
+            # signal goes with both of its scores, d/d log a_j and d/d log b_j
+            draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
+            a_v = (control_variate_coeffs(draws, cfg.cv_eps, leave_one_out=True)
+                   if cfg.use_control_variates else None)
+            stick_grads = score_function_grad(draws, a_v)
         term_v = float(np.mean(np.sum(logp_v_k - logq_v_k, axis=2)))
 
     # --- decoder weight prior ------------------------------------------------
-    _, theta_prior_grad = mdl.theta_log_prior(m)
-    dec_grads += theta_prior_grad
+    if with_grads:
+        _, theta_prior_grad = mdl.theta_log_prior(m)
+        dec_grads += theta_prior_grad
 
     breakdown = ElboBreakdown(
         total=0.0,
@@ -393,7 +424,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
             "classifier": cls_grads,
             "decoder": dec_grads,
             "sticks": stick_grads,
-        },
+        } if with_grads else {},
         diagnostics={
             "log_zero_events": int(np.sum(logp_zhat < ibp.LOG_ZERO_SENTINEL / 2.0)),
         },

@@ -20,12 +20,12 @@ _V_CLAMP = 1e-7  # sampled Beta values are kept inside [tiny, 1 - tiny]
 # numerically stable scalar maps
 
 def sigmoid(x):
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from one
+    exp(-|x|), so no exp overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(x, -x))     # -|x|; unlike -abs(x), keeps a NaN's sign
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

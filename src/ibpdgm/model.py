@@ -333,7 +333,8 @@ def load_checkpoint(path):
         raise ValueError(
             f"unsupported checkpoint format {manifest.get('format_version')!r}")
     blob_path = os.path.join(os.path.dirname(path) or ".", manifest["blob"])
-    flat = np.frombuffer(open(blob_path, "rb").read(), dtype="<f8").astype(np.float64)
+    with open(blob_path, "rb") as fh:
+        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
 
     encoder = nn.DenseNet(manifest["encoder_dims"], manifest["encoder_activations"])
     classifier = nn.DenseNet(manifest["classifier_dims"], manifest["classifier_activations"])

@@ -23,9 +23,9 @@ Two schedules shape every run; neither has a config key:
   gradient of the ELBO itself.
 
 Per-epoch metrics rows go to a CSV with a fixed column schema; the ELBO
-metric is re-estimated each epoch with a fixed evaluation stream so the
-curve reflects parameter movement rather than fresh sampling noise.  It is
-always the ELBO, also during the warm-up.
+metric is re-estimated each epoch, forward only, with a fixed evaluation
+stream so the curve reflects parameter movement rather than fresh sampling
+noise.  It is always the ELBO, also during the warm-up.
 """
 
 import os
@@ -238,9 +238,7 @@ def train(cfg, train_data=None, test_data=None, log=None):
     states = {name: nn.AdamState(p.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2)
               for name, p in m.parameter_groups().items()}
     mc_cfg = bbvi.McConfig(num_samples=cfg.mc_samples)
-    # the metrics read the ELBO's value only, which control variates leave alone
-    eval_cfg = bbvi.McConfig(num_samples=max(2, cfg.eval_mc_samples),
-                             use_control_variates=False)
+    eval_cfg = bbvi.McConfig(num_samples=max(2, cfg.eval_mc_samples))
     train_rng = np.random.default_rng(s_train)
     eval_seed = s_eval.generate_state(1)[0]
 
@@ -297,7 +295,7 @@ def _epoch_metrics(m, train_data, test_data, cfg, eval_cfg, alpha_sup,
     idx = np.arange(n) if n <= cap else rng.permutation(n)[:cap]
     bd = bbvi.estimate_elbo_and_grads(
         m, feats[idx], train_data.labels[idx], eval_cfg, rng, dataset_size=n,
-        mode=cfg.unlabeled_mode, alpha_sup=alpha_sup)
+        mode=cfg.unlabeled_mode, alpha_sup=alpha_sup, with_grads=False)
     report = component_report(m, train_data, cfg.tau)
     train_err = error_rate(m, train_data)
     test_err = error_rate(m, test_data) if test_data is not None else float("nan")

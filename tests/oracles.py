@@ -48,6 +48,18 @@ def enumerate_binary(k):
         yield np.array(bits)
 
 
+def sigmoid_masked(x):
+    """The logistic function by boolean masks: 1 / (1 + exp(-x)) where
+    x >= 0 and exp(x) / (1 + exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def bernoulli_likelihood_rows(m, dec_out, x):
     """log p(x | decoder output) per row, recomputed from first principles."""
     p = 1.0 / (1.0 + np.exp(-dec_out))

@@ -342,6 +342,52 @@ def test_numeric_error_names_term(monkeypatch):
     assert err.value.term == "recon"
 
 
+@pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
+@pytest.mark.parametrize("batch", ["labeled", "unlabeled", "mixed"])
+@pytest.mark.parametrize("mode", mdl.UNLABELED_MODES)
+@pytest.mark.parametrize("frozen", [False, True])
+def test_forward_only_estimate_matches_full(kind, batch, mode, frozen):
+    rng = np.random.default_rng(21)
+    m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
+    x = rng.random((6, 5))
+    if kind == "bernoulli":
+        x = (x < 0.5).astype(float)
+    labels = {"labeled": np.array([0, 1, 2, 0, 1, 2]),
+              "unlabeled": np.full(6, -1),
+              "mixed": np.array([0, -1, 2, -1, -1, 1])}[batch]
+    # a stick at 1 gives pi_1 = 1, so each first spike drawn off is a
+    # log-zero event
+    sticks = np.array([1.0, 0.6, 0.3]) if frozen else None
+
+    def estimate(with_grads):
+        return bbvi.estimate_elbo_and_grads(
+            m, x, labels, bbvi.McConfig(num_samples=4), np.random.default_rng(5),
+            dataset_size=60, mode=mode, alpha_sup=0.7, frozen_sticks=sticks,
+            with_grads=with_grads)
+
+    full, forward = estimate(True), estimate(False)
+    assert forward.grads == {} and len(full.grads) == 4
+    for name in ("total", "recon", "kl_gauss", "term_zhat", "term_v", "term_y"):
+        assert getattr(forward, name).hex() == getattr(full, name).hex(), name
+    assert forward.diagnostics == full.diagnostics
+    assert full.diagnostics["log_zero_events"] > 0 or not frozen
+
+
+def test_forward_only_numeric_error_names_term(monkeypatch):
+    rng = np.random.default_rng(12)
+    m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
+    x = (rng.random((2, 4)) < 0.5).astype(float)
+
+    def poisoned_likelihood(kind, dec_out, x_rows, input_dim):
+        return np.full(dec_out.shape[0], np.nan)
+
+    monkeypatch.setattr(bbvi, "_likelihood_values", poisoned_likelihood)
+    with pytest.raises(bbvi.NumericError) as err:
+        bbvi.estimate_elbo_and_grads(m, x, None, bbvi.McConfig(num_samples=2), rng,
+                                     with_grads=False)
+    assert err.value.term == "recon"
+
+
 def test_clip_global_norm():
     grads = {"a": np.array([3.0, 4.0]), "b": np.array([12.0])}
     norm = bbvi.clip_global_norm(grads, max_norm=10.0)

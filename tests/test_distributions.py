@@ -8,7 +8,34 @@ import scipy.stats
 
 from ibpdgm import distributions as dist
 
-from oracles import central_diff, enumerate_binary, rel_err
+from oracles import central_diff, enumerate_binary, rel_err, sigmoid_masked
+
+
+# ---------------------------------------------------------------------------
+# logistic sigmoid
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# (B, K) heads, (B * S * C, D) likelihood rows and the decoder's (rows, 2D)
+# Gaussian outputs at the benchmarked shapes
+@pytest.mark.parametrize("shape", [(25, 16), (100, 50), (2000, 16), (2000, 50),
+                                   (800, 30), (100, 784), (4000, 784), (800, 60)])
+def test_sigmoid_matches_mask_formula_bit_for_bit(shape):
+    x = 8.0 * np.random.default_rng(shape[0] + shape[1]).standard_normal(shape)
+    assert same_bits(dist.sigmoid(x), sigmoid_masked(x))
+
+
+def test_sigmoid_edge_values_bit_for_bit():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                  745.0, -745.0, 800.0, -800.0, 5e-324, -5e-324])
+    got = dist.sigmoid(x)
+    assert same_bits(got, sigmoid_masked(x))
+    assert got[2] == 1.0 and got[3] == 0.0 and got[7] > 0.0
+    for scalar in (0.3, -0.3, 0.0, -800.0, np.nan):
+        got = dist.sigmoid(scalar)
+        assert got.shape == () and same_bits(got, sigmoid_masked(scalar))
 
 
 # ---------------------------------------------------------------------------

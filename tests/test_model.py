@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -380,6 +384,21 @@ def test_checkpoint_rejects_wrong_version(tmp_path):
     (tmp_path / "model.ckpt").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
         mdl.load_checkpoint(path)
+
+
+def test_checkpoint_load_closes_its_files(tmp_path, monkeypatch):
+    # a file left open warns when it is freed, inside a finalizer, where
+    # the error can only reach sys.unraisablehook
+    m = tiny_model(seed=36)
+    path = str(tmp_path / "model.ckpt")
+    mdl.save_checkpoint(m, path)
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        mdl.load_checkpoint(path)
+        gc.collect()
+    assert unraisable == []
 
 
 def test_checkpoint_rejects_truncated_blob(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ibpdgm import bbvi, data as dio, model as mdl, training
+from ibpdgm import bbvi, data as dio, model as mdl, nn, training
 
 
 def quick_cfg(tmp_path, **kw):
@@ -151,6 +151,34 @@ def test_spike_prior_weight_ramps_over_warmup():
     assert abs(training.spike_prior_weight(warm / 2, total) - 0.5) < 1e-12
     assert training.spike_prior_weight(warm, total) == 1.0
     assert training.spike_prior_weight(total - 1, total) == 1.0
+
+
+def test_epoch_metrics_run_no_gradient_code(tmp_path, monkeypatch):
+    # the metrics read the ELBO's value only: no backward pass and no
+    # control-variate fit may run inside them
+    calls = {"backward": 0, "cv": 0}
+    in_metrics = []
+
+    def counting(name, fun):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fun(*args, **kwargs)
+        return wrapper
+
+    def metrics(*args, **kwargs):
+        before = dict(calls)
+        row = epoch_metrics(*args, **kwargs)
+        in_metrics.append({k: calls[k] - before[k] for k in calls})
+        return row
+
+    epoch_metrics = training._epoch_metrics
+    monkeypatch.setattr(nn, "backward", counting("backward", nn.backward))
+    monkeypatch.setattr(bbvi, "control_variate_coeffs",
+                        counting("cv", bbvi.control_variate_coeffs))
+    monkeypatch.setattr(training, "_epoch_metrics", metrics)
+    training.train(quick_cfg(tmp_path))
+    assert in_metrics == [{"backward": 0, "cv": 0}] * 2
+    assert calls["backward"] > 0 and calls["cv"] > 0     # training steps ran
 
 
 def test_clip_spares_ordinary_criterion_6_steps(tmp_path):
