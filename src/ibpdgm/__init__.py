@@ -9,9 +9,8 @@ from .data import (Dataset, DataFormatError, binarize_epoch, load_amat,
                    synth_ibp_data)
 from .ibp import (GlobalSticks, active_components, ibp_prior_log_prob,
                   stick_breaking, sticks_prior_log_prob)
-from .model import (IbpDgm, LatentDraw, build_model, classify, compose_latent,
-                    decode, draw_latents, encode, generate, likelihood_log_prob,
-                    load_checkpoint, per_point_elbo_terms, predict,
+from .model import (IbpDgm, build_model, classify, compose_latent, decode,
+                    encode, generate, load_checkpoint, predict_batch,
                     save_checkpoint, theta_log_prior)
 from .nn import AdamState, DenseNet, adam_step, backward, forward, glorot_init
 from .training import RunConfig, TrainResult, component_report, error_rate, train

@@ -3,18 +3,19 @@
 The Gaussian slab gets pathwise (reparameterized) gradients; the Bernoulli
 spikes and the Beta sticks get score-function gradients with weighted
 score control variates (Ranganath, Gerrish and Blei 2014), fitted per
-variational parameter.  Each sample's coefficient is fitted on the other
-samples only (leave-one-out, as in Kool, van Hoof and Welling 2019), on
-the centred signal, with the other samples' mean signal as the fallback
-when their score is constant (`control_variate_coeffs` with
-`leave_one_out`).  So the spike and stick gradients are unbiased, and
-adding a constant to a learning signal does not move them.  Learning
-signals are Rao-Blackwellized: each variable's signal keeps only the
-objective terms in its Markov blanket.  Spike k's signal is the reconstruction plus its own prior and
-entropy terms; stick j's signal is its own prior and entropy plus the
-spike prior terms of components k >= j, taken in closed form over
-q(zhat).  Gaussian and Categorical complexity terms are analytic; the
-reported spike and stick terms are Monte Carlo.
+variational parameter.  There is one fitting rule,
+`control_variate_coeffs`: each sample's coefficient is fitted on the
+other samples only (leave-one-out, as in Kool, van Hoof and Welling
+2019), on the centred signal, with the other samples' mean signal as the
+fallback when their score is constant.  So the spike and stick gradients
+are unbiased, and adding a constant to a learning signal does not move
+them.  Learning signals are Rao-Blackwellized: each variable's signal
+keeps only the objective terms in its Markov blanket.  Spike k's signal
+is the reconstruction plus its own prior and entropy terms; stick j's
+signal is its own prior and entropy plus the spike prior terms of
+components k >= j, taken in closed form over q(zhat).  Gaussian and
+Categorical complexity terms are analytic; the reported spike and stick
+terms are Monte Carlo.
 
 Per-data-point terms are averaged over the batch and multiplied by the
 dataset size, so a minibatch estimate targets the full-data objective;
@@ -78,37 +79,23 @@ class ScoreSampleSet:
         return self.f[:, None] if self.f.ndim == 1 else self.f
 
 
-def control_variate_coeffs(samples, cv_eps=1e-8, leave_one_out=False):
-    """Per-parameter weighted-score coefficients Cov(f*h_n, h_n)/Var(h_n).
+def control_variate_coeffs(samples, cv_eps=1e-8):
+    """Leave-one-out weighted-score coefficients, one row per sample: (S, P).
 
-    Coordinates whose score variance falls below cv_eps get coefficient 0
-    (a constant score carries no information to regress on).  Fitted on
-    the same samples it is applied to, the coefficient makes
-    `score_function_grad` biased.
-
-    With `leave_one_out` the result is (S, P), one row per sample, and the
-    estimate is unbiased and shift-invariant; the estimator uses this
-    form.  Sample s's row is fitted on the other samples only (Kool, van
-    Hoof and Welling 2019), as m_s + Cov((f - m_s) h, h) / (Var(h) + cv_eps)
-    with m_s their mean signal, and falls back to m_s where their score is
-    constant.  So a_s does not depend on sample s, and since E[h] = 0 the
-    estimate stays unbiased; adding a constant to f adds it to every a_s,
-    so the estimate does not move.  The fit runs on the centred signal
-    f - mean(f), so that large constant offsets do not cancel
-    catastrophically.
+    Sample s's row is fitted on the other samples only (Kool, van Hoof and
+    Welling 2019), as m_s + Cov((f - m_s) h, h) / (Var(h) + cv_eps) with
+    m_s their mean signal, and falls back to m_s where their score
+    variance is below cv_eps (a constant score carries no information to
+    regress on).  So a_s does not depend on sample s, and since E[h] = 0
+    `score_function_grad` stays unbiased; adding a constant to f adds it
+    to every a_s, so the estimate does not move.  The fit runs on the
+    centred signal f - mean(f), so that large constant offsets do not
+    cancel catastrophically.
     """
     f, h = samples.signals, samples.h
     s = h.shape[0]
     if s < 2:
         raise ValueError("control variates need at least 2 samples")
-    if not leave_one_out:
-        grad_samples = f * h                             # per-parameter f_n
-        hc = h - h.mean(axis=0)
-        gc = grad_samples - grad_samples.mean(axis=0)
-        var_h = np.mean(hc * hc, axis=0)
-        cov = np.mean(gc * hc, axis=0)
-        return np.where(var_h < cv_eps, 0.0, cov / (var_h + cv_eps))
-
     scale = 1.0 / (s - 1.0)
 
     def others(x):
@@ -340,7 +327,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         # the S samples of every (point, spike) pair: (S, B * K)
         spikes = ScoreSampleSet(f_zhat.transpose(1, 0, 2).reshape(s, -1),
                                 h_zhat.transpose(1, 0, 2).reshape(s, -1))
-        a_zhat = (control_variate_coeffs(spikes, cfg.cv_eps, leave_one_out=True)
+        a_zhat = (control_variate_coeffs(spikes, cfg.cv_eps)
                   if cfg.use_control_variates else None)
         g_logits = score_function_grad(spikes, a_zhat).reshape(batch_size, k)
 
@@ -402,7 +389,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
             # every (point, sample) draw of v is independent; stick j's
             # signal goes with both of its scores, d/d log a_j and d/d log b_j
             draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
-            a_v = (control_variate_coeffs(draws, cfg.cv_eps, leave_one_out=True)
+            a_v = (control_variate_coeffs(draws, cfg.cv_eps)
                    if cfg.use_control_variates else None)
             stick_grads = score_function_grad(draws, a_v)
         term_v = float(np.mean(np.sum(logp_v_k - logq_v_k, axis=2)))

@@ -95,8 +95,6 @@ def build_run_config(args):
     apply(overrides, "--set")
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.deterministic:
-        cfg.deterministic = True
     if args.out:
         cfg.out = args.out
     try:
@@ -109,7 +107,6 @@ def build_run_config(args):
 def _add_common(p):
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--deterministic", action="store_true")
     p.add_argument("--out", help="output directory")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")

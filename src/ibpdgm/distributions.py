@@ -2,9 +2,9 @@
 
 Covers the four families the model is built from: diagonal Gaussian,
 Bernoulli (stored as logits), Beta (positive shape pair), Categorical
-(simplex), plus the digamma special function needed by the Beta score
-gradient.  Everything is float64 and pure given the parameters; samplers
-take a caller-provided numpy Generator.
+(simplex), plus the lgamma and digamma special functions needed by the
+Beta density and its score gradient.  Everything is float64 and pure
+given the parameters; samplers take a caller-provided numpy Generator.
 """
 
 import math
@@ -34,15 +34,19 @@ def softplus(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
-def log_sigmoid(x):
-    return -softplus(-np.asarray(x, dtype=np.float64))
-
-
 def softmax(logits, axis=-1):
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def lgamma(x):
+    """log Gamma(x), elementwise by math.lgamma; a float for a scalar."""
+    if np.ndim(x) == 0:
+        return math.lgamma(x)
+    x = np.asarray(x, dtype=np.float64)
+    return np.array([math.lgamma(t) for t in x.ravel()]).reshape(x.shape)
 
 
 def digamma(x):
@@ -162,11 +166,12 @@ def bernoulli_score_grad(z, p):
 
 @dataclass
 class BetaParams:
+    """Beta shapes; a and b are positive scalars or arrays of one shape."""
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
+        if not (np.all(np.asarray(self.a) > 0) and np.all(np.asarray(self.b) > 0)):
             raise ValueError("Beta parameters must be positive")
 
 
@@ -187,24 +192,37 @@ def beta_sample(p, rng):
     return float(beta_sample_array(p.a, p.b, (), rng))
 
 
-def beta_log_prob(v, p):
-    """(a-1) ln v + (b-1) ln(1-v) - ln B(a, b) for v in the open unit interval."""
-    v = float(v)
-    if not (0.0 < v < 1.0):
+def _unit_interval(v):
+    v = np.asarray(v, dtype=np.float64)
+    if not np.all((v > 0.0) & (v < 1.0)):
         raise ValueError("v must lie in (0, 1)")
-    log_beta = math.lgamma(p.a) + math.lgamma(p.b) - math.lgamma(p.a + p.b)
-    return (p.a - 1.0) * math.log(v) + (p.b - 1.0) * math.log1p(-v) - log_beta
+    return v
+
+
+def _scalar_or_array(x):
+    return x if np.ndim(x) else float(x)
+
+
+def beta_log_prob(v, p):
+    """(a-1) ln v + (b-1) ln(1-v) - ln B(a, b) for v in the open unit interval.
+
+    v, a and b broadcast against each other (the sticks pass v of shape
+    (..., K) against K shape pairs); a float when all are scalars.
+    """
+    v = _unit_interval(v)
+    log_beta = lgamma(p.a) + lgamma(p.b) - lgamma(p.a + p.b)
+    return _scalar_or_array(
+        (p.a - 1.0) * np.log(v) + (p.b - 1.0) * np.log1p(-v) - log_beta)
 
 
 def beta_score_grad(v, p):
-    """Gradient of log Beta(v; a, b) w.r.t. (a, b)."""
-    v = float(v)
-    if not (0.0 < v < 1.0):
-        raise ValueError("v must lie in (0, 1)")
+    """Gradient (da, db) of log Beta(v; a, b) w.r.t. (a, b); broadcasts
+    like `beta_log_prob`."""
+    v = _unit_interval(v)
     psi_ab = digamma(p.a + p.b)
-    da = math.log(v) - digamma(p.a) + psi_ab
-    db = math.log1p(-v) - digamma(p.b) + psi_ab
-    return da, db
+    da = np.log(v) - digamma(p.a) + psi_ab
+    db = np.log1p(-v) - digamma(p.b) + psi_ab
+    return _scalar_or_array(da), _scalar_or_array(db)
 
 
 # ---------------------------------------------------------------------------

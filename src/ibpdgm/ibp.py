@@ -5,7 +5,6 @@ v_k ~ Beta(alpha, 1); a finite truncation level K caps the number of
 latent features, and everything beyond index K is simply absent.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +60,7 @@ class GlobalSticks:
 
         With `per_component` the terms log q(v_k) are returned unsummed.
         """
-        v = np.asarray(v, dtype=np.float64)
-        a, b = self.a, self.b
-        log_beta_fn = (_lgamma(a) + _lgamma(b) - _lgamma(a + b))
-        terms = (a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_beta_fn
+        terms = dist.beta_log_prob(v, dist.BetaParams(self.a, self.b))
         return terms if per_component else terms.sum(axis=-1)
 
     def score_grads(self, v):
@@ -73,16 +69,9 @@ class GlobalSticks:
         Chains the Beta score gradient through the exp that maps the
         stored log-parameters to (a, b).
         """
-        v = np.asarray(v, dtype=np.float64)
         a, b = self.a, self.b
-        psi_ab = dist.digamma(a + b)
-        da = np.log(v) - dist.digamma(a) + psi_ab
-        db = np.log1p(-v) - dist.digamma(b) + psi_ab
+        da, db = dist.beta_score_grad(v, dist.BetaParams(a, b))
         return np.concatenate([a * da, b * db], axis=-1)
-
-
-def _lgamma(x):
-    return np.array([math.lgamma(t) for t in np.atleast_1d(x)])
 
 
 def stick_breaking(v):

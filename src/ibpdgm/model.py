@@ -11,8 +11,6 @@ point-mass posterior, which turns into plain weight decay.
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -100,11 +98,6 @@ def classify(m, x):
     return dist.CategoricalParams.from_logits(out)
 
 
-def predict(m, x):
-    """argmax class; ties break to the lowest index."""
-    return int(np.argmax(classify(m, x).probs))
-
-
 def predict_batch(m, x):
     out, _ = nn.forward(m.classifier, np.atleast_2d(x))
     return np.argmax(out, axis=1)
@@ -138,16 +131,6 @@ def decoder_out_to_params(m, out):
     return dist.DiagGaussianParams(mean, var)
 
 
-def likelihood_log_prob(m, x, params):
-    if m.likelihood_kind == "bernoulli":
-        if not isinstance(params, dist.BernoulliParams):
-            raise ValueError("Bernoulli likelihood expects BernoulliParams")
-        return dist.bernoulli_log_prob(x, params)
-    if not isinstance(params, dist.DiagGaussianParams):
-        raise ValueError("Gaussian likelihood expects DiagGaussianParams")
-    return dist.gaussian_log_prob(x, params)
-
-
 def theta_log_prior(m):
     """Spherical Gaussian log-prior over the decoder weights and its gradient.
 
@@ -166,87 +149,6 @@ def onehot(label, num_classes):
     e = np.zeros(num_classes, dtype=np.float64)
     e[int(label)] = 1.0
     return e
-
-
-# ---------------------------------------------------------------------------
-# joint latent draws and per-point objective terms
-
-@dataclass
-class LatentDraw:
-    """One Monte Carlo joint sample with its per-factor log-densities."""
-    ztilde: np.ndarray
-    zhat: np.ndarray
-    v: np.ndarray
-    y: Optional[int] = None
-    logq_ztilde: float = 0.0
-    logp_ztilde: float = 0.0
-    logq_zhat: float = 0.0
-    logp_zhat: float = 0.0   # conditional on the sampled sticks
-    logq_v: float = 0.0
-    logp_v: float = 0.0
-
-    @property
-    def z(self):
-        return compose_latent(self.ztilde, self.zhat)
-
-
-def draw_latents(m, x, rng):
-    """Sample (ztilde, zhat, v) from the amortized posteriors for one point."""
-    gauss, bern, _ = encode(m, x)
-    eps = rng.standard_normal(m.K)
-    ztilde = dist.gaussian_reparam_sample(gauss, eps)
-    zhat = dist.bernoulli_sample(bern, rng)
-    v = m.sticks.sample((), rng)
-    return LatentDraw(
-        ztilde=ztilde, zhat=zhat, v=v,
-        logq_ztilde=dist.gaussian_log_prob(ztilde, gauss),
-        logp_ztilde=dist.gaussian_log_prob(
-            ztilde, dist.DiagGaussianParams(np.zeros(m.K), np.ones(m.K))),
-        logq_zhat=dist.bernoulli_log_prob(zhat, bern),
-        logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, v)),
-        logq_v=float(m.sticks.log_prob(v)),
-        logp_v=float(ibp.sticks_prior_log_prob(v, m.sticks.alpha)),
-    )
-
-
-def per_point_elbo_terms(m, x, label, draw, mode="marginalize", alpha_sup=0.0):
-    """Signed ELBO contributions of one data point for one joint draw.
-
-    Labeled points condition the decoder on their one-hot label and add
-    the supervised classifier term alpha_sup * log q(y = label); unlabeled
-    points either marginalize the reconstruction over classes weighted by
-    q(y) or use a zero label vector, and pay -KL(q(y) || Uniform(C)).
-    Returns a dict with keys recon, kl_gauss, term_zhat, term_v, term_y.
-    """
-    if mode not in UNLABELED_MODES:
-        raise ValueError(f"unknown unlabeled mode {mode!r}")
-    x = np.asarray(x, dtype=np.float64)
-    z = draw.z
-    labeled = label is not None and int(label) >= 0
-
-    if labeled:
-        recon = likelihood_log_prob(m, x, decode(m, z, onehot(label, m.C)))
-        term_y = 0.0
-        if alpha_sup != 0.0:
-            term_y = alpha_sup * dist.categorical_log_prob(int(label), classify(m, x))
-    else:
-        q_y = classify(m, x)
-        if mode == "marginalize":
-            recon = sum(
-                q_y.probs[c] * likelihood_log_prob(m, x, decode(m, z, onehot(c, m.C)))
-                for c in range(m.C))
-        else:
-            recon = likelihood_log_prob(m, x, decode(m, z, np.zeros(m.C)))
-        term_y = -dist.categorical_kl_to_uniform(q_y)
-
-    gauss, _, _ = encode(m, x)
-    return {
-        "recon": float(recon),
-        "kl_gauss": -dist.gaussian_kl_to_standard(gauss),
-        "term_zhat": draw.logp_zhat - draw.logq_zhat,
-        "term_v": draw.logp_v - draw.logq_v,
-        "term_y": float(term_y),
-    }
 
 
 def generate(m, n, rng, y=None, sample_observations=False):

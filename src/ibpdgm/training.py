@@ -36,6 +36,7 @@ import numpy as np
 from . import nn
 from . import bbvi
 from . import data as dio
+from . import distributions as dist
 from . import ibp
 from . import model as mdl
 
@@ -86,7 +87,6 @@ class RunConfig:
     epochs: int = 10
     batch_size: int = 100
     seed: int = 0
-    deterministic: bool = False
     eval_mc_samples: int = 4
     tau: float = 0.01
     out: str = "runs"
@@ -176,7 +176,7 @@ def inclusion_probs(m, features, batch=2048):
     for start in range(0, features.shape[0], batch):
         out, _ = nn.forward(m.encoder, features[start:start + batch])
         _, _, logits = mdl.split_encoder_out(out, m.K)
-        rows.append(1.0 / (1.0 + np.exp(-np.clip(logits, -500, 500))))
+        rows.append(dist.sigmoid(logits))
     return np.concatenate(rows, axis=0)
 
 

@@ -3,44 +3,22 @@
 These deliberately avoid the library's own gradient/estimation code:
 finite differences for gradients, brute-force enumeration for discrete
 normalization, Gauss-Hermite tensor quadrature for Gaussian expectations,
-and scipy for special functions and adaptive integration.
+and scipy for special functions and adaptive integration.  The
+finite-difference helpers and the enumerable toy with its exact ELBO are
+defined once, in `ibpdgm.selftest`, and re-exported here.  The scalar
+per-point references (`LatentDraw`, `draw_latents`, `likelihood_log_prob`,
+`per_point_elbo_terms`) check the batched estimator one point at a time.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ibpdgm import nn, distributions as dist, ibp, model as mdl
-
-
-def central_diff(fun, x0, i, h=1e-5):
-    x = np.array(x0, dtype=np.float64)
-    x[i] += h
-    fp = fun(x)
-    x[i] -= 2 * h
-    fm = fun(x)
-    return (fp - fm) / (2 * h)
-
-
-def rel_err(a, b, floor=1e-8):
-    denom = max(abs(a), abs(b))
-    if denom < floor:
-        return abs(a - b)
-    return abs(a - b) / denom
-
-
-def fd_grad_all(objective, params, h=1e-5):
-    """Central finite differences of a scalar objective over a flat array."""
-    g = np.zeros_like(params)
-    for i in range(params.size):
-        old = params[i]
-        params[i] = old + h
-        fp = objective()
-        params[i] = old - h
-        fm = objective()
-        params[i] = old
-        g[i] = (fp - fm) / (2 * h)
-    return g
+from ibpdgm import distributions as dist, ibp, model as mdl
+from ibpdgm.selftest import (central_diff, exact_toy_elbo, fd_grad_all,  # noqa: F401
+                             make_enumerable_toy, rel_err)
 
 
 def enumerate_binary(k):
@@ -58,74 +36,6 @@ def sigmoid_masked(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def bernoulli_likelihood_rows(m, dec_out, x):
-    """log p(x | decoder output) per row, recomputed from first principles."""
-    p = 1.0 / (1.0 + np.exp(-dec_out))
-    return np.sum(x * np.log(p) + (1.0 - x) * np.log1p(-p), axis=1)
-
-
-def exact_toy_elbo(m, x, label, v0, mode="marginalize", alpha_sup=0.0,
-                   gh_nodes=32):
-    """Exact ELBO of the K<=2 toy: enumerate spikes, Gauss-Hermite the slab.
-
-    Requires a decoder without ReLU kinks so the quadrature converges to
-    machine precision; sticks are held at the constant v0 (stick term 0).
-    """
-    k, c = m.K, m.C
-    gauss, bern, _ = mdl.encode(m, x)
-    probs_y = mdl.classify(m, x).probs
-    t, w = np.polynomial.hermite.hermgauss(gh_nodes)
-    nodes = np.array(list(itertools.product(*[np.sqrt(2.0) * t] * k)))
-    wts = np.prod(np.array(list(itertools.product(*[w / np.sqrt(np.pi)] * k))),
-                  axis=1)
-    ztilde = gauss.mean + np.sqrt(gauss.var) * nodes
-
-    total = -dist.gaussian_kl_to_standard(gauss)
-    labeled = label is not None and label >= 0
-    if labeled:
-        total += alpha_sup * np.log(probs_y[label])
-    else:
-        total += -dist.categorical_kl_to_uniform(dist.CategoricalParams(probs_y))
-
-    def recon(z_rows, y_embed):
-        out, _ = nn.forward(
-            m.decoder,
-            np.concatenate([z_rows, np.tile(y_embed, (len(z_rows), 1))], axis=1))
-        if m.likelihood_kind == "bernoulli":
-            return bernoulli_likelihood_rows(m, out, np.tile(x, (len(z_rows), 1)))
-        mean = out[:, :m.D]
-        var = np.log1p(np.exp(-np.abs(out[:, m.D:]))) \
-            + np.maximum(out[:, m.D:], 0.0) + 1e-6
-        return -0.5 * np.sum(np.log(2 * np.pi * var)
-                             + (np.tile(x, (len(z_rows), 1)) - mean) ** 2 / var,
-                             axis=1)
-
-    for pattern in enumerate_binary(k):
-        qz = np.exp(dist.bernoulli_log_prob(pattern, bern))
-        total += qz * (ibp.ibp_prior_log_prob(pattern, ibp.stick_breaking(v0))
-                       - dist.bernoulli_log_prob(pattern, bern))
-        z_rows = ztilde * pattern
-        if labeled:
-            r = recon(z_rows, np.eye(c)[label])
-        elif mode == "marginalize":
-            r = sum(probs_y[ci] * recon(z_rows, np.eye(c)[ci]) for ci in range(c))
-        else:
-            r = recon(z_rows, np.zeros(c))
-        total += qz * float(np.sum(wts * r))
-    return float(total)
-
-
-def make_enumerable_toy(seed=7, input_dim=5, num_classes=2, kind="bernoulli"):
-    rng = np.random.default_rng(seed)
-    m = mdl.build_model(input_dim, num_classes, 2, 4, kind, 2.0, 1.0, rng)
-    m.decoder.activations[0] = "identity"
-    if kind == "bernoulli":
-        x = (rng.random(input_dim) < 0.5).astype(np.float64)
-    else:
-        x = rng.normal(size=input_dim)
-    return m, x
 
 
 def _expect_sticks(fun, a, b, nodes=200):
@@ -175,3 +85,129 @@ def exact_stick_objective(stick_params, alpha, incl, dataset_size):
                 - scipy.stats.beta.logpdf(v2, a[1], b[1]))
 
     return total + _expect_sticks(log_ratio, a, b)
+
+
+def weighted_score_coeff(f, h, cv_eps=1e-8):
+    """Cov(f h, h) / (Var(h) + cv_eps) over 1-D samples f, h, by brute
+    force; 0 when Var(h) < cv_eps.  The weighted-score coefficient
+    (Ranganath, Gerrish and Blei 2014) fitted on the samples it is given."""
+    g = f * h
+    var_h = np.mean((h - h.mean()) ** 2)
+    cov = np.mean((g - g.mean()) * (h - h.mean()))
+    return 0.0 if var_h < cv_eps else cov / (var_h + cv_eps)
+
+
+def _lgamma(x):
+    return np.array([math.lgamma(t) for t in np.atleast_1d(x)])
+
+
+def sticks_log_prob_formula(sticks, v):
+    """log q(v_k) per stick, (..., K): the Beta log-density written out
+    over arrays, in the expression order `GlobalSticks.log_prob` trains
+    with."""
+    v = np.asarray(v, dtype=np.float64)
+    a, b = sticks.a, sticks.b
+    log_beta_fn = (_lgamma(a) + _lgamma(b) - _lgamma(a + b))
+    return (a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_beta_fn
+
+
+def sticks_score_grads_formula(sticks, v):
+    """d log q(v) / d [log_a | log_b], (..., 2K), written out over arrays in
+    the expression order `GlobalSticks.score_grads` trains with."""
+    v = np.asarray(v, dtype=np.float64)
+    a, b = sticks.a, sticks.b
+    psi_ab = dist.digamma(a + b)
+    da = np.log(v) - dist.digamma(a) + psi_ab
+    db = np.log1p(-v) - dist.digamma(b) + psi_ab
+    return np.concatenate([a * da, b * db], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# scalar per-point references for the batched estimator
+
+def likelihood_log_prob(m, x, params):
+    if m.likelihood_kind == "bernoulli":
+        if not isinstance(params, dist.BernoulliParams):
+            raise ValueError("Bernoulli likelihood expects BernoulliParams")
+        return dist.bernoulli_log_prob(x, params)
+    if not isinstance(params, dist.DiagGaussianParams):
+        raise ValueError("Gaussian likelihood expects DiagGaussianParams")
+    return dist.gaussian_log_prob(x, params)
+
+
+@dataclass
+class LatentDraw:
+    """One Monte Carlo joint sample with its per-factor log-densities."""
+    ztilde: np.ndarray
+    zhat: np.ndarray
+    v: np.ndarray
+    logq_ztilde: float = 0.0
+    logp_ztilde: float = 0.0
+    logq_zhat: float = 0.0
+    logp_zhat: float = 0.0   # conditional on the sampled sticks
+    logq_v: float = 0.0
+    logp_v: float = 0.0
+
+    @property
+    def z(self):
+        return mdl.compose_latent(self.ztilde, self.zhat)
+
+
+def draw_latents(m, x, rng):
+    """Sample (ztilde, zhat, v) from the amortized posteriors for one point."""
+    gauss, bern, _ = mdl.encode(m, x)
+    eps = rng.standard_normal(m.K)
+    ztilde = dist.gaussian_reparam_sample(gauss, eps)
+    zhat = dist.bernoulli_sample(bern, rng)
+    v = m.sticks.sample((), rng)
+    return LatentDraw(
+        ztilde=ztilde, zhat=zhat, v=v,
+        logq_ztilde=dist.gaussian_log_prob(ztilde, gauss),
+        logp_ztilde=dist.gaussian_log_prob(
+            ztilde, dist.DiagGaussianParams(np.zeros(m.K), np.ones(m.K))),
+        logq_zhat=dist.bernoulli_log_prob(zhat, bern),
+        logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, v)),
+        logq_v=float(m.sticks.log_prob(v)),
+        logp_v=float(ibp.sticks_prior_log_prob(v, m.sticks.alpha)),
+    )
+
+
+def per_point_elbo_terms(m, x, label, draw, mode="marginalize", alpha_sup=0.0):
+    """Signed ELBO contributions of one data point for one joint draw.
+
+    Labeled points condition the decoder on their one-hot label and add
+    the supervised classifier term alpha_sup * log q(y = label); unlabeled
+    points either marginalize the reconstruction over classes weighted by
+    q(y) or use a zero label vector, and pay -KL(q(y) || Uniform(C)).
+    Returns a dict with keys recon, kl_gauss, term_zhat, term_v, term_y.
+    """
+    if mode not in mdl.UNLABELED_MODES:
+        raise ValueError(f"unknown unlabeled mode {mode!r}")
+    x = np.asarray(x, dtype=np.float64)
+    z = draw.z
+    labeled = label is not None and int(label) >= 0
+
+    if labeled:
+        recon = likelihood_log_prob(m, x, mdl.decode(m, z, mdl.onehot(label, m.C)))
+        term_y = 0.0
+        if alpha_sup != 0.0:
+            term_y = alpha_sup * dist.categorical_log_prob(int(label), mdl.classify(m, x))
+    else:
+        q_y = mdl.classify(m, x)
+        if mode == "marginalize":
+            recon = sum(
+                q_y.probs[c]
+                * likelihood_log_prob(m, x, mdl.decode(m, z, mdl.onehot(c, m.C)))
+                for c in range(m.C))
+        else:
+            recon = likelihood_log_prob(m, x, mdl.decode(m, z, np.zeros(m.C)))
+        term_y = -dist.categorical_kl_to_uniform(q_y)
+
+    gauss, _, _ = mdl.encode(m, x)
+    return {
+        "recon": float(recon),
+        "kl_gauss": -dist.gaussian_kl_to_standard(gauss),
+        "term_zhat": draw.logp_zhat - draw.logq_zhat,
+        "term_v": draw.logp_v - draw.logq_v,
+        "term_y": float(term_y),
+    }

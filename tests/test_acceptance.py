@@ -212,12 +212,12 @@ def test_criterion_4_control_variates():
     f_ind = rng.standard_normal(s_big)
     a = bbvi.control_variate_coeffs(
         bbvi.ScoreSampleSet(f=f_ind, h=(z - 0.5)[:, None]))
-    assert abs(float(a[0])) < 0.1
+    assert np.max(np.abs(a)) < 0.1
 
     elapsed = time.time() - start
     assert elapsed < 120.0
     report(4, f"variance ratio {weighted.var() / plain.var():.3f}, "
-              f"independent |a| = {abs(float(a[0])):.4f} in {elapsed:.1f}s")
+              f"independent max |a| = {np.max(np.abs(a)):.4f} in {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,6 @@ CRITERION_6_CONFIG = dict(
     synth_dim=30, synth_noise=0.0, truncation=16, hidden=64,
     alpha=1.0, sigma_theta_sq=0.1, lr=3e-3, mc_samples=32,
     eval_mc_samples=2, epochs=300, batch_size=25, seed=123,
-    deterministic=True,
 )
 
 

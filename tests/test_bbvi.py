@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ibpdgm import bbvi, distributions as dist, model as mdl, nn
+from ibpdgm import bbvi, distributions as dist, model as mdl, nn, selftest
 
-from oracles import exact_stick_objective, exact_toy_elbo, fd_grad_all, \
-    make_enumerable_toy
+from oracles import LatentDraw, exact_stick_objective, exact_toy_elbo, \
+    fd_grad_all, make_enumerable_toy, per_point_elbo_terms, weighted_score_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -24,13 +24,16 @@ def test_cv_coeff_independent_pair_vanishes():
     h = (rng.random(s) < 0.5).astype(float) - 0.5
     f = rng.standard_normal(s)
     a = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f=f, h=h[:, None]))
-    assert abs(float(a[0])) < 0.1
+    assert np.max(np.abs(a)) < 0.1
 
 
 def test_cv_coeff_constant_score_guard():
+    # a constant score carries nothing to regress on: each sample falls
+    # back to the mean signal of the others
     samples = bbvi.ScoreSampleSet(f=np.array([1.0, 2.0, 3.0]),
                                   h=np.full((3, 2), 0.7))
-    assert np.array_equal(bbvi.control_variate_coeffs(samples), [0.0, 0.0])
+    assert np.array_equal(bbvi.control_variate_coeffs(samples),
+                          [[2.5, 2.5], [2.0, 2.0], [1.5, 1.5]])
 
 
 def test_cv_coeff_needs_two_samples():
@@ -43,14 +46,14 @@ def test_loo_coeffs_match_brute_force():
     rng = np.random.default_rng(14)
     f = 5.0 * rng.normal(size=(7, 3))
     h = rng.normal(size=(7, 3))
-    got = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f, h), leave_one_out=True)
+    got = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f, h))
     assert got.shape == (7, 3)
     for s in range(7):
         others = np.arange(7) != s
         for p in range(3):
-            fo, ho = f[others, p], h[others, p][:, None]
+            fo, ho = f[others, p], h[others, p]
             m = fo.mean()
-            want = m + bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(fo - m, ho))
+            want = m + weighted_score_coeff(fo - m, ho)
             assert np.allclose(got[s, p], want, rtol=1e-12, atol=1e-12)
 
 
@@ -60,8 +63,8 @@ def test_loo_coeffs_shared_signal_broadcasts():
     h = rng.normal(size=(7, 2))
     shared = bbvi.ScoreSampleSet(f, h)
     tiled = bbvi.ScoreSampleSet(np.tile(f[:, None], 2), h)
-    assert np.allclose(bbvi.control_variate_coeffs(shared, leave_one_out=True),
-                       bbvi.control_variate_coeffs(tiled, leave_one_out=True),
+    assert np.allclose(bbvi.control_variate_coeffs(shared),
+                       bbvi.control_variate_coeffs(tiled),
                        rtol=1e-12, atol=1e-12)
     assert np.allclose(bbvi.score_function_grad(shared), bbvi.score_function_grad(tiled),
                        rtol=1e-12, atol=1e-12)
@@ -74,7 +77,7 @@ def test_loo_grad_constant_score_is_shift_invariant():
     h = np.full((3, 2), -0.3)
     for shift in (0.0, -80.0):
         samples = bbvi.ScoreSampleSet(f + shift, h)
-        a = bbvi.control_variate_coeffs(samples, leave_one_out=True)
+        a = bbvi.control_variate_coeffs(samples)
         assert np.allclose(bbvi.score_function_grad(samples, a), 0.0, atol=1e-13)
 
 
@@ -280,6 +283,22 @@ def test_estimator_shift_invariant(monkeypatch):
         assert np.max(np.abs(shifted[name] - g)) <= tol, name
 
 
+@pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
+def test_exact_toy_elbo_shares_no_estimator_likelihood(kind, monkeypatch):
+    # the oracle must not reuse the estimator's likelihood, or a fault
+    # there would pass every unbiasedness check unseen
+    m, x = selftest.make_enumerable_toy(kind=kind)
+    v0 = np.array([0.7, 0.5])
+    want = selftest.exact_toy_elbo(m, x, -1, v0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called the estimator's likelihood")
+
+    monkeypatch.setattr(bbvi, "_likelihood_values", forbidden)
+    monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", forbidden)
+    assert selftest.exact_toy_elbo(m, x, -1, v0) == want
+
+
 def test_exact_log_marginal_upper_bounds_elbo():
     # enumeration + quadrature log-marginal >= the exact ELBO
     m, x = make_enumerable_toy(seed=9)
@@ -420,12 +439,12 @@ def test_per_point_terms_match_vectorized_estimator():
     ztilde = gauss.mean + np.sqrt(gauss.var) * eps
     zhat = (u < bern.probs).astype(float)
     from ibpdgm import ibp
-    draw = mdl.LatentDraw(
+    draw = LatentDraw(
         ztilde=ztilde, zhat=zhat, v=v0,
         logq_zhat=dist.bernoulli_log_prob(zhat, bern),
         logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, v0)),
         logq_v=0.0, logp_v=0.0)
-    terms = mdl.per_point_elbo_terms(m, x, None, draw, mode="marginalize")
+    terms = per_point_elbo_terms(m, x, None, draw, mode="marginalize")
     assert abs(terms["recon"] - bd.recon) < 1e-9
     assert abs(terms["kl_gauss"] - bd.kl_gauss) < 1e-9
     assert abs(terms["term_zhat"] - bd.term_zhat) < 1e-9

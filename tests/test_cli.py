@@ -33,11 +33,9 @@ def test_train_writes_metrics_with_fixed_schema(tmp_path, capsys):
 
 def test_train_deterministic_flag_bit_identical(tmp_path):
     a = tiny_train_cfg(tmp_path, out=str(tmp_path / "a"))
-    assert cli.main(["train", "--config", a, "--deterministic",
-                     "--seed", "11"]) == 0
+    assert cli.main(["train", "--config", a, "--seed", "11"]) == 0
     b = tiny_train_cfg(tmp_path, out=str(tmp_path / "b"))
-    assert cli.main(["train", "--config", b, "--deterministic",
-                     "--seed", "11"]) == 0
+    assert cli.main(["train", "--config", b, "--seed", "11"]) == 0
     ma = (tmp_path / "a" / "metrics.csv").read_bytes()
     mb = (tmp_path / "b" / "metrics.csv").read_bytes()
     assert ma == mb

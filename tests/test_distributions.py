@@ -196,6 +196,23 @@ def test_beta_log_prob_domain():
         dist.beta_log_prob(1.0, dist.BetaParams(2.0, 2.0))
 
 
+def test_beta_scalar_calls_return_floats():
+    # criteria 1 and 2 feed them to rel_err and scipy.integrate.quad
+    p = dist.BetaParams(2.3, 0.8)
+    assert type(dist.beta_log_prob(0.3, p)) is float
+    assert [type(g) for g in dist.beta_score_grad(0.3, p)] == [float, float]
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, np.nan])
+def test_beta_array_calls_reject_v_outside_unit_interval(bad):
+    p = dist.BetaParams(np.array([1.5, 2.0, 0.7]), np.array([1.0, 3.0, 2.0]))
+    v = np.array([[0.2, 0.5, 0.9], [0.4, bad, 0.1]])
+    with pytest.raises(ValueError):
+        dist.beta_log_prob(v, p)
+    with pytest.raises(ValueError):
+        dist.beta_score_grad(v, p)
+
+
 def test_beta_density_integrates_to_one():
     rng = np.random.default_rng(12)
     for _ in range(4):

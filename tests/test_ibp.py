@@ -5,7 +5,8 @@ import pytest
 
 from ibpdgm import distributions as dist, ibp
 
-from oracles import enumerate_binary
+from oracles import enumerate_binary, fd_grad_all, sticks_log_prob_formula, \
+    sticks_score_grads_formula
 
 
 def test_stick_breaking_running_product():
@@ -138,20 +139,29 @@ def test_global_sticks_log_prob_matches_beta():
     assert abs(float(sticks.log_prob(v)) - expected) < 1e-10
 
 
+@pytest.mark.parametrize("shape", [(25, 32, 16), (100, 4, 50)])
+def test_global_sticks_match_the_written_out_formulas_bit_for_bit(shape):
+    # the (B, S, K) draws of the c6-train and mnist-train workloads, with
+    # whole rows at both clamp values of the Beta sampler
+    rng = np.random.default_rng(shape[-1])
+    sticks = ibp.GlobalSticks(shape[-1], 1.5)
+    sticks.params[:] = rng.normal(scale=0.7, size=sticks.params.size)
+    v = sticks.sample(shape[:-1], rng)
+    v[0, 0], v[0, 1] = 1e-7, 1.0 - 1e-7
+    terms = sticks_log_prob_formula(sticks, v)
+    for got, want in ((sticks.log_prob(v, per_component=True), terms),
+                      (sticks.log_prob(v), terms.sum(axis=-1)),
+                      (sticks.score_grads(v), sticks_score_grads_formula(sticks, v))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_global_sticks_score_grads_match_fd():
     sticks = ibp.GlobalSticks(2, 2.0)
     sticks.params[:] = np.log([1.5, 2.5, 0.7, 1.2])
     v = np.array([0.35, 0.8])
     grads = sticks.score_grads(v)
-    h = 1e-6
-    for i in range(4):
-        old = sticks.params[i]
-        sticks.params[i] = old + h
-        fp = float(sticks.log_prob(v))
-        sticks.params[i] = old - h
-        fm = float(sticks.log_prob(v))
-        sticks.params[i] = old
-        assert abs(grads[i] - (fp - fm) / (2 * h)) < 1e-6
+    fd = fd_grad_all(lambda: float(sticks.log_prob(v)), sticks.params, h=1e-6)
+    assert np.all(np.abs(grads - fd) < 1e-6)
 
 
 def test_active_components_all_zero():

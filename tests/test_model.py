@@ -7,7 +7,8 @@ import pytest
 
 from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, nn, selftest
 
-from oracles import enumerate_binary, rel_err
+from oracles import draw_latents, enumerate_binary, fd_grad_all, \
+    likelihood_log_prob, per_point_elbo_terms, rel_err
 
 
 def tiny_model(seed=0, kind="bernoulli", input_dim=5, num_classes=2,
@@ -63,17 +64,8 @@ def test_encode_gradient_matches_fd():
         dist.sigmoid(bern.logits) * (1 - dist.sigmoid(bern.logits)),
     ])
     grads, _ = nn.backward(m.encoder, tape, head)
-    h = 1e-5
-    worst = 0.0
-    for i in range(m.encoder.num_params):
-        old = m.encoder.params[i]
-        m.encoder.params[i] = old + h
-        fp = loss()
-        m.encoder.params[i] = old - h
-        fm = loss()
-        m.encoder.params[i] = old
-        worst = max(worst, rel_err(grads[i], (fp - fm) / (2 * h)))
-    assert worst < 1e-4
+    fd = fd_grad_all(loss, m.encoder.params)
+    assert max(rel_err(g, f) for g, f in zip(grads, fd)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +145,28 @@ def test_likelihood_bernoulli_perfect_fit():
     m = tiny_model()
     x = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     params = dist.BernoulliParams.from_probs(np.clip(x, 1e-6, 1 - 1e-6))
-    assert abs(mdl.likelihood_log_prob(m, x, params)) < 1e-4
+    assert abs(likelihood_log_prob(m, x, params)) < 1e-4
 
 
 def test_likelihood_gaussian_at_mean():
     m = tiny_model(kind="gaussian", input_dim=1)
     params = dist.DiagGaussianParams([0.7], [1.0])
-    got = mdl.likelihood_log_prob(m, np.array([0.7]), params)
+    got = likelihood_log_prob(m, np.array([0.7]), params)
     assert abs(got - (-0.5 * np.log(2 * np.pi))) < 1e-12
 
 
 def test_likelihood_kind_mismatch():
     m = tiny_model(kind="bernoulli")
     with pytest.raises(ValueError):
-        mdl.likelihood_log_prob(m, np.zeros(5),
-                                dist.DiagGaussianParams(np.zeros(5), np.ones(5)))
+        likelihood_log_prob(m, np.zeros(5),
+                            dist.DiagGaussianParams(np.zeros(5), np.ones(5)))
 
 
 def test_likelihood_bernoulli_normalizes_d3():
     m = tiny_model(input_dim=3)
     params = mdl.decode(m, np.random.default_rng(12).normal(size=3),
                         np.array([1.0, 0.0]))
-    total = sum(np.exp(mdl.likelihood_log_prob(m, x, params))
+    total = sum(np.exp(likelihood_log_prob(m, x, params))
                 for x in enumerate_binary(3))
     assert abs(total - 1.0) < 1e-9
 
@@ -215,7 +207,7 @@ def test_classify_zero_weights_uniform_and_tiebreak():
     x = np.random.default_rng(13).random(5)
     probs = mdl.classify(m, x).probs
     assert np.allclose(probs, 0.25)
-    assert mdl.predict(m, x) == 0   # lowest index wins ties
+    assert mdl.predict_batch(m, x)[0] == 0   # lowest index wins ties
 
 
 def test_classify_simplex():
@@ -230,24 +222,24 @@ def test_classify_simplex():
 def test_predict_shift_invariant():
     m = tiny_model(num_classes=3, seed=15)
     x = np.random.default_rng(16).random(5)
-    before = mdl.predict(m, x)
+    before = mdl.predict_batch(m, x)[0]
     m.classifier.biases(1)[:] += 7.3   # uniform logit shift
-    assert mdl.predict(m, x) == before
+    assert mdl.predict_batch(m, x)[0] == before
 
 
 # ---------------------------------------------------------------------------
 # per-point objective routing
 
 def make_draw(m, x, seed=0):
-    return mdl.draw_latents(m, x, np.random.default_rng(seed))
+    return draw_latents(m, x, np.random.default_rng(seed))
 
 
 def test_per_point_terms_single_class_paths_coincide():
     m = tiny_model(num_classes=1, seed=17)
     x = (np.random.default_rng(18).random(5) < 0.5).astype(float)
     draw = make_draw(m, x)
-    lab = mdl.per_point_elbo_terms(m, x, 0, draw, mode="marginalize", alpha_sup=1.0)
-    unl = mdl.per_point_elbo_terms(m, x, None, draw, mode="marginalize", alpha_sup=1.0)
+    lab = per_point_elbo_terms(m, x, 0, draw, mode="marginalize", alpha_sup=1.0)
+    unl = per_point_elbo_terms(m, x, None, draw, mode="marginalize", alpha_sup=1.0)
     assert abs(lab["recon"] - unl["recon"]) < 1e-12
     assert abs(lab["term_y"] - unl["term_y"]) < 1e-12  # both 0 at C=1
 
@@ -256,9 +248,9 @@ def test_per_point_terms_labeled_ignores_qy_kl():
     m = tiny_model(seed=19)
     x = (np.random.default_rng(20).random(5) < 0.5).astype(float)
     draw = make_draw(m, x)
-    t0 = mdl.per_point_elbo_terms(m, x, 1, draw, alpha_sup=0.0)
+    t0 = per_point_elbo_terms(m, x, 1, draw, alpha_sup=0.0)
     assert t0["term_y"] == 0.0
-    t1 = mdl.per_point_elbo_terms(m, x, 1, draw, alpha_sup=2.0)
+    t1 = per_point_elbo_terms(m, x, 1, draw, alpha_sup=2.0)
     q_y = mdl.classify(m, x)
     assert abs(t1["term_y"] - 2.0 * dist.categorical_log_prob(1, q_y)) < 1e-12
 
@@ -267,7 +259,7 @@ def test_per_point_terms_unlabeled_uses_uniform_prior():
     m = tiny_model(seed=21)
     x = (np.random.default_rng(22).random(5) < 0.5).astype(float)
     draw = make_draw(m, x)
-    terms = mdl.per_point_elbo_terms(m, x, None, draw)
+    terms = per_point_elbo_terms(m, x, None, draw)
     q_y = mdl.classify(m, x)
     assert abs(terms["term_y"] + dist.categorical_kl_to_uniform(q_y)) < 1e-12
 
@@ -276,8 +268,8 @@ def test_per_point_terms_unconditional_recon():
     m = tiny_model(seed=23)
     x = (np.random.default_rng(24).random(5) < 0.5).astype(float)
     draw = make_draw(m, x)
-    terms = mdl.per_point_elbo_terms(m, x, None, draw, mode="unconditional")
-    expected = mdl.likelihood_log_prob(m, x, mdl.decode(m, draw.z, np.zeros(2)))
+    terms = per_point_elbo_terms(m, x, None, draw, mode="unconditional")
+    expected = likelihood_log_prob(m, x, mdl.decode(m, draw.z, np.zeros(2)))
     assert abs(terms["recon"] - expected) < 1e-12
 
 
@@ -285,7 +277,7 @@ def test_per_point_terms_unknown_mode():
     m = tiny_model()
     draw = make_draw(m, np.zeros(5))
     with pytest.raises(ValueError):
-        mdl.per_point_elbo_terms(m, np.zeros(5), None, draw, mode="bogus")
+        per_point_elbo_terms(m, np.zeros(5), None, draw, mode="bogus")
 
 
 def test_latent_draw_cached_densities_recompute():

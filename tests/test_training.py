@@ -32,10 +32,8 @@ def test_metrics_row_parts_sum_to_elbo(tmp_path):
 
 
 def test_train_deterministic_metrics(tmp_path):
-    a = training.train(quick_cfg(tmp_path, out=str(tmp_path / "a"),
-                                 deterministic=True))
-    b = training.train(quick_cfg(tmp_path, out=str(tmp_path / "b"),
-                                 deterministic=True))
+    a = training.train(quick_cfg(tmp_path, out=str(tmp_path / "a")))
+    b = training.train(quick_cfg(tmp_path, out=str(tmp_path / "b")))
     assert open(a.metrics_path).read() == open(b.metrics_path).read()
 
 
