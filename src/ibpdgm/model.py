@@ -161,37 +161,24 @@ def generate(m, n, rng, y=None, sample_observations=False):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    means = np.empty((n, m.D))
-    samples = np.empty((n, m.D)) if sample_observations else None
-    for i in range(n):
-        v = dist.beta_sample_array(m.sticks.alpha, 1.0, (m.K,), rng)
-        pi = ibp.stick_breaking(v)
-        zhat = (rng.random(m.K) < pi).astype(np.float64)
-        ztilde = rng.standard_normal(m.K)
-        label = int(y) if y is not None else int(rng.integers(m.C))
-        params = decode(m, compose_latent(ztilde, zhat), onehot(label, m.C))
-        if m.likelihood_kind == "bernoulli":
-            means[i] = params.probs
-            if sample_observations:
-                samples[i] = (rng.random(m.D) < params.probs).astype(np.float64)
-        else:
-            means[i] = params.mean
-            if sample_observations:
-                samples[i] = params.mean + np.sqrt(params.var) * rng.standard_normal(m.D)
+    v = dist.beta_sample_array(m.sticks.alpha, 1.0, (n, m.K), rng)
+    zhat = (rng.random((n, m.K)) < ibp.stick_breaking(v)).astype(np.float64)
+    ztilde = rng.standard_normal((n, m.K))
+    labels = np.full(n, int(y)) if y is not None else rng.integers(m.C, size=n)
+    params = decode(m, compose_latent(ztilde, zhat), np.eye(m.C)[labels])
+    if m.likelihood_kind == "bernoulli":
+        means = params.probs
+        samples = ((rng.random((n, m.D)) < means).astype(np.float64)
+                   if sample_observations else None)
+    else:
+        means = params.mean
+        samples = (means + np.sqrt(params.var) * rng.standard_normal((n, m.D))
+                   if sample_observations else None)
     return means, samples
 
 
 # ---------------------------------------------------------------------------
 # checkpointing: JSON manifest + flat little-endian float64 blob
-
-def _manifest_entries(m):
-    return [
-        ("encoder", m.encoder.params),
-        ("classifier", m.classifier.params),
-        ("decoder", m.decoder.params),
-        ("sticks", m.sticks.params),
-    ]
-
 
 def save_checkpoint(m, path):
     """Write `path` (JSON manifest) and `path + '.bin'` (parameter blob).
@@ -217,13 +204,13 @@ def save_checkpoint(m, path):
         "decoder_activations": m.decoder.activations,
         "parameters": [
             {"name": name, "shape": [int(arr.size)]}
-            for name, arr in _manifest_entries(m)
+            for name, arr in m.parameter_groups().items()
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    blob = np.concatenate([arr for _, arr in _manifest_entries(m)])
+    blob = np.concatenate(list(m.parameter_groups().values()))
     with open(os.path.join(os.path.dirname(path) or ".", blob_name), "wb") as fh:
         fh.write(blob.astype("<f8").tobytes())
 

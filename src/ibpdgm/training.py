@@ -29,7 +29,7 @@ noise.  It is always the ELBO, also during the warm-up.
 """
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class RunConfig:
         if self.sigma_theta_sq <= 0 or self.lr <= 0 or self.alpha <= 0:
             raise ValueError("sigma_theta_sq, lr, alpha must be positive")
         return self
-
-
-def config_fields():
-    return {f.name: f.type for f in fields(RunConfig)}
 
 
 def load_datasets(cfg, rng):

@@ -118,18 +118,8 @@ def test_score_grad_bernoulli_closed_form():
 
 
 def test_control_variates_reduce_variance():
-    rng = np.random.default_rng(4)
-    trials, s = 2000, 10
-    pi = float(dist.sigmoid(np.array(0.3)))
-    plain = np.zeros(trials)
-    weighted = np.zeros(trials)
-    for t in range(trials):
-        z = (rng.random(s) < pi).astype(float)
-        samples = bbvi.ScoreSampleSet(f=z, h=(z - pi)[:, None])
-        plain[t] = bbvi.score_function_grad(samples)[0]
-        a = bbvi.control_variate_coeffs(samples)
-        weighted[t] = bbvi.score_function_grad(samples, a)[0]
-    assert weighted.var() < plain.var()
+    checks = selftest.variance_reduction_suite(trials=2000, seed=4)
+    assert all(passed for _, passed, _ in checks), checks
 
 
 # ---------------------------------------------------------------------------
@@ -181,46 +171,14 @@ def test_single_class_labeled_equals_unlabeled():
 
 
 def test_elbo_estimate_unbiased_on_toy():
-    m, x = make_enumerable_toy()
-    v0 = np.array([0.7, 0.5])
-    exact = exact_toy_elbo(m, x, -1, v0)
-    cfg = bbvi.McConfig(num_samples=8, use_control_variates=False)
-    reps = 200
-    vals = np.array([
-        bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), cfg,
-                                     np.random.default_rng(3000 + j),
-                                     frozen_sticks=v0).total
-        for j in range(reps)])
-    sem = vals.std(ddof=1) / np.sqrt(reps)
-    assert abs(vals.mean() - exact) < 3 * sem
+    st = selftest.toy_estimates(7, [0.7, 0.5], 200, 3000, False)["elbo"]
+    assert abs(st.mean - st.exact) < 3 * st.sem, st
 
 
 def _check_gradient_unbiased_on_toy(use_control_variates):
-    m, x = make_enumerable_toy(seed=5)
-    v0 = np.array([0.6, 0.4])
-    groups = m.parameter_groups()
-
-    def objective():
-        return exact_toy_elbo(m, x, -1, v0) + mdl.theta_log_prior(m)[0]
-
-    exact = {name: fd_grad_all(objective, groups[name])
-             for name in ("encoder", "classifier", "decoder")}
-
-    cfg = bbvi.McConfig(num_samples=8, use_control_variates=use_control_variates)
-    reps = 200
-    sums = {n: np.zeros_like(groups[n]) for n in exact}
-    sqs = {n: np.zeros_like(groups[n]) for n in exact}
-    for j in range(reps):
-        bd = bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), cfg,
-                                          np.random.default_rng(7000 + j),
-                                          frozen_sticks=v0)
-        for n in sums:
-            sums[n] += bd.grads[n]
-            sqs[n] += bd.grads[n] ** 2
-    for n in sums:
-        mean = sums[n] / reps
-        sem = np.sqrt(np.maximum(sqs[n] / reps - mean ** 2, 1e-30) / (reps - 1))
-        assert np.all(np.abs(mean - exact[n]) <= np.maximum(3 * sem, 1e-6)), n
+    stats = selftest.toy_estimates(5, [0.6, 0.4], 200, 7000, use_control_variates)
+    for name in ("encoder", "classifier", "decoder"):
+        assert stats[name].within(3.0, 1e-6), name
 
 
 def test_gradient_estimate_unbiased_on_toy():
@@ -332,19 +290,10 @@ def test_exact_log_marginal_upper_bounds_elbo():
 
 def test_variance_reduction_on_estimator():
     # enabling control variates must not inflate the estimator variance
-    m, x = make_enumerable_toy(seed=11)
-    v0 = np.array([0.7, 0.5])
-    reps = 300
-    out = {}
-    for cv in (False, True):
-        cfg = bbvi.McConfig(num_samples=8, use_control_variates=cv)
-        grads = np.array([
-            bbvi.estimate_elbo_and_grads(
-                m, x[None, :], np.array([-1]), cfg,
-                np.random.default_rng(9000 + j), frozen_sticks=v0
-            ).grads["encoder"] for j in range(reps)])
-        out[cv] = grads.var(axis=0).sum()
-    assert out[True] <= out[False] * 1.05
+    var = {cv: np.sum(selftest.toy_estimates(11, [0.7, 0.5], 300, 9000, cv)
+                      ["encoder"].sem ** 2)
+           for cv in (False, True)}
+    assert var[True] <= var[False] * 1.05
 
 
 def test_numeric_error_names_term(monkeypatch):

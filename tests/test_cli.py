@@ -179,6 +179,18 @@ def test_selftest_catches_injected_sign_error(monkeypatch, capsys):
     assert "[FAIL] fd/beta_score" in out
 
 
+def test_selftest_catches_estimator_gradient_error(monkeypatch, capsys):
+    # a 1% error in every classifier gradient of the estimator
+    import ibpdgm.bbvi as bb
+
+    original = bb._softmax_jacobian_vec
+    monkeypatch.setattr(bb, "_softmax_jacobian_vec",
+                        lambda probs, g: 1.01 * original(probs, g))
+    assert cli.main(["selftest", "--reps", "30"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] fd/estimator" in out
+
+
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     import ibpdgm.bbvi as bb
 

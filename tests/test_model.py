@@ -313,13 +313,14 @@ def test_generate_bernoulli_means_in_unit_interval():
 
 
 def test_generate_tiny_alpha_rarely_activates():
+    # with alpha = 1e-3 nearly every draw has every spike off, so its mean
+    # is the decoder's output at z = 0 for the given label
     rng = np.random.default_rng(30)
     m = mdl.build_model(4, 2, 6, 8, "bernoulli", 1e-3, 1e-2, rng)
-    k, n = m.K, 10_000
-    v = dist.beta_sample_array(m.sticks.alpha, 1.0, (n, k), rng)
-    pi = np.cumprod(v, axis=1)
-    zhat = (rng.random((n, k)) < pi).astype(float)
-    assert zhat.sum(axis=1).mean() < 0.1 * k
+    means, _ = mdl.generate(m, 10_000, rng, y=0)
+    at_zero = mdl.decode(m, np.zeros(m.K), mdl.onehot(0, m.C)).probs
+    matches = np.all(np.isclose(means, at_zero, rtol=0.0, atol=1e-12), axis=1)
+    assert matches.mean() > 0.99
 
 
 def test_generate_validates_n():
@@ -329,11 +330,14 @@ def test_generate_validates_n():
 
 
 # ---------------------------------------------------------------------------
-# end-to-end frozen-noise gradient check (shared plumbing with the estimator)
+# end-to-end gradient check of the estimator at fixed draws
 
 def test_path_gradients_match_fd_end_to_end():
-    worst = selftest.path_gradient_fd_worst(np.random.default_rng(31))
-    assert worst < 1e-4
+    rng = np.random.default_rng(31)
+    for kind in mdl.LIKELIHOODS:
+        for mode in mdl.UNLABELED_MODES:
+            worst = selftest.estimator_fd_worst(kind, mode, rng)
+            assert worst < 1e-4, (kind, mode, worst)
 
 
 # ---------------------------------------------------------------------------
