@@ -32,6 +32,10 @@ from . import distributions as dist
 from . import ibp
 from . import model as mdl
 
+# the decoder runs on blocks of whole points with at most this many rows
+# (point, sample, class) each: about 25 MB per 784-wide float64 temporary
+DECODER_BLOCK_ROWS = 4096
+
 
 class NumericError(RuntimeError):
     """A named objective term or gradient went non-finite."""
@@ -209,7 +213,9 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     `with_grads=False` only the ELBO is estimated: the same draws give the
     same term values, bit for bit, and the same finiteness checks run, but
     no backward pass, likelihood gradient or score gradient is computed,
-    and `grads` is {}.
+    and `grads` is {}.  The decoder runs on blocks of whole points of at
+    most DECODER_BLOCK_ROWS rows, so memory is bounded by one block; a
+    batch that fits in one block decodes exactly as one call would.
     """
     if mode not in mdl.UNLABELED_MODES:
         raise ValueError(f"unknown unlabeled mode {mode!r}")
@@ -257,64 +263,61 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     logq_zhat = logq_zhat_k.sum(axis=2)
 
     # --- reconstruction + decoder/path gradients ---------------------------
+    # Point i decodes one row per (sample, class) with the class one-hots
+    # y_pt[i] (n_cls, C) and weights w_pt[i] * scale/S, rows ordered
+    # (point, sample, class); n_cls is C when an unlabeled point
+    # marginalizes its label, else 1, and its reconstruction sums the class
+    # rows with weights w_pt[i].  Labeled and unlabeled points are
+    # decoded apart, each in blocks of whole points of at most
+    # DECODER_BLOCK_ROWS rows (one point when a point alone is more), so
+    # memory does not grow with the batch; the draws are all made already.
     labeled = labels >= 0
+    idx_lab = np.flatnonzero(labeled)
+    idx_unl = np.flatnonzero(~labeled)
+    eye = np.eye(c)
+    groups = []                                   # (idx, y_pt, w_pt)
+    if idx_lab.size:
+        groups.append((idx_lab, eye[labels[idx_lab]][:, None, :],
+                       np.ones((idx_lab.size, 1))))
+    if idx_unl.size:
+        bu = idx_unl.size
+        if mode == "marginalize":
+            groups.append((idx_unl, np.broadcast_to(eye, (bu, c, c)), probs_y[idx_unl]))
+        else:
+            groups.append((idx_unl, np.zeros((bu, 1, c)), np.ones((bu, 1))))
     recon = np.empty((batch_size, s))
     g_z = np.zeros((batch_size, s, k))        # weighted by scale/S already
     dec_grads = m.decoder.zero_grad_like()
     g_cls_logits = np.zeros((batch_size, c))
-    r_per_class = None
-
-    def run_decoder(z_rows, y_rows, x_rows, weight_rows):
-        dec_in = np.concatenate([z_rows, y_rows], axis=1)
-        out, tape = nn.forward(m.decoder, dec_in)
-        if not with_grads:
-            return _likelihood_values(m.likelihood_kind, out, x_rows, m.D), None, None
-        r_rows, g_out = _likelihood_values_and_grads(
-            m.likelihood_kind, out, x_rows, m.D)
-        g_params, g_in = nn.backward(m.decoder, tape, g_out * weight_rows[:, None])
-        return r_rows, g_params, g_in[:, :k]
-
-    idx_lab = np.flatnonzero(labeled)
-    if idx_lab.size:
-        bl = idx_lab.size
-        z_rows = z[idx_lab].reshape(bl * s, k)
-        y_rows = np.repeat(np.eye(c)[labels[idx_lab]], s, axis=0)
-        x_rows = np.repeat(x[idx_lab], s, axis=0)
-        w_rows = np.full(bl * s, scale / s)
-        r_rows, g_params, gz_rows = run_decoder(z_rows, y_rows, x_rows, w_rows)
-        recon[idx_lab] = r_rows.reshape(bl, s)
-        if with_grads:
-            g_z[idx_lab] = gz_rows.reshape(bl, s, k)
+    for idx, y_pt, w_pt in groups:
+        n_cls = y_pt.shape[1]
+        per_block = max(1, DECODER_BLOCK_ROWS // (s * n_cls))
+        r = np.empty((idx.size, s, n_cls))
+        for lo in range(0, idx.size, per_block):
+            blk = slice(lo, lo + per_block)
+            pts = idx[blk]
+            dec_in = np.empty((pts.size, s, n_cls, k + c))
+            dec_in[..., :k] = z[pts][:, :, None, :]
+            dec_in[..., k:] = y_pt[blk][:, None]
+            out, tape = nn.forward(m.decoder, dec_in.reshape(-1, k + c))
+            x_rows = np.repeat(x[pts], s * n_cls, axis=0)
+            if not with_grads:
+                r[blk] = _likelihood_values(
+                    m.likelihood_kind, out, x_rows, m.D).reshape(-1, s, n_cls)
+                continue
+            r_rows, g_out = _likelihood_values_and_grads(
+                m.likelihood_kind, out, x_rows, m.D)
+            r[blk] = r_rows.reshape(-1, s, n_cls)
+            w_rows = np.broadcast_to((w_pt[blk] * (scale / s))[:, None, :],
+                                     (pts.size, s, n_cls)).reshape(-1, 1)
+            g_params, g_in = nn.backward(m.decoder, tape, g_out * w_rows)
+            # the one-hots are constants and the weights are folded in: the
+            # z-gradient sums the class rows
+            g_z[pts] = g_in[:, :k].reshape(-1, s, n_cls, k).sum(axis=2)
             dec_grads += g_params
-
-    idx_unl = np.flatnonzero(~labeled)
-    if idx_unl.size:
-        bu = idx_unl.size
-        if mode == "marginalize":
-            # rows ordered (point, sample, class)
-            z_rows = np.repeat(z[idx_unl].reshape(bu * s, k), c, axis=0)
-            y_rows = np.tile(np.eye(c), (bu * s, 1))
-            x_rows = np.repeat(x[idx_unl], s * c, axis=0)
-            w_rows = (np.repeat(probs_y[idx_unl], s, axis=0).reshape(bu * s * c)
-                      * (scale / s))
-            r_rows, g_params, gz_rows = run_decoder(z_rows, y_rows, x_rows, w_rows)
-            r_per_class = r_rows.reshape(bu, s, c)
-            recon[idx_unl] = np.sum(probs_y[idx_unl][:, None, :] * r_per_class, axis=2)
-            # class one-hots are constants; the z-gradient sums the
-            # probability-weighted class rows (weights already folded in)
-            if with_grads:
-                g_z[idx_unl] = gz_rows.reshape(bu, s, c, k).sum(axis=2)
-        else:
-            z_rows = z[idx_unl].reshape(bu * s, k)
-            y_rows = np.zeros((bu * s, c))
-            x_rows = np.repeat(x[idx_unl], s, axis=0)
-            w_rows = np.full(bu * s, scale / s)
-            r_rows, g_params, gz_rows = run_decoder(z_rows, y_rows, x_rows, w_rows)
-            recon[idx_unl] = r_rows.reshape(bu, s)
-            if with_grads:
-                g_z[idx_unl] = gz_rows.reshape(bu, s, k)
-        if with_grads:
-            dec_grads += g_params
+        recon[idx] = np.sum(w_pt[:, None, :] * r, axis=2)
+    # the unlabeled points are the last group
+    r_per_class = r if idx_unl.size and mode == "marginalize" else None
     _check_finite("recon", recon)
 
     # --- spike (zhat) score gradients, per-point control variates ----------

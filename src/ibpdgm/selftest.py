@@ -17,7 +17,9 @@ likelihood out from its definition and calls no estimator code, so it
 can catch a fault in the estimator's own likelihood.
 """
 
+import functools
 import itertools
+import types
 from typing import NamedTuple
 
 import numpy as np
@@ -327,6 +329,30 @@ class ToyStat(NamedTuple):
                             / np.maximum(self.sem, 1e-12)))
 
 
+TOY_GRAD_GROUPS = ("encoder", "classifier", "decoder")
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_toy_values(toy_seed, v0):
+    """`exact_toy_elbo` of one unlabeled point of the enumerable toy, with
+    the sticks frozen at the tuple v0, and its central differences (plus
+    the decoder weight prior) per group in TOY_GRAD_GROUPS.  Cached: the
+    differences take about a second, and the arrays are read-only because
+    every caller shares them."""
+    m, x = make_enumerable_toy(seed=toy_seed)
+    v0 = np.array(v0)
+    groups = m.parameter_groups()
+
+    def objective():
+        return exact_toy_elbo(m, x, -1, v0) + mdl.theta_log_prior(m)[0]
+
+    exact = {"elbo": exact_toy_elbo(m, x, -1, v0)}
+    for name in TOY_GRAD_GROUPS:
+        exact[name] = fd_grad_all(objective, groups[name])
+        exact[name].setflags(write=False)
+    return types.MappingProxyType(exact)
+
+
 def toy_estimates(toy_seed, v0, reps, seed0, use_control_variates,
                   num_samples=8):
     """Run the estimator `reps` times, with seeds seed0 + j, on one
@@ -338,14 +364,7 @@ def toy_estimates(toy_seed, v0, reps, seed0, use_control_variates,
     """
     m, x = make_enumerable_toy(seed=toy_seed)
     v0 = np.asarray(v0, dtype=np.float64)
-    groups = m.parameter_groups()
-    names = ("encoder", "classifier", "decoder")
-
-    def objective():
-        return exact_toy_elbo(m, x, -1, v0) + mdl.theta_log_prior(m)[0]
-
-    exact = {"elbo": exact_toy_elbo(m, x, -1, v0)}
-    exact.update({name: fd_grad_all(objective, groups[name]) for name in names})
+    exact = _exact_toy_values(toy_seed, tuple(v0.tolist()))
     cfg = bbvi.McConfig(num_samples=num_samples,
                         use_control_variates=use_control_variates)
     runs = [bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), cfg,
@@ -353,7 +372,8 @@ def toy_estimates(toy_seed, v0, reps, seed0, use_control_variates,
                                          frozen_sticks=v0)
             for j in range(reps)]
     values = {"elbo": np.array([bd.total for bd in runs])}
-    values.update({name: np.array([bd.grads[name] for bd in runs]) for name in names})
+    values.update({name: np.array([bd.grads[name] for bd in runs])
+                   for name in TOY_GRAD_GROUPS})
     return {name: ToyStat(v.mean(axis=0), v.std(axis=0, ddof=1) / np.sqrt(reps),
                           exact[name])
             for name, v in values.items()}

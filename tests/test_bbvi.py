@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,84 @@ def test_forward_only_numeric_error_names_term(monkeypatch):
         bbvi.estimate_elbo_and_grads(m, x, None, bbvi.McConfig(num_samples=2), rng,
                                      with_grads=False)
     assert err.value.term == "recon"
+
+
+# ---------------------------------------------------------------------------
+# the decoder runs on blocks of whole points
+
+@pytest.mark.parametrize("with_grads", [True, False])
+@pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
+@pytest.mark.parametrize("mode", mdl.UNLABELED_MODES)
+@pytest.mark.parametrize("batch", ["labeled", "unlabeled", "mixed"])
+@pytest.mark.parametrize("block_rows", [1, 7, 64])
+def test_blocked_estimate_matches_one_block(block_rows, batch, mode, kind, with_grads,
+                                            monkeypatch):
+    rng = np.random.default_rng(22)
+    m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
+    x = rng.random((6, 5))
+    if kind == "bernoulli":
+        x = (x < 0.5).astype(float)
+    labels = {"labeled": np.array([0, 1, 2, 0, 1, 2]),
+              "unlabeled": np.full(6, -1),
+              "mixed": np.array([0, -1, 2, -1, -1, 1])}[batch]
+    s = 4
+
+    def estimate():
+        return bbvi.estimate_elbo_and_grads(
+            m, x, labels, bbvi.McConfig(num_samples=s), np.random.default_rng(5),
+            dataset_size=60, mode=mode, alpha_sup=0.7, with_grads=with_grads)
+
+    one_block = estimate()
+    monkeypatch.setattr(bbvi, "DECODER_BLOCK_ROWS", block_rows)
+    blocked = estimate()
+    # rows of the labeled and the unlabeled points, each decoded on its own
+    n_lab = int(np.sum(labels >= 0))
+    n_cls = m.C if mode == "marginalize" else 1
+    fits = max(n_lab * s, (labels.size - n_lab) * s * n_cls) <= block_rows
+    names = ("total", "recon", "kl_gauss", "term_zhat", "term_v", "term_y")
+    for name in names:
+        a, b = getattr(blocked, name), getattr(one_block, name)
+        assert a.hex() == b.hex() if fits else abs(a - b) <= 1e-12 * abs(b), name
+    assert blocked.diagnostics == one_block.diagnostics
+    assert blocked.grads.keys() == one_block.grads.keys()
+    for name, g in one_block.grads.items():
+        if fits:
+            assert np.array_equal(blocked.grads[name], g), name
+        else:
+            np.testing.assert_allclose(blocked.grads[name], g, rtol=1e-12, err_msg=name)
+
+
+def test_blocked_gradient_matches_fd(monkeypatch):
+    # one point per block; same draws and bound as the unblocked check in
+    # test_model.test_path_gradients_match_fd_end_to_end
+    monkeypatch.setattr(bbvi, "DECODER_BLOCK_ROWS", 1)
+    rng = np.random.default_rng(31)
+    for kind in mdl.LIKELIHOODS:
+        for mode in mdl.UNLABELED_MODES:
+            worst = selftest.estimator_fd_worst(kind, mode, rng)
+            assert worst < 1e-4, (kind, mode, worst)
+
+
+def test_forward_only_memory_bounded_in_points():
+    # MNIST-shaped forward-only estimate, every point unlabeled: its traced
+    # peak must not grow with the number of points the way the decoder rows
+    # (point, sample, class) do
+    rng = np.random.default_rng(23)
+    m = mdl.build_model(784, 10, 50, 500, "bernoulli", 1.0, 0.01, rng)
+    x = (rng.random((2000, 784)) < 0.3).astype(float)
+    cfg = bbvi.McConfig(num_samples=2, use_control_variates=False)
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            bbvi.estimate_elbo_and_grads(m, x[:n], None, cfg, np.random.default_rng(1),
+                                         with_grads=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(500), traced_peak(2000)
+    assert large <= 1.5 * small, (small / 2 ** 20, large / 2 ** 20)
 
 
 def test_clip_global_norm():
