@@ -34,20 +34,19 @@ print()
 print("=== binary ownership under the hierarchical prior ===")
 zhat = (rng.random((5, K)) < pi).astype(float)
 for row in zhat:
-    lp = ibp.ibp_prior_log_prob(row, pi)
+    lp = ibp.ibp_prior_log_prob_from_sticks(row, v)
     print(" ", row.astype(int), f"log prior {lp:8.3f}")
 print("later features switch on rarely; that is the dimensionality control.")
 
 print()
 print("=== score gradients: the log-derivative trick's raw material ===")
-p = dist.BetaParams(2.0, 1.5)
 v0 = 0.3
-da, db = dist.beta_score_grad(v0, p)
+da, db = dist.beta_score_grad(v0, 2.0, 1.5)
 print(f"d/da log Beta({v0}; a=2.0, b=1.5) = {da:+.4f}")
 print(f"d/db log Beta({v0}; a=2.0, b=1.5) = {db:+.4f}")
-bern = dist.BernoulliParams(np.array([0.0, 2.0]))
+logits = np.array([0.0, 2.0])
 z = np.array([1.0, 0.0])
-print(f"d/dlogit log Bern({z.astype(int)}; probs={np.round(bern.probs, 2)}) "
-      f"= {np.round(dist.bernoulli_score_grad(z, bern), 4)}")
+print(f"d/dlogit log Bern({z.astype(int)}; probs={np.round(dist.sigmoid(logits), 2)}) "
+      f"= {np.round(dist.bernoulli_score_grad(z, logits), 4)}")
 print("every one of these matches finite differences; see the self-test:")
 print("  python -m ibpdgm.cli selftest")

@@ -161,28 +161,18 @@ def _softmax_jacobian_vec(probs, g):
 def _likelihood_values(kind, dec_out, x_rows, input_dim):
     """Per-row log-likelihood of x_rows under the raw decoder output."""
     if kind == "bernoulli":
-        return np.sum(x_rows * dec_out - dist.softplus(dec_out), axis=1)
-    return _gaussian_log_lik(*_gaussian_residual_and_var(dec_out, x_rows, input_dim))
-
-
-def _gaussian_residual_and_var(dec_out, x_rows, input_dim):
-    var = dist.softplus(dec_out[:, input_dim:]) + mdl.VAR_FLOOR
-    return x_rows - dec_out[:, :input_dim], var
-
-
-def _gaussian_log_lik(diff, var):
-    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=1)
+        return dist.bernoulli_log_prob(x_rows, dec_out).sum(axis=1)
+    return dist.gaussian_log_prob(x_rows, *mdl.split_decoder_out(dec_out, input_dim))
 
 
 def _likelihood_values_and_grads(kind, dec_out, x_rows, input_dim):
     """Per-row log-likelihood and its gradient w.r.t. the raw decoder output."""
     if kind == "bernoulli":
         return (_likelihood_values(kind, dec_out, x_rows, input_dim),
-                x_rows - dist.sigmoid(dec_out))
-    diff, var = _gaussian_residual_and_var(dec_out, x_rows, input_dim)
-    g_mean = diff / var
-    g_var = -0.5 / var + 0.5 * diff * diff / (var * var)
-    return _gaussian_log_lik(diff, var), np.concatenate(
+                dist.bernoulli_score_grad(x_rows, dec_out))
+    mean, var = mdl.split_decoder_out(dec_out, input_dim)
+    g_mean, g_var = dist.gaussian_score_grad(x_rows, mean, var)
+    return dist.gaussian_log_prob(x_rows, mean, var), np.concatenate(
         [g_mean, g_var * dist.sigmoid(dec_out[:, input_dim:])], axis=1)
 
 
@@ -257,8 +247,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     logp_zhat_k, expected_logp_zhat_k = ibp.ibp_prior_log_prob_from_sticks(
         np.stack([zhat, np.broadcast_to(pi_hat[:, None, :], zhat.shape)]), v,
         per_component=True)                                              # (B, S, K)
-    logq_zhat_k = (zhat * logits_z[:, None, :]
-                   - dist.softplus(logits_z)[:, None, :])
+    logq_zhat_k = dist.bernoulli_log_prob(zhat, logits_z[:, None, :])
     logp_zhat = logp_zhat_k.sum(axis=2)                                  # (B, S)
     logq_zhat = logq_zhat_k.sum(axis=2)
 
@@ -326,7 +315,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     f_zhat = recon[:, :, None] + prior_weight * (logp_zhat_k - logq_zhat_k)  # (B, S, K)
     _check_finite("term_zhat", f_zhat)
     if with_grads:
-        h_zhat = zhat - pi_hat[:, None, :]                # (B, S, K)
+        h_zhat = dist.bernoulli_score_grad(zhat, logits_z[:, None, :])  # (B, S, K)
         # the S samples of every (point, spike) pair: (S, B * K)
         spikes = ScoreSampleSet(f_zhat.transpose(1, 0, 2).reshape(s, -1),
                                 h_zhat.transpose(1, 0, 2).reshape(s, -1))
@@ -335,7 +324,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         g_logits = score_function_grad(spikes, a_zhat).reshape(batch_size, k)
 
     # analytic -KL(q(ztilde) || N(0, I))
-    kl_gauss_points = 0.5 * np.sum(mean ** 2 + var - 1.0 - np.log(var), axis=1)
+    kl_gauss_points = dist.gaussian_kl_to_standard(mean, var)
     if with_grads:
         # pathwise gradients for the Gaussian slab, plus those of -KL
         g_ztilde = g_z * zhat                              # masked by the spikes
@@ -353,22 +342,18 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     term_y_points = np.zeros(batch_size)
     if idx_unl.size:
         p_u = probs_y[idx_unl]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logp = np.where(p_u > 0, np.log(np.maximum(p_u, 1e-300)), 0.0)
-        kl_y = np.sum(p_u * (logp + np.log(c)), axis=1)
-        term_y_points[idx_unl] = -kl_y
+        term_y_points[idx_unl] = -dist.categorical_kl_to_uniform(p_u)
         if with_grads:
-            g_probs = -(logp + np.log(c) + 1.0) * scale   # d(-KL)/d probs
+            g_probs = -dist.categorical_kl_to_uniform_grad(p_u) * scale
             if mode == "marginalize" and r_per_class is not None:
                 g_probs = g_probs + r_per_class.mean(axis=1) * scale
             g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
     if idx_lab.size and alpha_sup != 0.0:
-        term_y_points[idx_lab] = alpha_sup * np.log(
-            np.maximum(probs_y[idx_lab][np.arange(idx_lab.size), labels[idx_lab]],
-                       1e-300))
+        term_y_points[idx_lab] = alpha_sup * dist.categorical_log_prob(
+            labels[idx_lab], probs_y[idx_lab])
         if with_grads:
-            y_onehots = np.eye(c)[labels[idx_lab]]
-            g_cls_logits[idx_lab] = scale * alpha_sup * (y_onehots - probs_y[idx_lab])
+            g_cls_logits[idx_lab] = scale * alpha_sup * dist.categorical_score_grad(
+                labels[idx_lab], probs_y[idx_lab])
     if with_grads:
         cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
 

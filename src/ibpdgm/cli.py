@@ -37,16 +37,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coerce(name, raw, target_type):
-    if target_type is bool or target_type == "bool":
+    if target_type is bool:
         if str(raw).lower() in ("1", "true", "yes", "on"):
             return True
         if str(raw).lower() in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"config key {name}: expected a boolean, got {raw!r}")
     try:
-        if target_type is int or target_type == "int":
+        if target_type is int:
             return int(raw)
-        if target_type is float or target_type == "float":
+        if target_type is float:
             return float(raw)
     except ValueError:
         raise UsageError(f"config key {name}: cannot parse {raw!r}") from None

@@ -1,18 +1,22 @@
-"""Sampling, log-densities, analytic KLs, and score gradients.
+"""Log-densities, score gradients and analytic KLs, over plain arrays.
 
-Covers the four families the model is built from: diagonal Gaussian,
-Bernoulli (stored as logits), Beta (positive shape pair), Categorical
-(simplex), plus the lgamma and digamma special functions needed by the
-Beta density and its score gradient.  Everything is float64 and pure
-given the parameters; samplers take a caller-provided numpy Generator.
+One function per density, score and KL of the four families the model
+is built from: diagonal Gaussian (mean, var), Bernoulli (logits), Beta
+(shape pair a, b) and Categorical (probabilities over the last axis),
+plus the elementwise maps and the lgamma and digamma special functions
+they need.  Each computes the expression the estimator
+(`bbvi.estimate_elbo_and_grads`) trains with, so every check of these
+functions checks trained code.  The Gaussian log-density, both KLs and
+the categorical log-probability return one value per row (they reduce
+the last axis); `bernoulli_log_prob` and the score gradients are
+elementwise.  The one sampler is `beta_sample_array`; it takes a
+caller-provided numpy Generator.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-_EULER_GAMMA = 0.5772156649015329
 _V_CLAMP = 1e-7  # sampled Beta values are kept inside [tiny, 1 - tiny]
 
 
@@ -79,101 +83,39 @@ def digamma(x):
 # ---------------------------------------------------------------------------
 # diagonal Gaussian
 
-@dataclass
-class DiagGaussianParams:
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.var = np.asarray(self.var, dtype=np.float64)
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.var))):
-            raise ValueError("Gaussian parameters must be finite")
-        if np.any(self.var <= 0):
-            raise ValueError("Gaussian variance must be strictly positive")
+def gaussian_kl_to_standard(mean, var):
+    """KL( N(mean, diag var) || N(0, I) ) per row, in closed form; >= 0."""
+    return 0.5 * np.sum(mean ** 2 + var - 1.0 - np.log(var), axis=-1)
 
 
-def gaussian_reparam_sample(p, eps):
-    """mean + sqrt(var) * eps, the pathwise-differentiable sample."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("noise must be finite")
-    return p.mean + np.sqrt(p.var) * eps
+def gaussian_log_prob(x, mean, var):
+    """log N(x; mean, diag var) per row."""
+    diff = x - mean
+    return -0.5 * np.sum(np.log(2.0 * np.pi * var) + diff * diff / var, axis=-1)
 
 
-def gaussian_log_prob(x, p):
-    x = np.asarray(x, dtype=np.float64)
-    return float(np.sum(-0.5 * (np.log(2.0 * np.pi * p.var)
-                                + (x - p.mean) ** 2 / p.var)))
-
-
-def gaussian_kl_to_standard(p):
-    """KL( N(mean, diag var) || N(0, I) ), in closed form; always >= 0."""
-    return float(0.5 * np.sum(p.mean ** 2 + p.var - 1.0 - np.log(p.var)))
-
-
-def gaussian_score_grad(x, p):
-    """Gradient of log q(x; mean, var) w.r.t. (mean, var)."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x - p.mean
-    grad_mean = d / p.var
-    grad_var = -0.5 / p.var + 0.5 * d * d / (p.var * p.var)
-    return grad_mean, grad_var
+def gaussian_score_grad(x, mean, var):
+    """Gradient of log N(x; mean, diag var) w.r.t. (mean, var), elementwise."""
+    diff = x - mean
+    return diff / var, -0.5 / var + 0.5 * diff * diff / (var * var)
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli, parameterized by logits
 
-@dataclass
-class BernoulliParams:
-    logits: np.ndarray
-
-    def __post_init__(self):
-        self.logits = np.asarray(self.logits, dtype=np.float64)
-        if not np.all(np.isfinite(self.logits)):
-            raise ValueError("logits must be finite")
-
-    @property
-    def probs(self):
-        return sigmoid(self.logits)
-
-    @classmethod
-    def from_probs(cls, probs):
-        probs = np.asarray(probs, dtype=np.float64)
-        if np.any(probs <= 0) or np.any(probs >= 1):
-            raise ValueError("probabilities must lie in the open interval (0, 1)")
-        return cls(np.log(probs) - np.log1p(-probs))
+def bernoulli_log_prob(z, logits):
+    """z ln pi + (1 - z) ln(1 - pi) with pi = sigmoid(logits), elementwise,
+    as z * logits - softplus(logits)."""
+    return z * logits - softplus(logits)
 
 
-def bernoulli_log_prob(z, p):
-    """sum_k [z_k ln pi_k + (1 - z_k) ln(1 - pi_k)], computed from logits."""
-    z = np.asarray(z, dtype=np.float64)
-    # z*l - softplus(l) == z ln(sigmoid(l)) + (1-z) ln(1 - sigmoid(l))
-    return float(np.sum(z * p.logits - softplus(p.logits)))
-
-
-def bernoulli_sample(p, rng):
-    return (rng.random(p.logits.shape) < p.probs).astype(np.float64)
-
-
-def bernoulli_score_grad(z, p):
-    """d/d logits of log q(z): z - sigmoid(logits)."""
-    return np.asarray(z, dtype=np.float64) - p.probs
+def bernoulli_score_grad(z, logits):
+    """d/d logits of `bernoulli_log_prob`: z - sigmoid(logits)."""
+    return z - sigmoid(logits)
 
 
 # ---------------------------------------------------------------------------
 # Beta
-
-@dataclass
-class BetaParams:
-    """Beta shapes; a and b are positive scalars or arrays of one shape."""
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not (np.all(np.asarray(self.a) > 0) and np.all(np.asarray(self.b) > 0)):
-            raise ValueError("Beta parameters must be positive")
-
 
 def beta_sample_array(a, b, size, rng):
     """Beta(a, b) draws of the given shape via two Gamma draws, clamped.
@@ -188,10 +130,6 @@ def beta_sample_array(a, b, size, rng):
     return np.clip(x / (x + y), _V_CLAMP, 1.0 - _V_CLAMP)
 
 
-def beta_sample(p, rng):
-    return float(beta_sample_array(p.a, p.b, (), rng))
-
-
 def _unit_interval(v):
     v = np.asarray(v, dtype=np.float64)
     if not np.all((v > 0.0) & (v < 1.0)):
@@ -203,71 +141,56 @@ def _scalar_or_array(x):
     return x if np.ndim(x) else float(x)
 
 
-def beta_log_prob(v, p):
+def beta_log_prob(v, a, b):
     """(a-1) ln v + (b-1) ln(1-v) - ln B(a, b) for v in the open unit interval.
 
     v, a and b broadcast against each other (the sticks pass v of shape
     (..., K) against K shape pairs); a float when all are scalars.
     """
     v = _unit_interval(v)
-    log_beta = lgamma(p.a) + lgamma(p.b) - lgamma(p.a + p.b)
-    return _scalar_or_array(
-        (p.a - 1.0) * np.log(v) + (p.b - 1.0) * np.log1p(-v) - log_beta)
+    log_beta = lgamma(a) + lgamma(b) - lgamma(a + b)
+    return _scalar_or_array((a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_beta)
 
 
-def beta_score_grad(v, p):
+def beta_score_grad(v, a, b):
     """Gradient (da, db) of log Beta(v; a, b) w.r.t. (a, b); broadcasts
     like `beta_log_prob`."""
     v = _unit_interval(v)
-    psi_ab = digamma(p.a + p.b)
-    da = np.log(v) - digamma(p.a) + psi_ab
-    db = np.log1p(-v) - digamma(p.b) + psi_ab
+    psi_ab = digamma(a + b)
+    da = np.log(v) - digamma(a) + psi_ab
+    db = np.log1p(-v) - digamma(b) + psi_ab
     return _scalar_or_array(da), _scalar_or_array(db)
 
 
 # ---------------------------------------------------------------------------
-# Categorical
+# Categorical, over the last axis of a probability array
 
-@dataclass
-class CategoricalParams:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if np.any(self.probs < 0):
-            raise ValueError("probabilities must be non-negative")
-        if abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
-
-    @classmethod
-    def from_logits(cls, logits):
-        return cls(softmax(logits))
-
-    @property
-    def num_classes(self):
-        return self.probs.size
+def _floored_log(probs):
+    return np.log(np.maximum(probs, 1e-300))
 
 
-def categorical_log_prob(c, p):
-    return float(np.log(p.probs[int(c)]))
+def categorical_log_prob(labels, probs):
+    """ln probs[..., label] per row, floored at ln 1e-300."""
+    picked = np.take_along_axis(probs, np.asarray(labels)[..., None], axis=-1)
+    return _floored_log(picked[..., 0])
 
 
-def categorical_sample(p, rng):
-    """Inverse-CDF draw; returns a class index."""
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(p.probs), u, side="right").clip(0, p.num_classes - 1))
+def categorical_score_grad(labels, probs):
+    """d/d logits of `categorical_log_prob` with probs = softmax(logits):
+    onehot(label) - probs."""
+    return np.eye(probs.shape[-1])[labels] - probs
 
 
-def categorical_kl_to_uniform(p):
-    """KL( Cat(probs) || Uniform(C) ) = sum_c p_c ln(C p_c), with 0 ln 0 = 0."""
-    c = p.num_classes
-    nz = p.probs > 0
-    return float(np.sum(p.probs[nz] * np.log(c * p.probs[nz])))
+def _kl_log_probs(probs):
+    """ln p with 0 in place of ln 0, so that 0 ln 0 = 0."""
+    return np.where(probs > 0, _floored_log(probs), 0.0)
 
 
-def categorical_score_grad(c, logits):
-    """d/d logits of log Cat(c | softmax(logits)): onehot(c) - probs."""
-    probs = softmax(logits)
-    g = -probs
-    g[int(c)] += 1.0
-    return g
+def categorical_kl_to_uniform(probs):
+    """KL( Cat(probs) || Uniform(C) ) = sum_c p_c (ln p_c + ln C) per row."""
+    return np.sum(probs * (_kl_log_probs(probs) + np.log(probs.shape[-1])), axis=-1)
+
+
+def categorical_kl_to_uniform_grad(probs):
+    """d/d probs of `categorical_kl_to_uniform`: ln p_c + ln C + 1."""
+    return _kl_log_probs(probs) + np.log(probs.shape[-1]) + 1.0

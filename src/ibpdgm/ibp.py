@@ -60,7 +60,7 @@ class GlobalSticks:
 
         With `per_component` the terms log q(v_k) are returned unsummed.
         """
-        terms = dist.beta_log_prob(v, dist.BetaParams(self.a, self.b))
+        terms = dist.beta_log_prob(v, self.a, self.b)
         return terms if per_component else terms.sum(axis=-1)
 
     def score_grads(self, v):
@@ -70,7 +70,7 @@ class GlobalSticks:
         stored log-parameters to (a, b).
         """
         a, b = self.a, self.b
-        da, db = dist.beta_score_grad(v, dist.BetaParams(a, b))
+        da, db = dist.beta_score_grad(v, a, b)
         return np.concatenate([a * da, b * db], axis=-1)
 
 
@@ -82,23 +82,6 @@ def stick_breaking(v):
     return np.cumprod(v, axis=-1)
 
 
-def ibp_prior_log_prob(zhat, pi):
-    """log prod_k Bernoulli(zhat_k | pi_k).
-
-    pi_k = 1 with zhat_k = 1 contributes 0; pi_k = 1 with zhat_k = 0 is a
-    zero-probability event and contributes the -1e10 sentinel instead of
-    -inf so callers can flag it without poisoning sums with NaNs.
-    """
-    zhat = np.asarray(zhat, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    if zhat.shape != pi.shape:
-        raise ValueError("zhat and pi must have the same length")
-    if pi.size and (np.any(pi <= 0) or np.any(pi > 1)):
-        raise ValueError("pi must lie in (0, 1]")
-    with np.errstate(divide="ignore"):
-        return float(np.sum(log_bernoulli_terms(zhat, np.log(pi), np.log1p(-pi))))
-
-
 def log_bernoulli_terms(zhat, log_pi, log_one_minus_pi):
     """Elementwise zhat*log(pi) + (1-zhat)*log(1-pi) with log(0) guarded."""
     on = np.where(np.isfinite(log_pi), log_pi, LOG_ZERO_SENTINEL)
@@ -107,13 +90,15 @@ def log_bernoulli_terms(zhat, log_pi, log_one_minus_pi):
 
 
 def ibp_prior_log_prob_from_sticks(zhat, v, per_component=False):
-    """Same as ibp_prior_log_prob but from stick fractions, in log space.
+    """log prod_k Bernoulli(zhat_k | pi_k), pi = cumprod(v), in log space.
 
     Works on batched arrays of shape (..., K) and avoids the underflow of
-    materializing pi = cumprod(v) when K is large; returns shape (...,),
-    or the unsummed terms (..., K) with `per_component`.  zhat and v
-    broadcast against each other, and zhat may be fractional: the terms
-    are linear in it, so q(zhat = 1) in its place gives their expectation.
+    materializing pi when K is large.  pi_k = 1 with zhat_k = 0 is a
+    zero-probability event and contributes the -1e10 sentinel instead of
+    -inf, so callers can flag it.  Returns shape (...,), or the unsummed
+    terms (..., K) with `per_component`.  zhat and v broadcast against
+    each other, and zhat may be fractional: the terms are linear in it,
+    so q(zhat = 1) in its place gives their expectation.
     """
     zhat = np.asarray(zhat, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

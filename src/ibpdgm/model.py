@@ -86,16 +86,15 @@ def split_encoder_out(out, k):
 
 
 def encode(m, x):
-    """Posterior parameters for one input: (Gaussian over the slab,
-    Bernoulli over the spikes, the forward tape)."""
-    out, tape = nn.forward(m.encoder, x)
-    mean, var, logits = split_encoder_out(out, m.K)
-    return dist.DiagGaussianParams(mean, var), dist.BernoulliParams(logits), tape
+    """Posterior parameters (mean, var, inclusion logits) for x."""
+    out, _ = nn.forward(m.encoder, x)
+    return split_encoder_out(out, m.K)
 
 
 def classify(m, x):
+    """Label probabilities q(y | x)."""
     out, _ = nn.forward(m.classifier, x)
-    return dist.CategoricalParams.from_logits(out)
+    return dist.softmax(out)
 
 
 def predict_batch(m, x):
@@ -103,32 +102,21 @@ def predict_batch(m, x):
     return np.argmax(out, axis=1)
 
 
-def compose_latent(ztilde, zhat):
-    """Elementwise spike-and-slab product z = ztilde * zhat."""
-    ztilde = np.asarray(ztilde, dtype=np.float64)
-    zhat = np.asarray(zhat, dtype=np.float64)
-    if ztilde.shape != zhat.shape:
-        raise ValueError("ztilde and zhat must have the same shape")
-    return ztilde * zhat
-
-
 def decode(m, z, y_embed):
-    """Conditional likelihood parameters for one latent code and label
-    embedding (one-hot for labeled data, soft weights or zeros otherwise)."""
+    """Raw decoder output for latent codes and label embeddings (one-hot
+    for labeled data, soft weights or zeros otherwise): the Bernoulli
+    logits, or a Gaussian's [mean | raw var] (see `split_decoder_out`)."""
     z = np.asarray(z, dtype=np.float64)
     y_embed = np.asarray(y_embed, dtype=np.float64)
     if z.shape[-1] != m.K or y_embed.shape[-1] != m.C:
         raise ValueError("latent/label embedding dimensions do not match the model")
     out, _ = nn.forward(m.decoder, np.concatenate([z, y_embed], axis=-1))
-    return decoder_out_to_params(m, out)
+    return out
 
 
-def decoder_out_to_params(m, out):
-    if m.likelihood_kind == "bernoulli":
-        return dist.BernoulliParams(out)
-    mean = out[..., :m.D]
-    var = dist.softplus(out[..., m.D:]) + VAR_FLOOR
-    return dist.DiagGaussianParams(mean, var)
+def split_decoder_out(out, d):
+    """(..., 2D) raw Gaussian decoder output -> (mean, var)."""
+    return out[..., :d], dist.softplus(out[..., d:]) + VAR_FLOOR
 
 
 def theta_log_prior(m):
@@ -145,12 +133,6 @@ def theta_log_prior(m):
     return value, grad
 
 
-def onehot(label, num_classes):
-    e = np.zeros(num_classes, dtype=np.float64)
-    e[int(label)] = 1.0
-    return e
-
-
 def generate(m, n, rng, y=None, sample_observations=False):
     """Draw n observations from the generative process.
 
@@ -165,14 +147,14 @@ def generate(m, n, rng, y=None, sample_observations=False):
     zhat = (rng.random((n, m.K)) < ibp.stick_breaking(v)).astype(np.float64)
     ztilde = rng.standard_normal((n, m.K))
     labels = np.full(n, int(y)) if y is not None else rng.integers(m.C, size=n)
-    params = decode(m, compose_latent(ztilde, zhat), np.eye(m.C)[labels])
+    out = decode(m, ztilde * zhat, np.eye(m.C)[labels])
     if m.likelihood_kind == "bernoulli":
-        means = params.probs
+        means = dist.sigmoid(out)
         samples = ((rng.random((n, m.D)) < means).astype(np.float64)
                    if sample_observations else None)
     else:
-        means = params.mean
-        samples = (means + np.sqrt(params.var) * rng.standard_normal((n, m.D))
+        means, var = split_decoder_out(out, m.D)
+        samples = (means + np.sqrt(var) * rng.standard_normal((n, m.D))
                    if sample_observations else None)
     return means, samples
 

@@ -72,11 +72,6 @@ class DenseNet:
     def zero_grad_like(self):
         return np.zeros_like(self.params)
 
-    def copy(self):
-        net = DenseNet(self.dims, self.activations)
-        net.params[:] = self.params
-        return net
-
 
 def glorot_init(input_dim, hidden_dims, output_dim, rng, out_activation="identity"):
     """Build a DenseNet with Glorot-uniform weights and zero biases.

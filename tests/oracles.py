@@ -4,10 +4,13 @@ These deliberately avoid the library's own gradient/estimation code:
 finite differences for gradients, brute-force enumeration for discrete
 normalization, Gauss-Hermite tensor quadrature for Gaussian expectations,
 and scipy for special functions and adaptive integration.  The
-finite-difference helpers and the enumerable toy with its exact ELBO are
-defined once, in `ibpdgm.selftest`, and re-exported here.  The scalar
-per-point references (`LatentDraw`, `draw_latents`, `likelihood_log_prob`,
-`per_point_elbo_terms`) check the batched estimator one point at a time.
+finite-difference helpers, the enumerable toy with its exact ELBO and the
+likelihood written out from its definition are defined once, in
+`ibpdgm.selftest`, and re-exported here.  The scalar per-point
+references (`LatentDraw`, `draw_latents`, `likelihood_log_prob`,
+`per_point_elbo_terms`) check the batched estimator one point at a time,
+with the densities and KLs written out rather than taken from
+`ibpdgm.distributions`.
 """
 
 import itertools
@@ -18,7 +21,7 @@ import numpy as np
 
 from ibpdgm import distributions as dist, ibp, model as mdl
 from ibpdgm.selftest import (central_diff, exact_toy_elbo, fd_grad_all,  # noqa: F401
-                             make_enumerable_toy, rel_err)
+                             make_enumerable_toy, reference_log_lik, rel_err)
 
 
 def enumerate_binary(k):
@@ -123,16 +126,25 @@ def sticks_score_grads_formula(sticks, v):
 
 
 # ---------------------------------------------------------------------------
-# scalar per-point references for the batched estimator
+# scalar per-point references for the batched estimator, with every density
+# and KL written out from its definition
 
-def likelihood_log_prob(m, x, params):
-    if m.likelihood_kind == "bernoulli":
-        if not isinstance(params, dist.BernoulliParams):
-            raise ValueError("Bernoulli likelihood expects BernoulliParams")
-        return dist.bernoulli_log_prob(x, params)
-    if not isinstance(params, dist.DiagGaussianParams):
-        raise ValueError("Gaussian likelihood expects DiagGaussianParams")
-    return dist.gaussian_log_prob(x, params)
+def gaussian_log_pdf(x, mean, var):
+    """log N(x; mean, diag var), summed."""
+    return float(np.sum(-0.5 * np.log(2.0 * np.pi * var) - (x - mean) ** 2 / (2.0 * var)))
+
+
+def bernoulli_log_pmf(z, probs):
+    """log prod_k Bernoulli(z_k; probs_k)."""
+    return float(np.sum(np.where(z == 1.0, np.log(probs), np.log1p(-probs))))
+
+
+def likelihood_log_prob(m, x, out):
+    """log p(x | raw decoder output) of one point."""
+    out = np.atleast_2d(out)
+    if out.shape[1] != (m.D if m.likelihood_kind == "bernoulli" else 2 * m.D):
+        raise ValueError("decoder output width does not match the likelihood kind")
+    return float(reference_log_lik(m, out, x)[0])
 
 
 @dataclass
@@ -150,22 +162,21 @@ class LatentDraw:
 
     @property
     def z(self):
-        return mdl.compose_latent(self.ztilde, self.zhat)
+        return self.ztilde * self.zhat
 
 
 def draw_latents(m, x, rng):
     """Sample (ztilde, zhat, v) from the amortized posteriors for one point."""
-    gauss, bern, _ = mdl.encode(m, x)
-    eps = rng.standard_normal(m.K)
-    ztilde = dist.gaussian_reparam_sample(gauss, eps)
-    zhat = dist.bernoulli_sample(bern, rng)
+    mean, var, logits = mdl.encode(m, x)
+    ztilde = mean + np.sqrt(var) * rng.standard_normal(m.K)
+    incl = 1.0 / (1.0 + np.exp(-logits))
+    zhat = (rng.random(m.K) < incl).astype(np.float64)
     v = m.sticks.sample((), rng)
     return LatentDraw(
         ztilde=ztilde, zhat=zhat, v=v,
-        logq_ztilde=dist.gaussian_log_prob(ztilde, gauss),
-        logp_ztilde=dist.gaussian_log_prob(
-            ztilde, dist.DiagGaussianParams(np.zeros(m.K), np.ones(m.K))),
-        logq_zhat=dist.bernoulli_log_prob(zhat, bern),
+        logq_ztilde=gaussian_log_pdf(ztilde, mean, var),
+        logp_ztilde=gaussian_log_pdf(ztilde, 0.0, 1.0),
+        logq_zhat=bernoulli_log_pmf(zhat, incl),
         logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, v)),
         logq_v=float(m.sticks.log_prob(v)),
         logp_v=float(ibp.sticks_prior_log_prob(v, m.sticks.alpha)),
@@ -186,27 +197,24 @@ def per_point_elbo_terms(m, x, label, draw, mode="marginalize", alpha_sup=0.0):
     x = np.asarray(x, dtype=np.float64)
     z = draw.z
     labeled = label is not None and int(label) >= 0
+    onehots = np.eye(m.C)
+    q_y = mdl.classify(m, x)
 
     if labeled:
-        recon = likelihood_log_prob(m, x, mdl.decode(m, z, mdl.onehot(label, m.C)))
-        term_y = 0.0
-        if alpha_sup != 0.0:
-            term_y = alpha_sup * dist.categorical_log_prob(int(label), mdl.classify(m, x))
+        recon = likelihood_log_prob(m, x, mdl.decode(m, z, onehots[label]))
+        term_y = alpha_sup * np.log(q_y[int(label)]) if alpha_sup != 0.0 else 0.0
     else:
-        q_y = mdl.classify(m, x)
         if mode == "marginalize":
-            recon = sum(
-                q_y.probs[c]
-                * likelihood_log_prob(m, x, mdl.decode(m, z, mdl.onehot(c, m.C)))
-                for c in range(m.C))
+            recon = sum(q_y[c] * likelihood_log_prob(m, x, mdl.decode(m, z, onehots[c]))
+                        for c in range(m.C))
         else:
             recon = likelihood_log_prob(m, x, mdl.decode(m, z, np.zeros(m.C)))
-        term_y = -dist.categorical_kl_to_uniform(q_y)
+        term_y = -np.sum(q_y * np.log(m.C * q_y))
 
-    gauss, _, _ = mdl.encode(m, x)
+    mean, var, _ = mdl.encode(m, x)
     return {
         "recon": float(recon),
-        "kl_gauss": -dist.gaussian_kl_to_standard(gauss),
+        "kl_gauss": 0.5 * float(np.sum(1.0 + np.log(var) - mean ** 2 - var)),
         "term_zhat": draw.logp_zhat - draw.logq_zhat,
         "term_v": draw.logp_v - draw.logq_v,
         "term_y": float(term_y),

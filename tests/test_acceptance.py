@@ -56,9 +56,8 @@ def test_criterion_2_normalization():
     # Beta density integrates to 1 within 1e-6 by scipy's adaptive
     # quadrature too, an oracle independent of the library
     for a, b in [(1.0, 1.0), (2.5, 1.3), (4.0, 6.0), (1.2, 0.9)]:
-        p = dist.BetaParams(a, b)
         integral, _ = scipy.integrate.quad(
-            lambda v: np.exp(dist.beta_log_prob(v, p)), 0.0, 1.0)
+            lambda v: np.exp(dist.beta_log_prob(v, a, b)), 0.0, 1.0)
         assert abs(integral - 1.0) < 1e-6
 
     elapsed = time.time() - start

@@ -1,12 +1,14 @@
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ibpdgm import bbvi, distributions as dist, model as mdl, nn, selftest
+from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, nn, selftest
 
-from oracles import LatentDraw, exact_stick_objective, exact_toy_elbo, \
-    fd_grad_all, make_enumerable_toy, per_point_elbo_terms, weighted_score_coeff
+from oracles import LatentDraw, bernoulli_log_pmf, exact_stick_objective, \
+    exact_toy_elbo, fd_grad_all, make_enumerable_toy, per_point_elbo_terms, \
+    weighted_score_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +201,7 @@ def test_stick_gradient_unbiased(cv, points):
     m, x = make_enumerable_toy(seed=3)
     m.sticks.params[:] = np.log([2.0, 1.6, 1.4, 2.2])
     batch = np.stack([x, 1.0 - x])[:points]
-    incl = mdl.encode(m, batch)[1].probs
+    incl = dist.sigmoid(mdl.encode(m, batch)[2])
     params = m.sticks.params.copy()
     exact = fd_grad_all(
         lambda: exact_stick_objective(params, m.sticks.alpha, incl, 10),
@@ -243,20 +245,68 @@ def test_estimator_shift_invariant(monkeypatch):
         assert np.max(np.abs(shifted[name] - g)) <= tol, name
 
 
+# every density, score and KL the estimator trains with; the elementwise
+# maps (sigmoid, softplus, softmax) and the special functions are shared
+ESTIMATOR_DENSITIES = [
+    (dist, name) for name in (
+        "gaussian_kl_to_standard", "gaussian_log_prob", "gaussian_score_grad",
+        "bernoulli_log_prob", "bernoulli_score_grad", "beta_log_prob", "beta_score_grad",
+        "categorical_kl_to_uniform", "categorical_kl_to_uniform_grad",
+        "categorical_log_prob", "categorical_score_grad")
+] + [(ibp, "ibp_prior_log_prob_from_sticks"), (ibp, "log_bernoulli_terms"),
+     (bbvi, "_likelihood_values"), (bbvi, "_likelihood_values_and_grads")]
+
+
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
 def test_exact_toy_elbo_shares_no_estimator_likelihood(kind, monkeypatch):
-    # the oracle must not reuse the estimator's likelihood, or a fault
+    # the oracle must not reuse the estimator's densities, or a fault
     # there would pass every unbiasedness check unseen
     m, x = selftest.make_enumerable_toy(kind=kind)
     v0 = np.array([0.7, 0.5])
-    want = selftest.exact_toy_elbo(m, x, -1, v0)
+    cases = [(label, mode) for label in (-1, 1) for mode in mdl.UNLABELED_MODES]
+
+    def elbos():
+        return [selftest.exact_toy_elbo(m, x, label, v0, mode=mode, alpha_sup=0.7)
+                for label, mode in cases]
+
+    want = elbos()
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle called the estimator's likelihood")
+        raise AssertionError("the oracle called a density the estimator trains with")
 
-    monkeypatch.setattr(bbvi, "_likelihood_values", forbidden)
-    monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", forbidden)
-    assert selftest.exact_toy_elbo(m, x, -1, v0) == want
+    for owner, name in ESTIMATOR_DENSITIES:
+        monkeypatch.setattr(owner, name, forbidden)
+    assert elbos() == want
+
+
+def test_every_distribution_function_is_trained(monkeypatch):
+    # every public function of `distributions`, and the spike prior that
+    # criterion 2 enumerates, is reached by a training step, so each check
+    # of one (criteria 1 and 2) checks trained code
+    public = [(dist, name) for name, f in vars(dist).items()
+              if inspect.isfunction(f) and f.__module__ == dist.__name__
+              and not name.startswith("_")]
+    public.append((ibp, "ibp_prior_log_prob_from_sticks"))
+    calls = dict.fromkeys([name for _, name in public], 0)
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for owner, name in public:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    rng = np.random.default_rng(40)
+    for kind in mdl.LIKELIHOODS:
+        for mode in mdl.UNLABELED_MODES:
+            m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
+            x = rng.random((6, 5))
+            bbvi.estimate_elbo_and_grads(m, x, np.array([0, -1, 2, -1, -1, 1]),
+                                         bbvi.McConfig(num_samples=4), rng,
+                                         dataset_size=60, mode=mode, alpha_sup=0.7)
+    assert "bernoulli_score_grad" in calls and "categorical_kl_to_uniform" in calls
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_exact_log_marginal_upper_bounds_elbo():
@@ -266,17 +316,15 @@ def test_exact_log_marginal_upper_bounds_elbo():
     elbo = exact_toy_elbo(m, x, -1, v0, gh_nodes=64)
 
     import itertools
-    from ibpdgm import ibp
     t, w = np.polynomial.hermite.hermgauss(64)
     nodes = np.array(list(itertools.product(*[np.sqrt(2.0) * t] * m.K)))
     wts = np.prod(np.array(list(
         itertools.product(*[w / np.sqrt(np.pi)] * m.K))), axis=1)
-    probs_y = mdl.classify(m, x).probs
-    pi = ibp.stick_breaking(v0)
+    probs_y = mdl.classify(m, x)
     marginal = 0.0
     for pattern in itertools.product([0.0, 1.0], repeat=m.K):
         pattern = np.array(pattern)
-        p_z = np.exp(ibp.ibp_prior_log_prob(pattern, pi))
+        p_z = np.exp(ibp.ibp_prior_log_prob_from_sticks(pattern, v0))
         z_rows = nodes * pattern       # prior draws are standard normal
         lik = 0.0
         for c in range(m.C):
@@ -462,16 +510,17 @@ def test_per_point_terms_match_vectorized_estimator():
                                       frozen_sticks=v0)
     # replay the same draws
     r = np.random.default_rng(seed)
-    gauss, bern, _ = mdl.encode(m, x)
+    mean, var, logits = mdl.encode(m, x)
     eps = r.standard_normal((1, 1, m.K))[0, 0]
     u = r.random((1, 1, m.K))[0, 0]
-    ztilde = gauss.mean + np.sqrt(gauss.var) * eps
-    zhat = (u < bern.probs).astype(float)
-    from ibpdgm import ibp
+    ztilde = mean + np.sqrt(var) * eps
+    incl = dist.sigmoid(logits)
+    zhat = (u < incl).astype(float)
+    pi = np.cumprod(v0)
     draw = LatentDraw(
         ztilde=ztilde, zhat=zhat, v=v0,
-        logq_zhat=dist.bernoulli_log_prob(zhat, bern),
-        logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, v0)),
+        logq_zhat=bernoulli_log_pmf(zhat, incl),
+        logp_zhat=bernoulli_log_pmf(zhat, pi),
         logq_v=0.0, logp_v=0.0)
     terms = per_point_elbo_terms(m, x, None, draw, mode="marginalize")
     assert abs(terms["recon"] - bd.recon) < 1e-9

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from ibpdgm import cli, distributions as dist, model as mdl, training
+from ibpdgm import bbvi, cli, distributions as dist, model as mdl, training
 
 
 def write_cfg(tmp_path, **kv):
@@ -169,14 +169,35 @@ def test_selftest_catches_injected_sign_error(monkeypatch, capsys):
 
     original = d.beta_score_grad
 
-    def sabotaged(v, p):
-        da, db = original(v, p)
+    def sabotaged(v, a, b):
+        da, db = original(v, a, b)
         return -da, db
 
     monkeypatch.setattr(d, "beta_score_grad", sabotaged)
     assert cli.main(["selftest", "--reps", "30"]) == 3
     out = capsys.readouterr().out
     assert "[FAIL] fd/beta_score" in out
+
+
+def test_selftest_bernoulli_score_row_guards_training(monkeypatch, capsys):
+    # a 1% error in the Bernoulli score both moves a training step's
+    # encoder gradient and fails its criterion-1 row
+    def encoder_grad():
+        rng = np.random.default_rng(41)
+        m = mdl.build_model(5, 2, 3, 8, "bernoulli", 2.0, 1.0, rng)
+        x = (rng.random((4, 5)) < 0.5).astype(float)
+        return bbvi.estimate_elbo_and_grads(
+            m, x, None, bbvi.McConfig(num_samples=4), np.random.default_rng(42),
+            dataset_size=40).grads["encoder"]
+
+    before = encoder_grad()
+    original = dist.bernoulli_score_grad
+    monkeypatch.setattr(dist, "bernoulli_score_grad",
+                        lambda z, logits: 1.01 * original(z, logits))
+    assert not np.array_equal(encoder_grad(), before)
+    assert cli.main(["selftest", "--reps", "30"]) == 3
+    out = capsys.readouterr().out
+    assert "[FAIL] fd/bernoulli_score" in out
 
 
 def test_selftest_catches_estimator_gradient_error(monkeypatch, capsys):

@@ -41,71 +41,53 @@ def test_sigmoid_edge_values_bit_for_bit():
 # ---------------------------------------------------------------------------
 # diagonal Gaussian
 
-def test_reparam_sample_formula():
-    p = dist.DiagGaussianParams([0.0], [4.0])
-    assert np.allclose(dist.gaussian_reparam_sample(p, [1.5]), [3.0])
-
-
-def test_reparam_zero_noise_returns_mean():
-    p = dist.DiagGaussianParams([1.2, -0.7], [0.3, 2.0])
-    assert np.array_equal(dist.gaussian_reparam_sample(p, np.zeros(2)), p.mean)
-
-
-def test_reparam_moments_match():
-    rng = np.random.default_rng(0)
-    p = dist.DiagGaussianParams([1.0, -2.0], [4.0, 0.25])
-    eps = rng.standard_normal((100_000, 2))
-    draws = dist.gaussian_reparam_sample(p, eps)
-    assert np.all(np.abs(draws.mean(axis=0) - p.mean) < 0.01 * np.maximum(np.abs(p.mean), 1.0))
-    assert np.all(np.abs(draws.std(axis=0) - np.sqrt(p.var)) < 0.01 * np.sqrt(p.var))
-
-
-def test_gaussian_params_validation():
-    with pytest.raises(ValueError):
-        dist.DiagGaussianParams([0.0], [0.0])
-    with pytest.raises(ValueError):
-        dist.DiagGaussianParams([np.inf], [1.0])
-
-
 def test_gaussian_kl_zero_at_standard():
-    p = dist.DiagGaussianParams(np.zeros(3), np.ones(3))
-    assert dist.gaussian_kl_to_standard(p) == 0.0
+    assert dist.gaussian_kl_to_standard(np.zeros(3), np.ones(3)) == 0.0
 
 
 def test_gaussian_kl_unit_mean_shift():
-    p = dist.DiagGaussianParams([1.0], [1.0])
-    assert abs(dist.gaussian_kl_to_standard(p) - 0.5) < 1e-12
+    assert abs(dist.gaussian_kl_to_standard(np.array([1.0]), np.array([1.0])) - 0.5) < 1e-12
 
 
 def test_gaussian_kl_matches_monte_carlo():
     rng = np.random.default_rng(5)
-    p = dist.DiagGaussianParams(rng.normal(size=4), rng.random(4) + 0.3)
+    mean, var = rng.normal(size=4), rng.random(4) + 0.3
     eps = rng.standard_normal((100_000, 4))
-    x = dist.gaussian_reparam_sample(p, eps)
-    log_q = -0.5 * np.sum(np.log(2 * np.pi * p.var) + (x - p.mean) ** 2 / p.var, axis=1)
+    x = mean + np.sqrt(var) * eps
+    log_q = -0.5 * np.sum(np.log(2 * np.pi * var) + (x - mean) ** 2 / var, axis=1)
     log_p = -0.5 * np.sum(np.log(2 * np.pi) + x ** 2, axis=1)
     diffs = log_q - log_p
     sem = diffs.std(ddof=1) / np.sqrt(diffs.size)
-    assert abs(diffs.mean() - dist.gaussian_kl_to_standard(p)) < 3 * sem
+    assert abs(diffs.mean() - dist.gaussian_kl_to_standard(mean, var)) < 3 * sem
 
 
 def test_gaussian_kl_nonnegative_random():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        p = dist.DiagGaussianParams(rng.normal(size=3), rng.random(3) * 3 + 0.05)
-        assert dist.gaussian_kl_to_standard(p) >= 0.0
+        mean, var = rng.normal(size=3), rng.random(3) * 3 + 0.05
+        assert dist.gaussian_kl_to_standard(mean, var) >= 0.0
+
+
+def test_gaussian_array_forms_match_scipy_per_row():
+    rng = np.random.default_rng(3)
+    x, mean = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+    var = rng.random((6, 4)) + 0.2
+    expected = scipy.stats.norm.logpdf(x, mean, np.sqrt(var)).sum(axis=1)
+    assert np.allclose(dist.gaussian_log_prob(x, mean, var), expected, rtol=1e-12)
+    kl = dist.gaussian_kl_to_standard(mean, var)
+    assert kl.shape == (6,)
+    assert np.allclose(kl, [dist.gaussian_kl_to_standard(m, v) for m, v in zip(mean, var)],
+                       rtol=1e-15, atol=0)
 
 
 def test_gaussian_score_grad_matches_fd():
     rng = np.random.default_rng(2)
-    p = dist.DiagGaussianParams(rng.normal(size=3), rng.random(3) + 0.5)
+    mean, var = rng.normal(size=3), rng.random(3) + 0.5
     x = rng.normal(size=3)
-    gm, gv = dist.gaussian_score_grad(x, p)
+    gm, gv = dist.gaussian_score_grad(x, mean, var)
     for i in range(3):
-        fd_m = central_diff(lambda mu: dist.gaussian_log_prob(
-            x, dist.DiagGaussianParams(mu, p.var)), p.mean, i)
-        fd_v = central_diff(lambda vv: dist.gaussian_log_prob(
-            x, dist.DiagGaussianParams(p.mean, vv)), p.var, i)
+        fd_m = central_diff(lambda mu: dist.gaussian_log_prob(x, mu, var), mean, i)
+        fd_v = central_diff(lambda vv: dist.gaussian_log_prob(x, mean, vv), var, i)
         assert abs(gm[i] - fd_m) < 1e-6
         assert abs(gv[i] - fd_v) < 1e-6
 
@@ -114,31 +96,27 @@ def test_gaussian_score_grad_matches_fd():
 # Bernoulli
 
 def test_bernoulli_log_prob_half():
-    p = dist.BernoulliParams.from_probs([0.5, 0.5])
-    got = dist.bernoulli_log_prob(np.array([1.0, 0.0]), p)
-    assert abs(got - math.log(0.25)) < 1e-12
+    got = dist.bernoulli_log_prob(np.array([1.0, 0.0]), np.zeros(2))
+    assert np.allclose(got, math.log(0.5), rtol=0, atol=1e-12)
 
 
 def test_bernoulli_log_prob_saturated():
-    p = dist.BernoulliParams(np.array([40.0]))
-    assert abs(dist.bernoulli_log_prob(np.array([1.0]), p)) < 1e-12
+    assert abs(dist.bernoulli_log_prob(np.array([1.0]), np.array([40.0]))[0]) < 1e-12
 
 
 def test_bernoulli_normalizes_by_enumeration():
     rng = np.random.default_rng(3)
-    p = dist.BernoulliParams(rng.normal(size=3) * 2)
-    total = sum(np.exp(dist.bernoulli_log_prob(z, p)) for z in enumerate_binary(3))
+    logits = rng.normal(size=3) * 2
+    total = sum(np.exp(dist.bernoulli_log_prob(z, logits).sum()) for z in enumerate_binary(3))
     assert abs(total - 1.0) < 1e-9
 
 
 def test_bernoulli_score_grad_center():
-    p = dist.BernoulliParams(np.array([0.0]))
-    assert np.allclose(dist.bernoulli_score_grad(np.array([1.0]), p), [0.5])
+    assert np.allclose(dist.bernoulli_score_grad(np.array([1.0]), np.array([0.0])), [0.5])
 
 
 def test_bernoulli_score_grad_saturated_is_zero():
-    p = dist.BernoulliParams(np.array([35.0]))
-    g = dist.bernoulli_score_grad(np.array([1.0]), p)
+    g = dist.bernoulli_score_grad(np.array([1.0]), np.array([35.0]))
     assert abs(g[0]) < 1e-12
 
 
@@ -146,18 +124,10 @@ def test_bernoulli_score_grad_matches_fd():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=4)
     z = (rng.random(4) < 0.5).astype(float)
-    g = dist.bernoulli_score_grad(z, dist.BernoulliParams(logits))
+    g = dist.bernoulli_score_grad(z, logits)
     for i in range(4):
-        fd = central_diff(lambda l: dist.bernoulli_log_prob(
-            z, dist.BernoulliParams(l)), logits, i)
+        fd = central_diff(lambda l: dist.bernoulli_log_prob(z, l).sum(), logits, i)
         assert abs(g[i] - fd) < 1e-6
-
-
-def test_bernoulli_sampler_deterministic():
-    p = dist.BernoulliParams(np.array([0.3, -0.8, 1.4]))
-    a = dist.bernoulli_sample(p, np.random.default_rng(10))
-    b = dist.bernoulli_sample(p, np.random.default_rng(10))
-    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -177,61 +147,59 @@ def test_beta_mean_a5_b1():
 
 
 def test_beta_sample_deterministic_and_clamped():
-    p = dist.BetaParams(0.05, 0.05)  # extreme draws hit the clamp
-    a = [dist.beta_sample(p, np.random.default_rng(8)) for _ in range(50)]
-    b = [dist.beta_sample(p, np.random.default_rng(8)) for _ in range(50)]
-    assert a == b
-    assert all(1e-7 <= v <= 1 - 1e-7 for v in a)
+    # extreme shapes: draws hit the clamp
+    a = dist.beta_sample_array(0.05, 0.05, (50,), np.random.default_rng(8))
+    b = dist.beta_sample_array(0.05, 0.05, (50,), np.random.default_rng(8))
+    assert np.array_equal(a, b)
+    assert np.all((a >= 1e-7) & (a <= 1 - 1e-7))
 
 
 def test_beta_log_prob_values():
-    assert abs(dist.beta_log_prob(0.5, dist.BetaParams(1.0, 1.0))) < 1e-12
-    assert abs(dist.beta_log_prob(0.5, dist.BetaParams(2.0, 1.0))) < 1e-12
+    assert abs(dist.beta_log_prob(0.5, 1.0, 1.0)) < 1e-12
+    assert abs(dist.beta_log_prob(0.5, 2.0, 1.0)) < 1e-12
 
 
 def test_beta_log_prob_domain():
     with pytest.raises(ValueError):
-        dist.beta_log_prob(0.0, dist.BetaParams(2.0, 2.0))
+        dist.beta_log_prob(0.0, 2.0, 2.0)
     with pytest.raises(ValueError):
-        dist.beta_log_prob(1.0, dist.BetaParams(2.0, 2.0))
+        dist.beta_log_prob(1.0, 2.0, 2.0)
 
 
 def test_beta_scalar_calls_return_floats():
     # criteria 1 and 2 feed them to rel_err and scipy.integrate.quad
-    p = dist.BetaParams(2.3, 0.8)
-    assert type(dist.beta_log_prob(0.3, p)) is float
-    assert [type(g) for g in dist.beta_score_grad(0.3, p)] == [float, float]
+    assert type(dist.beta_log_prob(0.3, 2.3, 0.8)) is float
+    assert [type(g) for g in dist.beta_score_grad(0.3, 2.3, 0.8)] == [float, float]
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, np.nan])
 def test_beta_array_calls_reject_v_outside_unit_interval(bad):
-    p = dist.BetaParams(np.array([1.5, 2.0, 0.7]), np.array([1.0, 3.0, 2.0]))
+    a, b = np.array([1.5, 2.0, 0.7]), np.array([1.0, 3.0, 2.0])
     v = np.array([[0.2, 0.5, 0.9], [0.4, bad, 0.1]])
     with pytest.raises(ValueError):
-        dist.beta_log_prob(v, p)
+        dist.beta_log_prob(v, a, b)
     with pytest.raises(ValueError):
-        dist.beta_score_grad(v, p)
+        dist.beta_score_grad(v, a, b)
 
 
 def test_beta_density_integrates_to_one():
     rng = np.random.default_rng(12)
     for _ in range(4):
         a, b = rng.random(2) * 4 + 0.8
-        p = dist.BetaParams(a, b)
         integral, err = scipy.integrate.quad(
-            lambda v: np.exp(dist.beta_log_prob(v, p)), 0.0, 1.0)
+            lambda v: np.exp(dist.beta_log_prob(v, a, b)), 0.0, 1.0)
         assert abs(integral - 1.0) < 1e-6
 
 
 def test_beta_score_grad_uniform_case():
-    da, db = dist.beta_score_grad(0.5, dist.BetaParams(1.0, 1.0))
+    da, db = dist.beta_score_grad(0.5, 1.0, 1.0)
     # ln 0.5 + (psi(2) - psi(1)) = ln 0.5 + 1
     assert abs(da - 0.30685281944005469) < 1e-12
     assert abs(db - 0.30685281944005469) < 1e-12
 
 
 def test_beta_score_grad_symmetry():
-    da, db = dist.beta_score_grad(0.5, dist.BetaParams(3.3, 3.3))
+    da, db = dist.beta_score_grad(0.5, 3.3, 3.3)
     assert abs(da - db) < 1e-14
 
 
@@ -240,11 +208,9 @@ def test_beta_score_grad_matches_fd():
     for _ in range(5):
         a, b = rng.random(2) * 4 + 0.5
         v = rng.random() * 0.9 + 0.05
-        da, db = dist.beta_score_grad(v, dist.BetaParams(a, b))
-        fd_a = central_diff(lambda q: dist.beta_log_prob(
-            v, dist.BetaParams(q[0], b)), np.array([a]), 0)
-        fd_b = central_diff(lambda q: dist.beta_log_prob(
-            v, dist.BetaParams(a, q[0])), np.array([b]), 0)
+        da, db = dist.beta_score_grad(v, a, b)
+        fd_a = central_diff(lambda q: dist.beta_log_prob(v, q[0], b), np.array([a]), 0)
+        fd_b = central_diff(lambda q: dist.beta_log_prob(v, a, q[0]), np.array([b]), 0)
         assert abs(da - fd_a) < 1e-6
         assert abs(db - fd_b) < 1e-6
 
@@ -276,46 +242,49 @@ def test_digamma_domain():
 # Categorical
 
 def test_categorical_kl_uniform_is_zero():
-    p = dist.CategoricalParams(np.full(7, 1.0 / 7.0))
-    assert abs(dist.categorical_kl_to_uniform(p)) < 1e-12
+    assert abs(dist.categorical_kl_to_uniform(np.full(7, 1.0 / 7.0))) < 1e-12
 
 
 def test_categorical_kl_onehot():
     probs = np.zeros(10)
     probs[3] = 1.0
-    p = dist.CategoricalParams(probs)
-    assert abs(dist.categorical_kl_to_uniform(p) - math.log(10)) < 1e-12
+    assert abs(dist.categorical_kl_to_uniform(probs) - math.log(10)) < 1e-12
 
 
-def test_categorical_simplex_validation():
-    with pytest.raises(ValueError):
-        dist.CategoricalParams(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        dist.CategoricalParams(np.array([-0.1, 1.1]))
+def test_categorical_kl_per_row_matches_scipy():
+    probs = dist.softmax(np.random.default_rng(23).normal(size=(4, 6)) * 3)
+    expected = scipy.stats.entropy(probs, np.full(6, 1.0 / 6.0), axis=1)
+    assert np.allclose(dist.categorical_kl_to_uniform(probs), expected, rtol=1e-12)
 
 
-def test_categorical_sample_frequencies():
-    rng = np.random.default_rng(21)
-    p = dist.CategoricalParams(np.array([0.1, 0.3, 0.6]))
-    draws = np.array([dist.categorical_sample(p, rng) for _ in range(100_000)])
-    for c in range(3):
-        freq = np.mean(draws == c)
-        sem = np.sqrt(p.probs[c] * (1 - p.probs[c]) / draws.size)
-        assert abs(freq - p.probs[c]) < 3 * sem
+def test_categorical_kl_grad_matches_fd():
+    # the KL as a function of unconstrained probabilities, each row apart
+    probs = dist.softmax(np.random.default_rng(24).normal(size=(3, 5)))
+    g = dist.categorical_kl_to_uniform_grad(probs)
+    for row in range(3):
+        for i in range(5):
+            fd = central_diff(lambda p: dist.categorical_kl_to_uniform(p), probs[row], i)
+            assert rel_err(g[row, i], fd) < 1e-6
 
 
 def test_categorical_log_prob_normalizes():
-    p = dist.CategoricalParams.from_logits(np.random.default_rng(1).normal(size=10))
-    total = sum(np.exp(dist.categorical_log_prob(c, p)) for c in range(10))
+    probs = dist.softmax(np.random.default_rng(1).normal(size=10))
+    total = sum(np.exp(dist.categorical_log_prob(c, probs)) for c in range(10))
     assert abs(total - 1.0) < 1e-9
+
+
+def test_categorical_log_prob_per_row_and_floor():
+    probs = np.array([[0.2, 0.8], [1.0, 0.0]])
+    got = dist.categorical_log_prob(np.array([1, 1]), probs)
+    assert got[0] == math.log(0.8) and got[1] == math.log(1e-300)
 
 
 def test_categorical_score_grad_matches_fd():
     rng = np.random.default_rng(22)
     logits = rng.normal(size=5)
     for c in (0, 2, 4):
-        g = dist.categorical_score_grad(c, logits)
+        g = dist.categorical_score_grad(c, dist.softmax(logits))
         for i in range(5):
-            fd = central_diff(lambda l: dist.categorical_log_prob(
-                c, dist.CategoricalParams.from_logits(l)), logits, i)
+            fd = central_diff(lambda l: dist.categorical_log_prob(c, dist.softmax(l)),
+                              logits, i)
             assert abs(g[i] - fd) < 1e-6

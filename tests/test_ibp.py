@@ -38,35 +38,38 @@ def test_stick_breaking_monotone():
 
 
 def test_ibp_prior_log_prob_basic():
-    got = ibp.ibp_prior_log_prob(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+    # v = (0.5, 1) gives pi = (0.5, 0.5)
+    got = float(ibp.ibp_prior_log_prob_from_sticks(np.array([1.0, 0.0]), np.array([0.5, 1.0])))
     assert abs(got - 2 * math.log(0.5)) < 1e-12
 
 
 def test_ibp_prior_log_prob_pi_one():
-    assert ibp.ibp_prior_log_prob(np.array([1.0]), np.array([1.0])) == 0.0
+    on = ibp.ibp_prior_log_prob_from_sticks(np.array([1.0]), np.array([1.0]))
+    assert on == 0.0
     # impossible event: guarded sentinel instead of -inf
-    got = ibp.ibp_prior_log_prob(np.array([0.0]), np.array([1.0]))
+    got = ibp.ibp_prior_log_prob_from_sticks(np.array([0.0]), np.array([1.0]))
     assert got == ibp.LOG_ZERO_SENTINEL
 
 
 def test_ibp_prior_log_prob_length_mismatch():
     with pytest.raises(ValueError):
-        ibp.ibp_prior_log_prob(np.array([1.0]), np.array([0.5, 0.5]))
+        ibp.ibp_prior_log_prob_from_sticks(np.array([1.0, 0.0, 1.0]), np.array([0.5, 0.5]))
 
 
 def test_ibp_prior_normalizes():
     rng = np.random.default_rng(1)
-    pi = ibp.stick_breaking(rng.random(3) * 0.9 + 0.05)
-    total = sum(np.exp(ibp.ibp_prior_log_prob(z, pi)) for z in enumerate_binary(3))
+    v = rng.random(3) * 0.9 + 0.05
+    total = sum(np.exp(ibp.ibp_prior_log_prob_from_sticks(z, v)) for z in enumerate_binary(3))
     assert abs(total - 1.0) < 1e-9
 
 
 def test_ibp_prior_from_sticks_matches_direct():
+    # against the Bernoulli log-pmf at pi = cumprod(v), written out
     rng = np.random.default_rng(2)
     v = rng.random(5) * 0.9 + 0.05
     pi = ibp.stick_breaking(v)
     for z in (np.zeros(5), np.ones(5), (rng.random(5) < 0.5).astype(float)):
-        direct = ibp.ibp_prior_log_prob(z, pi)
+        direct = np.sum(z * np.log(pi) + (1.0 - z) * np.log1p(-pi))
         from_sticks = float(ibp.ibp_prior_log_prob_from_sticks(z, v))
         assert abs(direct - from_sticks) < 1e-10
 
@@ -95,7 +98,7 @@ def test_sticks_prior_matches_beta_log_prob():
     rng = np.random.default_rng(4)
     alpha = 2.7
     v = rng.random(5) * 0.9 + 0.05
-    expected = sum(dist.beta_log_prob(vk, dist.BetaParams(alpha, 1.0)) for vk in v)
+    expected = sum(dist.beta_log_prob(vk, alpha, 1.0) for vk in v)
     assert abs(float(ibp.sticks_prior_log_prob(v, alpha)) - expected) < 1e-10
 
 
@@ -134,7 +137,7 @@ def test_global_sticks_log_prob_matches_beta():
     sticks.params[:] = np.log([1.5, 2.0, 3.0, 1.0, 0.5, 2.0])
     v = np.array([0.3, 0.6, 0.9])
     expected = sum(
-        dist.beta_log_prob(v[i], dist.BetaParams(sticks.a[i], sticks.b[i]))
+        dist.beta_log_prob(v[i], sticks.a[i], sticks.b[i])
         for i in range(3))
     assert abs(float(sticks.log_prob(v)) - expected) < 1e-10
 

@@ -24,18 +24,18 @@ def tiny_model(seed=0, kind="bernoulli", input_dim=5, num_classes=2,
 def test_encode_zero_weights_gives_default_heads():
     m = tiny_model()
     m.encoder.params[:] = 0.0
-    gauss, bern, _ = mdl.encode(m, np.zeros(5))
-    assert np.allclose(gauss.mean, 0.0)
-    assert np.allclose(gauss.var, np.log(2.0) + 1e-6)
-    assert np.allclose(bern.probs, 0.5)
+    mean, var, logits = mdl.encode(m, np.zeros(5))
+    assert np.allclose(mean, 0.0)
+    assert np.allclose(var, np.log(2.0) + 1e-6)
+    assert np.allclose(dist.sigmoid(logits), 0.5)
 
 
 def test_encode_output_arity():
     m = tiny_model(input_dim=9, truncation=4)
-    gauss, bern, _ = mdl.encode(m, np.random.default_rng(1).random(9))
-    assert gauss.mean.shape == (4,)
-    assert gauss.var.shape == (4,)
-    assert bern.logits.shape == (4,)
+    mean, var, logits = mdl.encode(m, np.random.default_rng(1).random(9))
+    assert mean.shape == (4,)
+    assert var.shape == (4,)
+    assert logits.shape == (4,)
 
 
 def test_encode_dim_mismatch():
@@ -50,18 +50,17 @@ def test_encode_gradient_matches_fd():
     x = np.random.default_rng(4).random(5)
 
     def loss():
-        gauss, bern, _ = mdl.encode(m, x)
-        return float(np.sum(gauss.mean ** 2) + np.sum(gauss.var)
-                     + np.sum(dist.sigmoid(bern.logits)))
+        mean, var, logits = mdl.encode(m, x)
+        return float(np.sum(mean ** 2) + np.sum(var) + np.sum(dist.sigmoid(logits)))
 
-    gauss, bern, tape = mdl.encode(m, x)
+    mean, var, logits = mdl.encode(m, x)
     k = m.K
-    out, _ = nn.forward(m.encoder, x)
+    out, tape = nn.forward(m.encoder, x)
     raw = out[k:2 * k]
     head = np.concatenate([
-        2.0 * gauss.mean,
+        2.0 * mean,
         np.ones(k) * dist.sigmoid(raw),
-        dist.sigmoid(bern.logits) * (1 - dist.sigmoid(bern.logits)),
+        dist.sigmoid(logits) * (1 - dist.sigmoid(logits)),
     ])
     grads, _ = nn.backward(m.encoder, tape, head)
     fd = fd_grad_all(loss, m.encoder.params)
@@ -70,23 +69,6 @@ def test_encode_gradient_matches_fd():
 
 # ---------------------------------------------------------------------------
 # latent composition
-
-def test_compose_latent_identity_and_zero():
-    z = np.array([1.5, -2.0, 0.3])
-    assert np.array_equal(mdl.compose_latent(z, np.ones(3)), z)
-    assert np.array_equal(mdl.compose_latent(z, np.zeros(3)), np.zeros(3))
-
-
-def test_compose_latent_mixed():
-    assert np.array_equal(
-        mdl.compose_latent(np.array([2.0, -3.0]), np.array([0.0, 1.0])),
-        [0.0, -3.0])
-
-
-def test_compose_latent_length_mismatch():
-    with pytest.raises(ValueError):
-        mdl.compose_latent(np.zeros(3), np.zeros(2))
-
 
 def test_masked_coordinates_get_zero_recon_gradient():
     # zhat_k = 0 must kill the reconstruction gradient on mu_k exactly
@@ -116,8 +98,8 @@ def test_decode_bernoulli_range():
     m = tiny_model(seed=8)
     rng = np.random.default_rng(9)
     for _ in range(10):
-        params = mdl.decode(m, rng.normal(size=3), np.array([1.0, 0.0]))
-        assert np.all((params.probs > 0) & (params.probs < 1))
+        probs = dist.sigmoid(mdl.decode(m, rng.normal(size=3), np.array([1.0, 0.0])))
+        assert np.all((probs > 0) & (probs < 1))
 
 
 def test_decode_class_conditioning_is_live():
@@ -125,14 +107,14 @@ def test_decode_class_conditioning_is_live():
     z = np.random.default_rng(11).normal(size=3)
     a = mdl.decode(m, z, np.array([1.0, 0.0]))
     b = mdl.decode(m, z, np.array([0.0, 1.0]))
-    assert not np.allclose(a.logits, b.logits)
+    assert not np.allclose(a, b)
 
 
 def test_decode_zero_everything_gives_half():
     m = tiny_model()
     m.decoder.params[:] = 0.0
-    params = mdl.decode(m, np.zeros(3), np.zeros(2))
-    assert np.allclose(params.probs, 0.5)
+    out = mdl.decode(m, np.zeros(3), np.zeros(2))
+    assert np.allclose(dist.sigmoid(out), 0.5)
 
 
 def test_decode_dim_mismatch():
@@ -144,29 +126,28 @@ def test_decode_dim_mismatch():
 def test_likelihood_bernoulli_perfect_fit():
     m = tiny_model()
     x = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
-    params = dist.BernoulliParams.from_probs(np.clip(x, 1e-6, 1 - 1e-6))
-    assert abs(likelihood_log_prob(m, x, params)) < 1e-4
+    p = np.clip(x, 1e-6, 1 - 1e-6)
+    assert abs(likelihood_log_prob(m, x, np.log(p) - np.log1p(-p))) < 1e-4
 
 
 def test_likelihood_gaussian_at_mean():
     m = tiny_model(kind="gaussian", input_dim=1)
-    params = dist.DiagGaussianParams([0.7], [1.0])
-    got = likelihood_log_prob(m, np.array([0.7]), params)
+    # raw variance output whose softplus plus the floor is 1
+    out = np.array([0.7, np.log(np.expm1(1.0 - mdl.VAR_FLOOR))])
+    got = likelihood_log_prob(m, np.array([0.7]), out)
     assert abs(got - (-0.5 * np.log(2 * np.pi))) < 1e-12
 
 
 def test_likelihood_kind_mismatch():
     m = tiny_model(kind="bernoulli")
     with pytest.raises(ValueError):
-        likelihood_log_prob(m, np.zeros(5),
-                            dist.DiagGaussianParams(np.zeros(5), np.ones(5)))
+        likelihood_log_prob(m, np.zeros(5), np.zeros(10))   # a Gaussian's width
 
 
 def test_likelihood_bernoulli_normalizes_d3():
     m = tiny_model(input_dim=3)
-    params = mdl.decode(m, np.random.default_rng(12).normal(size=3),
-                        np.array([1.0, 0.0]))
-    total = sum(np.exp(likelihood_log_prob(m, x, params))
+    out = mdl.decode(m, np.random.default_rng(12).normal(size=3), np.array([1.0, 0.0]))
+    total = sum(np.exp(likelihood_log_prob(m, x, out))
                 for x in enumerate_binary(3))
     assert abs(total - 1.0) < 1e-9
 
@@ -205,7 +186,7 @@ def test_classify_zero_weights_uniform_and_tiebreak():
     m = tiny_model(num_classes=4)
     m.classifier.params[:] = 0.0
     x = np.random.default_rng(13).random(5)
-    probs = mdl.classify(m, x).probs
+    probs = mdl.classify(m, x)
     assert np.allclose(probs, 0.25)
     assert mdl.predict_batch(m, x)[0] == 0   # lowest index wins ties
 
@@ -214,7 +195,7 @@ def test_classify_simplex():
     m = tiny_model(num_classes=3)
     rng = np.random.default_rng(14)
     for _ in range(20):
-        probs = mdl.classify(m, rng.random(5)).probs
+        probs = mdl.classify(m, rng.random(5))
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs >= 0)
 
@@ -284,9 +265,9 @@ def test_latent_draw_cached_densities_recompute():
     m = tiny_model(seed=25)
     x = (np.random.default_rng(26).random(5) < 0.5).astype(float)
     draw = make_draw(m, x, seed=27)
-    gauss, bern, _ = mdl.encode(m, x)
-    assert abs(draw.logq_ztilde - dist.gaussian_log_prob(draw.ztilde, gauss)) < 1e-12
-    assert abs(draw.logq_zhat - dist.bernoulli_log_prob(draw.zhat, bern)) < 1e-12
+    mean, var, logits = mdl.encode(m, x)
+    assert abs(draw.logq_ztilde - dist.gaussian_log_prob(draw.ztilde, mean, var)) < 1e-12
+    assert abs(draw.logq_zhat - dist.bernoulli_log_prob(draw.zhat, logits).sum()) < 1e-12
     assert abs(draw.logp_zhat - float(
         ibp.ibp_prior_log_prob_from_sticks(draw.zhat, draw.v))) < 1e-12
     assert abs(draw.logp_v - float(
@@ -318,7 +299,7 @@ def test_generate_tiny_alpha_rarely_activates():
     rng = np.random.default_rng(30)
     m = mdl.build_model(4, 2, 6, 8, "bernoulli", 1e-3, 1e-2, rng)
     means, _ = mdl.generate(m, 10_000, rng, y=0)
-    at_zero = mdl.decode(m, np.zeros(m.K), mdl.onehot(0, m.C)).probs
+    at_zero = dist.sigmoid(mdl.decode(m, np.zeros(m.K), np.eye(m.C)[0]))
     matches = np.all(np.isclose(means, at_zero, rtol=0.0, atol=1e-12), axis=1)
     assert matches.mean() > 0.99
 
