@@ -9,7 +9,7 @@ Run:  python demos/03_latent_dimensionality.py
 
 import numpy as np
 
-from ibpdgm import data as dio, training
+from ibpdgm import training
 
 cfg = training.RunConfig(
     dataset="synth-ibp", synth_n=2000, synth_test_n=200,

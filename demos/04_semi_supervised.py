@@ -7,8 +7,6 @@ which feeds gradient back into the classifier.  Takes a few minutes.
 Run:  python demos/04_semi_supervised.py
 """
 
-import numpy as np
-
 from ibpdgm import training
 
 cfg = training.RunConfig(

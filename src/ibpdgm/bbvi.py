@@ -23,7 +23,6 @@ global quantities (stick terms, the decoder weight prior) enter once.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,6 +34,9 @@ from . import model as mdl
 # the decoder runs on blocks of whole points with at most this many rows
 # (point, sample, class) each: about 25 MB per 784-wide float64 temporary
 DECODER_BLOCK_ROWS = 4096
+# ridge on the score variance in `control_variate_coeffs`; a score whose
+# variance is below it counts as constant
+CV_EPS = 1e-8
 
 
 class NumericError(RuntimeError):
@@ -48,8 +50,7 @@ class NumericError(RuntimeError):
 
 @dataclass
 class McConfig:
-    num_samples: int = 8
-    cv_eps: float = 1e-8
+    num_samples: int
     use_control_variates: bool = True
 
     def __post_init__(self):
@@ -57,8 +58,6 @@ class McConfig:
             raise ValueError("need at least one Monte Carlo sample")
         if self.use_control_variates and self.num_samples < 2:
             raise ValueError("control variates need at least 2 samples")
-        if self.cv_eps <= 0:
-            raise ValueError("cv_eps must be positive")
 
 
 @dataclass
@@ -83,13 +82,13 @@ class ScoreSampleSet:
         return self.f[:, None] if self.f.ndim == 1 else self.f
 
 
-def control_variate_coeffs(samples, cv_eps=1e-8):
+def control_variate_coeffs(samples):
     """Leave-one-out weighted-score coefficients, one row per sample: (S, P).
 
     Sample s's row is fitted on the other samples only (Kool, van Hoof and
-    Welling 2019), as m_s + Cov((f - m_s) h, h) / (Var(h) + cv_eps) with
+    Welling 2019), as m_s + Cov((f - m_s) h, h) / (Var(h) + CV_EPS) with
     m_s their mean signal, and falls back to m_s where their score
-    variance is below cv_eps (a constant score carries no information to
+    variance is below CV_EPS (a constant score carries no information to
     regress on).  So a_s does not depend on sample s, and since E[h] = 0
     `score_function_grad` stays unbiased; adding a constant to f adds it
     to every a_s, so the estimate does not move.  The fit runs on the
@@ -117,11 +116,11 @@ def control_variate_coeffs(samples, cv_eps=1e-8):
     cov = others(fch * h)
     cov -= others(fch) * mean_h              # Cov(fc h, h) over the others
     # m = -fc * scale is the others' mean of fc (fc sums to 0), and
-    # m + Cov((fc - m) h, h) / (Var(h) + cv_eps) = (cov + cv_eps m) / (Var(h) + cv_eps)
+    # m + Cov((fc - m) h, h) / (Var(h) + CV_EPS) = (cov + CV_EPS m) / (Var(h) + CV_EPS)
     m = fc * -scale
-    small = var_h < cv_eps
-    cov += cv_eps * m
-    cov /= var_h + cv_eps
+    small = var_h < CV_EPS
+    cov += CV_EPS * m
+    cov /= var_h + CV_EPS
     a = np.where(small, m, cov)
     a += f_mean
     return a
@@ -319,7 +318,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         # the S samples of every (point, spike) pair: (S, B * K)
         spikes = ScoreSampleSet(f_zhat.transpose(1, 0, 2).reshape(s, -1),
                                 h_zhat.transpose(1, 0, 2).reshape(s, -1))
-        a_zhat = (control_variate_coeffs(spikes, cfg.cv_eps)
+        a_zhat = (control_variate_coeffs(spikes)
                   if cfg.use_control_variates else None)
         g_logits = score_function_grad(spikes, a_zhat).reshape(batch_size, k)
 
@@ -377,7 +376,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
             # every (point, sample) draw of v is independent; stick j's
             # signal goes with both of its scores, d/d log a_j and d/d log b_j
             draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
-            a_v = (control_variate_coeffs(draws, cfg.cv_eps)
+            a_v = (control_variate_coeffs(draws)
                    if cfg.use_control_variates else None)
             stick_grads = score_function_grad(draws, a_v)
         term_v = float(np.mean(np.sum(logp_v_k - logq_v_k, axis=2)))
@@ -415,7 +414,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     return breakdown
 
 
-def clip_global_norm(grads, max_norm=10.0):
+def clip_global_norm(grads, max_norm):
     """Scale the gradient dict in place so its joint norm is <= max_norm."""
     total = np.sqrt(sum(float(np.dot(g, g)) for g in grads.values()))
     if total > max_norm:

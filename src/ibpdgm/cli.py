@@ -1,7 +1,9 @@
 """Command-line entry points: train, eval, report, selftest, gen.
 
 Configuration comes from a key=value text file (`--config`), environment
-variables prefixed IBPDGM_, and flag overrides, in that precedence order.
+variables IBPDGM_<KEY> (only those naming a `RunConfig` field are read,
+so other IBPDGM_ variables such as IBPDGM_MNIST_DIR pass through), and
+flag overrides, in that precedence order.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.
 """
@@ -37,12 +39,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coerce(name, raw, target_type):
-    if target_type is bool:
-        if str(raw).lower() in ("1", "true", "yes", "on"):
-            return True
-        if str(raw).lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {name}: expected a boolean, got {raw!r}")
     try:
         if target_type is int:
             return int(raw)
@@ -81,11 +77,8 @@ def build_run_config(args):
 
     if args.config:
         apply(parse_config_file(args.config), args.config)
-    env_pairs = {}
-    for name, value in os.environ.items():
-        if name.startswith(ENV_PREFIX):
-            env_pairs[name[len(ENV_PREFIX):].lower()] = value
-    apply(env_pairs, "environment")
+    apply({name: os.environ[ENV_PREFIX + name.upper()] for name in field_types
+           if ENV_PREFIX + name.upper() in os.environ}, "environment")
     overrides = {}
     for item in args.set or []:
         if "=" not in item:

@@ -138,12 +138,6 @@ def binarize_epoch(features, rng):
     return (rng.random(features.shape) < features).astype(np.float64)
 
 
-def add_uniform_noise(features, rng):
-    """Add U[0, 1) per pixel; preprocessing for Gaussian-likelihood data."""
-    features = np.asarray(features, dtype=np.float64)
-    return features + rng.random(features.shape)
-
-
 def stratified_label_split(labels, fraction, rng):
     """Pick round(fraction * N_c) labeled indices per class, at least one.
 
@@ -208,10 +202,10 @@ def synth_ibp_data(n, true_features, dim, noise, rng):
         ownership=ownership, mean_probs=probs, dictionary=dictionary)
 
 
-def synth_blobs(n, num_classes, dim, separation, rng, within_std=1.0):
+def synth_blobs(n, num_classes, dim, separation, rng):
     """Gaussian class blobs with unit-normal within-class scatter."""
     centers = rng.standard_normal((num_classes, dim))
     centers *= separation / np.linalg.norm(centers, axis=1, keepdims=True)
     labels = rng.integers(num_classes, size=n)
-    features = centers[labels] + within_std * rng.standard_normal((n, dim))
+    features = centers[labels] + rng.standard_normal((n, dim))
     return Dataset(features, labels.astype(np.int64), num_classes, "gaussian")

@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from . import nn
+from . import data as dio
 from . import distributions as dist
 from . import ibp
 
@@ -198,6 +199,19 @@ def save_checkpoint(m, path):
 
 
 def load_checkpoint(path):
+    """Rebuild the model that `save_checkpoint` wrote to `path`.
+
+    A manifest or blob that does not parse, or that disagrees with itself,
+    raises `data.DataFormatError` naming the path and the fault.
+    """
+    try:
+        return _read_checkpoint(path)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        fault = f"manifest lacks key {exc}" if isinstance(exc, KeyError) else exc
+        raise dio.DataFormatError(f"{path}: corrupt checkpoint: {fault}") from None
+
+
+def _read_checkpoint(path):
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("format_version") != CHECKPOINT_FORMAT:

@@ -8,6 +8,10 @@ network (or a bag of networks) as a single parameter array.
 import numpy as np
 
 ACTIVATIONS = ("relu", "identity")
+# AdaM's moment decay rates and denominator offset (Kingma and Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Tape:
@@ -73,17 +77,18 @@ class DenseNet:
         return np.zeros_like(self.params)
 
 
-def glorot_init(input_dim, hidden_dims, output_dim, rng, out_activation="identity"):
+def glorot_init(input_dim, hidden_dims, output_dim, rng):
     """Build a DenseNet with Glorot-uniform weights and zero biases.
 
     Weights of each layer are drawn uniformly from [-b, b] with
-    b = sqrt(6 / (fan_in + fan_out)); hidden layers use ReLU.
+    b = sqrt(6 / (fan_in + fan_out)); hidden layers use ReLU, the output
+    layer is linear.
     """
     dims = [input_dim, *hidden_dims, output_dim]
     for d in dims:
         if int(d) < 1:
             raise ValueError(f"dimensions must be >= 1, got {d}")
-    acts = ["relu"] * len(hidden_dims) + [out_activation]
+    acts = ["relu"] * len(hidden_dims) + ["identity"]
     net = DenseNet(dims, acts)
     for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -157,18 +162,13 @@ def backward(net, tape, grad_out):
 class AdamState:
     """First/second moment buffers plus step counter for one flat parameter array."""
 
-    def __init__(self, num_params, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, num_params, lr):
         if lr <= 0:
             raise ValueError("lr must be positive")
-        if not (0 < beta1 < 1 and 0 < beta2 < 1):
-            raise ValueError("beta1, beta2 must lie in (0, 1)")
         self.first_moment = np.zeros(num_params, dtype=np.float64)
         self.second_moment = np.zeros(num_params, dtype=np.float64)
         self.step_count = 0
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
 
 
 def adam_step(params, grads, state):
@@ -181,11 +181,11 @@ def adam_step(params, grads, state):
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ibpdgm import distributions as dist, ibp, model as mdl
+from ibpdgm.bbvi import CV_EPS
 from ibpdgm.selftest import (central_diff, exact_toy_elbo, fd_grad_all,  # noqa: F401
                              make_enumerable_toy, reference_log_lik, rel_err)
 
@@ -90,14 +91,14 @@ def exact_stick_objective(stick_params, alpha, incl, dataset_size):
     return total + _expect_sticks(log_ratio, a, b)
 
 
-def weighted_score_coeff(f, h, cv_eps=1e-8):
-    """Cov(f h, h) / (Var(h) + cv_eps) over 1-D samples f, h, by brute
-    force; 0 when Var(h) < cv_eps.  The weighted-score coefficient
+def weighted_score_coeff(f, h):
+    """Cov(f h, h) / (Var(h) + CV_EPS) over 1-D samples f, h, by brute
+    force; 0 when Var(h) < CV_EPS.  The weighted-score coefficient
     (Ranganath, Gerrish and Blei 2014) fitted on the samples it is given."""
     g = f * h
     var_h = np.mean((h - h.mean()) ** 2)
     cov = np.mean((g - g.mean()) * (h - h.mean()))
-    return 0.0 if var_h < cv_eps else cov / (var_h + cv_eps)
+    return 0.0 if var_h < CV_EPS else cov / (var_h + CV_EPS)
 
 
 def _lgamma(x):

@@ -89,8 +89,6 @@ def test_mcconfig_invariants():
     with pytest.raises(ValueError):
         bbvi.McConfig(num_samples=1, use_control_variates=True)
     bbvi.McConfig(num_samples=1, use_control_variates=False)
-    with pytest.raises(ValueError):
-        bbvi.McConfig(num_samples=4, cv_eps=0.0)
 
 
 # ---------------------------------------------------------------------------

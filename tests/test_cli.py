@@ -1,11 +1,14 @@
 import json
+import math
 import os
-import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ibpdgm import bbvi, cli, distributions as dist, model as mdl, training
+
+from test_data import write_idx_pair
 
 
 def write_cfg(tmp_path, **kv):
@@ -52,6 +55,15 @@ def test_env_override(tmp_path, monkeypatch):
     assert cfg.truncation == 13
 
 
+def test_env_reads_only_config_fields(tmp_path, monkeypatch):
+    # IBPDGM_MNIST_DIR points the MNIST acceptance test at its files; it
+    # names no RunConfig field, so the CLI must pass it by
+    monkeypatch.setenv("IBPDGM_MNIST_DIR", str(tmp_path))
+    monkeypatch.setenv("IBPDGM_TRUNCATION", "13")
+    cfg = cli.build_run_config(cli.make_parser().parse_args(["train"]))
+    assert cfg.truncation == 13
+
+
 def test_set_flag_beats_config_file(tmp_path):
     cfgp = write_cfg(tmp_path, truncation=21)
     args = cli.make_parser().parse_args(
@@ -62,6 +74,20 @@ def test_set_flag_beats_config_file(tmp_path):
 def test_unknown_config_key_is_usage_error(tmp_path):
     cfgp = write_cfg(tmp_path, truncatoin=21)
     assert cli.main(["train", "--config", cfgp]) == 1
+
+
+@pytest.mark.parametrize("source", ["file", "set"])
+@pytest.mark.parametrize("key, value", [("beta1", "0.9"), ("beta2", "0.999"),
+                                        ("grad_clip", "10"), ("add_noise", "0")])
+def test_removed_config_key_is_usage_error(tmp_path, key, value, source):
+    # Adam's rates and the clip threshold are constants, and add_noise is gone
+    out = str(tmp_path / "run")
+    if source == "file":
+        argv = ["train", "--config", write_cfg(tmp_path, **{key: value}), "--out", out]
+    else:
+        argv = ["train", "--set", f"{key}={value}", "--out", out]
+    assert cli.main(argv) == 1
+    assert not os.path.exists(out)
 
 
 def test_bad_flag_exits_one():
@@ -81,6 +107,33 @@ def test_bad_amat_exits_two(tmp_path):
     bad = tmp_path / "bad.amat"
     bad.write_text("1 2 x\n")
     assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(bad)]) == 2
+
+
+def _corrupt_short_blob(ckpt):
+    blob = Path(ckpt + ".bin")
+    blob.write_bytes(blob.read_bytes()[:-8])
+
+
+def _corrupt_manifest_without_blob(ckpt):
+    manifest = json.loads(Path(ckpt).read_text())
+    del manifest["blob"]
+    Path(ckpt).write_text(json.dumps(manifest))
+
+
+def _corrupt_manifest_not_json(ckpt):
+    Path(ckpt).write_text("{not json")
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_short_blob, _corrupt_manifest_without_blob,
+                                     _corrupt_manifest_not_json],
+                         ids=["short_blob", "no_blob_key", "not_json"])
+def test_corrupt_checkpoint_exits_two(tmp_path, capsys, corrupt):
+    ckpt = _make_checkpoint(tmp_path)
+    corrupt(ckpt)
+    amat = tmp_path / "data.amat"
+    amat.write_text("0.1 0.2 0.3 0.4 1\n")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat)]) == 2
+    assert ckpt in capsys.readouterr().err
 
 
 def _make_checkpoint(tmp_path, input_dim=4, num_classes=2, rig_perfect=False):
@@ -221,3 +274,66 @@ def test_numeric_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr("ibpdgm.training.bbvi.estimate_elbo_and_grads", blow_up)
     cfgp = tiny_train_cfg(tmp_path, out=str(tmp_path / "run"))
     assert cli.main(["train", "--config", cfgp]) == 3
+
+
+def _train_one_epoch(tmp_path, monkeypatch, **keys):
+    """`ibpdgm train` for one epoch on a tiny model; returns the metrics
+    rows and the number of training rows the run loaded."""
+    loaded = []
+    original = training.load_datasets
+
+    def recording(cfg, rng):
+        train, test = original(cfg, rng)
+        loaded.append(train.n)
+        return train, test
+
+    monkeypatch.setattr(training, "load_datasets", recording)
+    out = tmp_path / "run"
+    sets = dict(keys, truncation=3, hidden=8, epochs=1, batch_size=10,
+                mc_samples=2, eval_mc_samples=2, labeled_fraction=0.2)
+    argv = ["train", "--out", str(out), "--seed", "4"]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main(argv) == 0
+    lines = (out / "metrics.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    return rows, loaded[0]
+
+
+def _check_metrics(rows):
+    assert len(rows) == 1
+    for row in rows:
+        assert all(math.isfinite(v) for v in row.values()), row
+        assert 0.0 <= row["test_err"] <= 100.0
+
+
+def test_train_from_idx_files(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    paths = {}
+    for split, n in (("train", 30), ("test", 12)):
+        (tmp_path / split).mkdir()
+        images = rng.integers(0, 256, size=(n, 3, 3), dtype=np.uint8)
+        paths[split] = write_idx_pair(tmp_path / split, images, [i % 3 for i in range(n)])
+    rows, n_train = _train_one_epoch(
+        tmp_path, monkeypatch, dataset="idx", images=paths["train"][0],
+        labels=paths["train"][1], test_images=paths["test"][0],
+        test_labels=paths["test"][1], limit_train=20)
+    _check_metrics(rows)
+    assert n_train == 20
+
+
+def test_train_from_amat_files(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    paths = {}
+    for split, n in (("train", 30), ("test", 12)):
+        path = tmp_path / f"{split}.amat"
+        path.write_text("".join(
+            " ".join(f"{v:.4f}" for v in rng.random(6)) + f" {i % 3}\n"
+            for i in range(n)))
+        paths[split] = str(path)
+    rows, n_train = _train_one_epoch(
+        tmp_path, monkeypatch, dataset="amat", train_path=paths["train"],
+        test_path=paths["test"])
+    _check_metrics(rows)
+    assert n_train == 30

@@ -223,13 +223,6 @@ def test_synth_blobs_shapes_and_kind():
     assert set(np.unique(ds.labels)) <= {0, 1, 2}
 
 
-def test_add_uniform_noise_range():
-    rng = np.random.default_rng(15)
-    feats = np.zeros((100, 3))
-    out = dio.add_uniform_noise(feats, rng)
-    assert np.all((out >= 0.0) & (out < 1.0))
-
-
 # ---------------------------------------------------------------------------
 # dataset invariants
 

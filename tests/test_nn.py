@@ -162,23 +162,15 @@ def test_adam_first_step_magnitude_is_lr():
     assert np.all(np.abs(np.abs(params) - 3e-4) < 1e-7)
 
 
-def test_adam_defaults_match_training_config():
-    from ibpdgm.training import RunConfig
-    cfg = RunConfig()
-    assert cfg.lr == 3e-4
-    assert cfg.beta1 == 0.9
-    assert cfg.beta2 == 0.999
-
-
 def test_adam_shape_mismatch():
-    state = nn.AdamState(3)
+    state = nn.AdamState(3, lr=0.1)
     with pytest.raises(ValueError):
         nn.adam_step(np.zeros(4), np.zeros(4), state)
 
 
 def test_adam_step_count_increments():
     params = np.zeros(2)
-    state = nn.AdamState(2)
+    state = nn.AdamState(2, lr=0.1)
     for expected in (1, 2, 3):
         nn.adam_step(params, np.ones(2), state)
         assert state.step_count == expected

@@ -71,7 +71,7 @@ def test_run_config_paper_defaults():
     cfg = training.RunConfig()
     assert cfg.truncation == 50
     assert cfg.lr == 3e-4
-    assert cfg.beta1 == 0.9 and cfg.beta2 == 0.999
+    assert nn.ADAM_BETA1 == 0.9 and nn.ADAM_BETA2 == 0.999
     assert cfg.labeled_fraction == 0.01
     assert cfg.hidden == 500
     assert cfg.sigma_theta_sq in training.SIGMA_THETA_GRID
@@ -197,12 +197,13 @@ def test_clip_spares_ordinary_criterion_6_steps(tmp_path):
         rng, dataset_size=data.n)
 
     ordinary = {k: g.copy() for k, g in bd.grads.items()}
-    norm = bbvi.clip_global_norm(ordinary, cfg.grad_clip * data.n) / data.n
-    assert norm < cfg.grad_clip
+    norm = bbvi.clip_global_norm(ordinary, training.GRAD_CLIP * data.n) / data.n
+    assert norm < training.GRAD_CLIP
     for k, g in bd.grads.items():
         assert np.array_equal(ordinary[k], g)
 
     spiked = {k: 100.0 * g for k, g in bd.grads.items()}
-    assert bbvi.clip_global_norm(spiked, cfg.grad_clip * data.n) / data.n > cfg.grad_clip
+    assert (bbvi.clip_global_norm(spiked, training.GRAD_CLIP * data.n) / data.n
+            > training.GRAD_CLIP)
     after = np.sqrt(sum(float(g @ g) for g in spiked.values())) / data.n
-    assert abs(after - cfg.grad_clip) < 1e-9
+    assert abs(after - training.GRAD_CLIP) < 1e-9
