@@ -34,14 +34,14 @@ print()
 print("=== binary ownership under the hierarchical prior ===")
 zhat = (rng.random((5, K)) < pi).astype(float)
 for row in zhat:
-    lp = ibp.ibp_prior_log_prob_from_sticks(row, v)
+    lp = ibp.ibp_prior_log_prob_from_sticks(row, v).sum()
     print(" ", row.astype(int), f"log prior {lp:8.3f}")
 print("later features switch on rarely; that is the dimensionality control.")
 
 print()
 print("=== score gradients: the log-derivative trick's raw material ===")
 v0 = 0.3
-da, db = dist.beta_score_grad(v0, 2.0, 1.5)
+da, db = map(float, dist.beta_score_grad(v0, 2.0, 1.5))
 print(f"d/da log Beta({v0}; a=2.0, b=1.5) = {da:+.4f}")
 print(f"d/db log Beta({v0}; a=2.0, b=1.5) = {db:+.4f}")
 logits = np.array([0.0, 2.0])

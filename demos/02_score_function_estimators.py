@@ -28,7 +28,7 @@ weighted = np.zeros(trials)
 coeffs = np.zeros((trials, S))
 for t in range(trials):
     z = (rng.random(S) < pi).astype(float)
-    samples = bbvi.ScoreSampleSet(f=z, h=(z - pi)[:, None])
+    samples = bbvi.ScoreSampleSet(f=z[:, None], h=(z - pi)[:, None])
     plain[t] = bbvi.score_function_grad(samples)[0]
     a = bbvi.control_variate_coeffs(samples)
     coeffs[t] = a[:, 0]
@@ -46,5 +46,5 @@ print("when signal and score are independent, every coefficient vanishes:")
 S = 10_000
 z = (rng.random(S) < 0.5).astype(float)
 f_ind = rng.standard_normal(S)
-a = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f=f_ind, h=(z - 0.5)[:, None]))
+a = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f=f_ind[:, None], h=(z - 0.5)[:, None]))
 print(f"  max |a_s| = {np.max(np.abs(a)):.4f} at S = {S}")

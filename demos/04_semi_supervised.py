@@ -14,8 +14,7 @@ cfg = training.RunConfig(
     synth_classes=2, synth_dim=20, synth_separation=4.0,
     likelihood="gaussian", labeled_fraction=0.01,
     truncation=8, hidden=64, alpha=1.0, sigma_theta_sq=0.1,
-    lr=1e-3, mc_samples=8, eval_mc_samples=2, unlabeled_mode="marginalize",
-    epochs=30, batch_size=100, seed=5, out="runs/demo04",
+    lr=1e-3, mc_samples=8, eval_mc_samples=2, epochs=30, batch_size=100, seed=5, out="runs/demo04",
 )
 
 n_labeled = int(round(cfg.labeled_fraction * cfg.synth_n))

@@ -62,24 +62,16 @@ class McConfig:
 
 @dataclass
 class ScoreSampleSet:
-    """Per-sample learning signals f_s and score vectors h_s.
-
-    f is (S,), one signal shared by every parameter, or (S, P), one signal
-    per parameter; h is (S, P).
-    """
-    f: np.ndarray   # (S,) or (S, P)
+    """Per-sample learning signals f_s and score vectors h_s, one signal
+    per parameter: both are (S, P)."""
+    f: np.ndarray   # (S, P)
     h: np.ndarray   # (S, P)
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=np.float64)
         self.h = np.asarray(self.h, dtype=np.float64)
-        if (self.h.ndim != 2 or self.f.shape not in ((self.h.shape[0],), self.h.shape)):
-            raise ValueError("h must be (S, P) and f (S,) or (S, P) with matching S")
-
-    @property
-    def signals(self):
-        """f as an array that broadcasts against h."""
-        return self.f[:, None] if self.f.ndim == 1 else self.f
+        if self.h.ndim != 2 or self.f.shape != self.h.shape:
+            raise ValueError("f and h must both be (S, P)")
 
 
 def control_variate_coeffs(samples):
@@ -95,7 +87,7 @@ def control_variate_coeffs(samples):
     centred signal f - mean(f), so that large constant offsets do not
     cancel catastrophically.
     """
-    f, h = samples.signals, samples.h
+    f, h = samples.f, samples.h
     s = h.shape[0]
     if s < 2:
         raise ValueError("control variates need at least 2 samples")
@@ -133,7 +125,7 @@ def score_function_grad(samples, a=None):
     or one row per sample (S, P).  Unbiased for the gradient of E[f] when
     a_s is independent of sample s, because the score has zero mean.
     """
-    f = samples.signals
+    f = samples.f
     return np.mean(samples.h * (f if a is None else f - a), axis=0)
 
 
@@ -182,14 +174,14 @@ def _check_finite(name, *arrays):
 
 
 def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
-                            mode="marginalize", alpha_sup=0.0,
-                            frozen_sticks=None, prior_weight=1.0,
+                            alpha_sup=0.0, frozen_sticks=None, prior_weight=1.0,
                             with_grads=True):
     """Estimate the full-data ELBO and its gradients from one minibatch.
 
-    x is (B, D); labels is (B,) with -1 marking unlabeled points.  For
-    each point, S joint samples (noise -> ztilde, zhat, v) are drawn; all
-    objective terms are assembled vectorized over (B, S).  When
+    x is (B, D); labels is (B,) with -1 marking unlabeled points, which
+    marginalize their label under q(y | x).  For each point, S joint
+    samples (noise -> ztilde, zhat, v) are drawn; all objective terms are
+    assembled vectorized over (B, S).  When
     `frozen_sticks` is a length-K vector, the sticks are held at that
     constant: no stick sampling, no stick gradient, and the stick term is
     0 (used by the enumeration oracles).  `prior_weight` scales the spike
@@ -206,8 +198,6 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     most DECODER_BLOCK_ROWS rows, so memory is bounded by one block; a
     batch that fits in one block decodes exactly as one call would.
     """
-    if mode not in mdl.UNLABELED_MODES:
-        raise ValueError(f"unknown unlabeled mode {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a nonempty (B, D) matrix")
@@ -244,8 +234,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     # the spike prior terms of the drawn spikes and, for the sticks' signal,
     # their expectation over q(zhat) (the terms are linear in zhat)
     logp_zhat_k, expected_logp_zhat_k = ibp.ibp_prior_log_prob_from_sticks(
-        np.stack([zhat, np.broadcast_to(pi_hat[:, None, :], zhat.shape)]), v,
-        per_component=True)                                              # (B, S, K)
+        np.stack([zhat, np.broadcast_to(pi_hat[:, None, :], zhat.shape)]), v)  # (B, S, K)
     logq_zhat_k = dist.bernoulli_log_prob(zhat, logits_z[:, None, :])
     logp_zhat = logp_zhat_k.sum(axis=2)                                  # (B, S)
     logq_zhat = logq_zhat_k.sum(axis=2)
@@ -253,9 +242,9 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     # --- reconstruction + decoder/path gradients ---------------------------
     # Point i decodes one row per (sample, class) with the class one-hots
     # y_pt[i] (n_cls, C) and weights w_pt[i] * scale/S, rows ordered
-    # (point, sample, class); n_cls is C when an unlabeled point
-    # marginalizes its label, else 1, and its reconstruction sums the class
-    # rows with weights w_pt[i].  Labeled and unlabeled points are
+    # (point, sample, class); n_cls is 1 for a labeled point and C for an
+    # unlabeled one, which marginalizes its label: its reconstruction sums
+    # the class rows with weights q(y | x).  Labeled and unlabeled points are
     # decoded apart, each in blocks of whole points of at most
     # DECODER_BLOCK_ROWS rows (one point when a point alone is more), so
     # memory does not grow with the batch; the draws are all made already.
@@ -268,11 +257,8 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         groups.append((idx_lab, eye[labels[idx_lab]][:, None, :],
                        np.ones((idx_lab.size, 1))))
     if idx_unl.size:
-        bu = idx_unl.size
-        if mode == "marginalize":
-            groups.append((idx_unl, np.broadcast_to(eye, (bu, c, c)), probs_y[idx_unl]))
-        else:
-            groups.append((idx_unl, np.zeros((bu, 1, c)), np.ones((bu, 1))))
+        groups.append((idx_unl, np.broadcast_to(eye, (idx_unl.size, c, c)),
+                       probs_y[idx_unl]))
     recon = np.empty((batch_size, s))
     g_z = np.zeros((batch_size, s, k))        # weighted by scale/S already
     dec_grads = m.decoder.zero_grad_like()
@@ -304,8 +290,8 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
             g_z[pts] = g_in[:, :k].reshape(-1, s, n_cls, k).sum(axis=2)
             dec_grads += g_params
         recon[idx] = np.sum(w_pt[:, None, :] * r, axis=2)
-    # the unlabeled points are the last group
-    r_per_class = r if idx_unl.size and mode == "marginalize" else None
+    # the unlabeled points are the last group: their (B_u, S, C) values
+    r_per_class = r
     _check_finite("recon", recon)
 
     # --- spike (zhat) score gradients, per-point control variates ----------
@@ -343,9 +329,8 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         p_u = probs_y[idx_unl]
         term_y_points[idx_unl] = -dist.categorical_kl_to_uniform(p_u)
         if with_grads:
-            g_probs = -dist.categorical_kl_to_uniform_grad(p_u) * scale
-            if mode == "marginalize" and r_per_class is not None:
-                g_probs = g_probs + r_per_class.mean(axis=1) * scale
+            g_probs = (-dist.categorical_kl_to_uniform_grad(p_u) * scale
+                       + r_per_class.mean(axis=1) * scale)
             g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
     if idx_lab.size and alpha_sup != 0.0:
         term_y_points[idx_lab] = alpha_sup * dist.categorical_log_prob(
@@ -361,9 +346,8 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         term_v = 0.0
         stick_grads = np.zeros_like(m.sticks.params)
     else:
-        logp_v_k = ibp.sticks_prior_log_prob(v, m.sticks.alpha,
-                                             per_component=True)         # (B, S, K)
-        logq_v_k = m.sticks.log_prob(v, per_component=True)
+        logp_v_k = ibp.sticks_prior_log_prob(v, m.sticks.alpha)   # (B, S, K)
+        logq_v_k = m.sticks.log_prob(v)
         # Markov blanket of v_j: the spike priors of components k >= j,
         # in expectation over q(zhat) and batch-scaled to the dataset, plus
         # the stick's own prior and entropy

@@ -123,10 +123,8 @@ def make_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images"), p.add_argument("--labels")
     p.add_argument("--amat")
-    p.add_argument("--tau", type=float, default=0.01)
 
     p = sub.add_parser("selftest", help="run the numeric self-check suites")
-    _add_common(p)
     p.add_argument("--reps", type=int, default=120,
                    help="repetitions for the unbiasedness suite")
 
@@ -173,7 +171,7 @@ def cmd_report(args):
     cfg = build_run_config(args)
     m = mdl.load_checkpoint(args.checkpoint)
     dataset = _load_eval_dataset(args, cfg)
-    report = training.component_report(m, dataset, args.tau)
+    report = training.component_report(m, dataset, cfg.tau)
     print(f"tau: {report.tau}")
     print(f"active_count: {report.count}")
     print("component,mean,std,active")
@@ -208,13 +206,12 @@ def cmd_gen(args):
     rng = np.random.default_rng(cfg.seed)
     means, samples = mdl.generate(m, args.n, rng, y=args.label,
                                   sample_observations=args.sample)
-    out_dir = args.out or cfg.out
-    os.makedirs(out_dir, exist_ok=True)
-    means_path = os.path.join(out_dir, "generated_means.csv")
+    os.makedirs(cfg.out, exist_ok=True)
+    means_path = os.path.join(cfg.out, "generated_means.csv")
     np.savetxt(means_path, means, delimiter=",")
     print(f"written: {means_path}")
     if samples is not None:
-        samples_path = os.path.join(out_dir, "generated_samples.csv")
+        samples_path = os.path.join(cfg.out, "generated_samples.csv")
         np.savetxt(samples_path, samples, delimiter=",")
         print(f"written: {samples_path}")
     return EXIT_OK

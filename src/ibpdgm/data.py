@@ -96,7 +96,10 @@ def load_idx(images_path, labels_path, num_classes=10):
     if n_labels != count:
         raise DataFormatError(
             f"{images_path}: {count} images but {n_labels} labels")
-    return Dataset(images.astype(np.float64) / 255.0, labels, num_classes, "bernoulli")
+    try:
+        return Dataset(images.astype(np.float64) / 255.0, labels, num_classes, "bernoulli")
+    except ValueError as exc:   # the pixels lie in [0, 1]: a label is out of range
+        raise DataFormatError(f"{labels_path}: {exc}") from None
 
 
 def load_amat(path, kind="bernoulli"):
@@ -127,7 +130,10 @@ def load_amat(path, kind="bernoulli"):
     if not features:
         raise DataFormatError(f"{path}: empty file")
     labels = np.array(labels, dtype=np.int64)
-    return Dataset(np.array(features), labels, int(labels.max()) + 1, kind)
+    try:
+        return Dataset(np.array(features), labels, int(labels.max()) + 1, kind)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def binarize_epoch(features, rng):

@@ -46,9 +46,7 @@ def softmax(logits, axis=-1):
 
 
 def lgamma(x):
-    """log Gamma(x), elementwise by math.lgamma; a float for a scalar."""
-    if np.ndim(x) == 0:
-        return math.lgamma(x)
+    """log Gamma(x), elementwise by math.lgamma."""
     x = np.asarray(x, dtype=np.float64)
     return np.array([math.lgamma(t) for t in x.ravel()]).reshape(x.shape)
 
@@ -57,9 +55,8 @@ def digamma(x):
     """Digamma psi(x) for x > 0.
 
     Uses the recurrence psi(x) = psi(x+1) - 1/x to push the argument above
-    10, then de Moivre's asymptotic series.  Accepts scalars or arrays.
+    10, then de Moivre's asymptotic series, elementwise.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.array(x, dtype=np.float64, copy=True)
     if np.any(x <= 0):
         raise ValueError("digamma requires x > 0")
@@ -77,7 +74,7 @@ def digamma(x):
                                 - r * (1.0 / 240.0
                                        - r * (1.0 / 132.0)))))
     value += np.log(x) - 0.5 / x - series
-    return float(value) if scalar else value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +134,15 @@ def _unit_interval(v):
     return v
 
 
-def _scalar_or_array(x):
-    return x if np.ndim(x) else float(x)
-
-
 def beta_log_prob(v, a, b):
     """(a-1) ln v + (b-1) ln(1-v) - ln B(a, b) for v in the open unit interval.
 
     v, a and b broadcast against each other (the sticks pass v of shape
-    (..., K) against K shape pairs); a float when all are scalars.
+    (..., K) against K shape pairs).
     """
     v = _unit_interval(v)
     log_beta = lgamma(a) + lgamma(b) - lgamma(a + b)
-    return _scalar_or_array((a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_beta)
+    return (a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_beta
 
 
 def beta_score_grad(v, a, b):
@@ -159,7 +152,7 @@ def beta_score_grad(v, a, b):
     psi_ab = digamma(a + b)
     da = np.log(v) - digamma(a) + psi_ab
     db = np.log1p(-v) - digamma(b) + psi_ab
-    return _scalar_or_array(da), _scalar_or_array(db)
+    return da, db
 
 
 # ---------------------------------------------------------------------------

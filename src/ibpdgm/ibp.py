@@ -55,13 +55,9 @@ class GlobalSticks:
         """Draw stick fractions of shape (*size, K) from the Beta posteriors."""
         return dist.beta_sample_array(self.a, self.b, (*size, self.K), rng)
 
-    def log_prob(self, v, per_component=False):
-        """log q(v) summed over sticks; v has shape (..., K).
-
-        With `per_component` the terms log q(v_k) are returned unsummed.
-        """
-        terms = dist.beta_log_prob(v, self.a, self.b)
-        return terms if per_component else terms.sum(axis=-1)
+    def log_prob(self, v):
+        """log q(v_k) per stick, shape (..., K), for v of shape (..., K)."""
+        return dist.beta_log_prob(v, self.a, self.b)
 
     def score_grads(self, v):
         """d log q(v) / d [log_a | log_b], shape (..., 2K).
@@ -89,16 +85,16 @@ def log_bernoulli_terms(zhat, log_pi, log_one_minus_pi):
     return zhat * on + (1.0 - zhat) * off
 
 
-def ibp_prior_log_prob_from_sticks(zhat, v, per_component=False):
-    """log prod_k Bernoulli(zhat_k | pi_k), pi = cumprod(v), in log space.
+def ibp_prior_log_prob_from_sticks(zhat, v):
+    """log Bernoulli(zhat_k | pi_k) per component, pi = cumprod(v), in log
+    space: shape (..., K).
 
     Works on batched arrays of shape (..., K) and avoids the underflow of
     materializing pi when K is large.  pi_k = 1 with zhat_k = 0 is a
     zero-probability event and contributes the -1e10 sentinel instead of
-    -inf, so callers can flag it.  Returns shape (...,), or the unsummed
-    terms (..., K) with `per_component`.  zhat and v broadcast against
-    each other, and zhat may be fractional: the terms are linear in it,
-    so q(zhat = 1) in its place gives their expectation.
+    -inf, so callers can flag it.  zhat and v broadcast against each
+    other, and zhat may be fractional: the terms are linear in it, so
+    q(zhat = 1) in its place gives their expectation.
     """
     zhat = np.asarray(zhat, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -106,22 +102,18 @@ def ibp_prior_log_prob_from_sticks(zhat, v, per_component=False):
     one_minus_pi = -np.expm1(log_pi)
     with np.errstate(divide="ignore"):
         log_one_minus_pi = np.log(one_minus_pi)
-    terms = log_bernoulli_terms(zhat, log_pi, log_one_minus_pi)
-    return terms if per_component else terms.sum(axis=-1)
+    return log_bernoulli_terms(zhat, log_pi, log_one_minus_pi)
 
 
-def sticks_prior_log_prob(v, alpha, per_component=False):
-    """log prod_k Beta(v_k | alpha, 1) = sum_k [ln alpha + (alpha-1) ln v_k].
-
-    With `per_component` the terms are returned unsummed, shape (..., K).
-    """
+def sticks_prior_log_prob(v, alpha):
+    """log Beta(v_k | alpha, 1) = ln alpha + (alpha-1) ln v_k per stick,
+    shape (..., K)."""
     v = np.asarray(v, dtype=np.float64)
     if v.size and (np.any(v <= 0) or np.any(v >= 1)):
         raise ValueError("stick fractions must lie in (0, 1)")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    terms = np.log(alpha) + (alpha - 1.0) * np.log(v)
-    return terms if per_component else terms.sum(axis=-1)
+    return np.log(alpha) + (alpha - 1.0) * np.log(v)
 
 
 @dataclass
@@ -136,18 +128,16 @@ class ComponentReport:
 def active_components(include_probs, tau):
     """Which latent components a dataset actually uses.
 
-    `include_probs` is either an (N, K) matrix of per-point posterior
-    inclusion probabilities q(zhat_ik = 1) or an already-averaged (K,)
-    vector (std is then zero).  Component k counts as active when its
+    `include_probs` is the (N, K) matrix of per-point posterior inclusion
+    probabilities q(zhat_ik = 1).  Component k counts as active when its
     dataset mean exceeds tau.
     """
     p = np.asarray(include_probs, dtype=np.float64)
+    if p.ndim != 2:
+        raise ValueError("inclusion probabilities must be an (N, K) matrix")
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("inclusion probabilities must lie in [0, 1]")
-    if p.ndim == 1:
-        mean, std = p, np.zeros_like(p)
-    else:
-        mean, std = p.mean(axis=0), p.std(axis=0)
+    mean, std = p.mean(axis=0), p.std(axis=0)
     active = np.flatnonzero(mean > tau)
     return ComponentReport(active=active, count=int(active.size),
                            mean=mean, std=std, tau=float(tau))

@@ -22,7 +22,6 @@ from . import ibp
 CHECKPOINT_FORMAT = "IBPDGM-1"
 VAR_FLOOR = 1e-6
 LIKELIHOODS = ("bernoulli", "gaussian")
-UNLABELED_MODES = ("marginalize", "unconditional")
 
 
 class IbpDgm:
@@ -104,9 +103,9 @@ def predict_batch(m, x):
 
 
 def decode(m, z, y_embed):
-    """Raw decoder output for latent codes and label embeddings (one-hot
-    for labeled data, soft weights or zeros otherwise): the Bernoulli
-    logits, or a Gaussian's [mean | raw var] (see `split_decoder_out`)."""
+    """Raw decoder output for latent codes and label embeddings (class
+    one-hots): the Bernoulli logits, or a Gaussian's [mean | raw var] (see
+    `split_decoder_out`)."""
     z = np.asarray(z, dtype=np.float64)
     y_embed = np.asarray(y_embed, dtype=np.float64)
     if z.shape[-1] != m.K or y_embed.shape[-1] != m.C:
@@ -144,6 +143,8 @@ def generate(m, n, rng, y=None, sample_observations=False):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if y is not None and not 0 <= y < m.C:
+        raise ValueError(f"label {y} outside [0, {m.C})")
     v = dist.beta_sample_array(m.sticks.alpha, 1.0, (n, m.K), rng)
     zhat = (rng.random((n, m.K)) < ibp.stick_breaking(v)).astype(np.float64)
     ztilde = rng.standard_normal((n, m.K))

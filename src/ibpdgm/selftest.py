@@ -129,13 +129,12 @@ def fd_suite(seed=20240501):
     worst = max(rel_err(g, f) for g, f in zip(grads, fd))
     checks.append(("fd/backprop", worst < FD_REL_TOL, f"max rel err {worst:.2e}"))
 
-    worst = max(estimator_fd_worst(kind, mode, rng)
-                for kind in mdl.LIKELIHOODS for mode in mdl.UNLABELED_MODES)
+    worst = max(estimator_fd_worst(kind, rng) for kind in mdl.LIKELIHOODS)
     checks.append(("fd/estimator", worst < FD_REL_TOL, f"max rel err {worst:.2e}"))
     return checks
 
 
-def estimator_fd_worst(kind, mode, rng):
+def estimator_fd_worst(kind, rng):
     """Worst relative error between `bbvi.estimate_elbo_and_grads`'s
     gradients and central differences of its own forward-only estimate.
 
@@ -147,9 +146,9 @@ def estimator_fd_worst(kind, mode, rng):
     derivative of a fixed-draw estimate (the unbiasedness suite checks
     it).  The batch mixes labeled and unlabeled points and stands for a
     larger dataset.  Every bias is set to a small nonzero value: at
-    Glorot's zero biases an all-zero decoder input row (every spike off
-    under the unconditional mode's zero label) sits on the ReLU kink,
-    where central differences and backprop disagree.
+    Glorot's zero biases an all-zero input row (a binary x with every
+    pixel off) sits on the ReLU kink, where central differences and
+    backprop disagree.
     """
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
     for net in (m.encoder, m.classifier, m.decoder):
@@ -167,7 +166,7 @@ def estimator_fd_worst(kind, mode, rng):
     def estimate(with_grads):
         return bbvi.estimate_elbo_and_grads(
             m, x, labels, cfg, np.random.default_rng(seed), dataset_size=10,
-            mode=mode, alpha_sup=0.7, frozen_sticks=v0, with_grads=with_grads)
+            alpha_sup=0.7, frozen_sticks=v0, with_grads=with_grads)
 
     def objective():
         return estimate(False).total + mdl.theta_log_prior(m)[0]
@@ -211,7 +210,7 @@ def normalization_suite(seed=20240502):
         total = np.exp(dist.bernoulli_log_prob(patterns, logits).sum(axis=1)).sum()
         worst_bern = max(worst_bern, abs(total - 1.0))
         v = rng.random(k) * 0.9 + 0.05
-        total = np.exp(ibp.ibp_prior_log_prob_from_sticks(patterns, v)).sum()
+        total = np.exp(ibp.ibp_prior_log_prob_from_sticks(patterns, v).sum(axis=1)).sum()
         worst_ibp = max(worst_ibp, abs(total - 1.0))
     checks.append(("norm/bernoulli_enum", worst_bern < NORM_ENUM_TOL,
                    f"max |sum-1| {worst_bern:.2e} over K = 2, 3, 4"))
@@ -262,9 +261,9 @@ def reference_log_lik(m, out, x):
     return -0.5 * np.sum(np.log(2 * np.pi * var) + (x - mean) ** 2 / var, axis=1)
 
 
-def exact_toy_elbo(m, x, label, v0, mode="marginalize", alpha_sup=0.0,
-                   gh_nodes=32):
-    """Exact ELBO: enumeration over the spikes, Gauss-Hermite over the slab.
+def exact_toy_elbo(m, x, label, v0, alpha_sup=0.0, gh_nodes=32):
+    """Exact ELBO: enumeration over the spikes, Gauss-Hermite over the slab;
+    an unlabeled point marginalizes its label under q(y | x).
 
     Only valid for small K and a decoder without kinks, so that the
     quadrature converges to machine precision; sticks are frozen at v0
@@ -302,10 +301,8 @@ def exact_toy_elbo(m, x, label, v0, mode="marginalize", alpha_sup=0.0,
         z_rows = ztilde * pattern
         if labeled:
             r = recon_rows(z_rows, np.eye(c)[label])
-        elif mode == "marginalize":
-            r = sum(probs_y[ci] * recon_rows(z_rows, np.eye(c)[ci]) for ci in range(c))
         else:
-            r = recon_rows(z_rows, np.zeros(c))
+            r = sum(probs_y[ci] * recon_rows(z_rows, np.eye(c)[ci]) for ci in range(c))
         total += qz * float(np.sum(wts * r))
     return float(total)
 
@@ -411,7 +408,7 @@ def variance_reduction_suite(trials=3000, num_samples=10, seed=5):
     for t in range(trials):
         z = (rng.random(num_samples) < pi).astype(np.float64)
         h = (z - pi)[:, None]
-        samples = bbvi.ScoreSampleSet(f=z, h=h)
+        samples = bbvi.ScoreSampleSet(f=z[:, None], h=h)
         plain[t] = bbvi.score_function_grad(samples)[0]
         a = bbvi.control_variate_coeffs(samples)
         weighted[t] = bbvi.score_function_grad(samples, a)[0]
@@ -428,7 +425,8 @@ def variance_reduction_suite(trials=3000, num_samples=10, seed=5):
     big = 10_000
     z = (rng.random(big) < 0.5).astype(np.float64)
     f_ind = rng.standard_normal(big)
-    a = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f=f_ind, h=(z - 0.5)[:, None]))
+    a = bbvi.control_variate_coeffs(
+        bbvi.ScoreSampleSet(f=f_ind[:, None], h=(z - 0.5)[:, None]))
     worst = float(np.max(np.abs(a)))
     checks.append(("cv/independent_coeff", worst < CV_COEFF_TOL, f"max |a| = {worst:.4f}"))
     return checks

@@ -81,7 +81,7 @@ class RunConfig:
     mc_samples: int = 8
     labeled_fraction: float = 0.01
     alpha_sup: float = -1.0           # < 0 means auto: 0.1 * N / N_labeled
-    unlabeled_mode: str = "marginalize"
+    unlabeled_mode: str = "marginalize"   # its one value; perfbench sets it
     # loop
     epochs: int = 10
     batch_size: int = 100
@@ -95,8 +95,9 @@ class RunConfig:
             raise ValueError(f"unknown dataset kind {self.dataset!r}")
         if self.likelihood not in mdl.LIKELIHOODS:
             raise ValueError(f"unknown likelihood {self.likelihood!r}")
-        if self.unlabeled_mode not in mdl.UNLABELED_MODES:
-            raise ValueError(f"unknown unlabeled mode {self.unlabeled_mode!r}")
+        if self.unlabeled_mode != "marginalize":
+            raise ValueError(f"unlabeled_mode {self.unlabeled_mode!r}: unlabeled "
+                             "points always marginalize their label")
         if self.truncation < 1 or self.hidden < 1 or self.epochs < 0:
             raise ValueError("truncation, hidden, epochs must be positive")
         if self.batch_size < 1 or self.mc_samples < 1:
@@ -248,7 +249,7 @@ def train(cfg, train_data=None, test_data=None, log=None):
                 idx = order[start:start + cfg.batch_size]
                 breakdown = bbvi.estimate_elbo_and_grads(
                     m, feats[idx], split_train.labels[idx], mc_cfg, train_rng,
-                    dataset_size=n, mode=cfg.unlabeled_mode, alpha_sup=alpha_sup,
+                    dataset_size=n, alpha_sup=alpha_sup,
                     prior_weight=spike_prior_weight(step, total_steps))
                 step += 1
                 loss_grads = {k: -g for k, g in breakdown.grads.items()}
@@ -283,7 +284,7 @@ def _epoch_metrics(m, train_data, test_data, cfg, eval_cfg, alpha_sup,
     idx = np.arange(n) if n <= cap else rng.permutation(n)[:cap]
     bd = bbvi.estimate_elbo_and_grads(
         m, feats[idx], train_data.labels[idx], eval_cfg, rng, dataset_size=n,
-        mode=cfg.unlabeled_mode, alpha_sup=alpha_sup, with_grads=False)
+        alpha_sup=alpha_sup, with_grads=False)
     report = component_report(m, train_data, cfg.tau)
     train_err = error_rate(m, train_data)
     test_err = error_rate(m, test_data) if test_data is not None else float("nan")

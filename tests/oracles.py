@@ -178,23 +178,21 @@ def draw_latents(m, x, rng):
         logq_ztilde=gaussian_log_pdf(ztilde, mean, var),
         logp_ztilde=gaussian_log_pdf(ztilde, 0.0, 1.0),
         logq_zhat=bernoulli_log_pmf(zhat, incl),
-        logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, v)),
-        logq_v=float(m.sticks.log_prob(v)),
-        logp_v=float(ibp.sticks_prior_log_prob(v, m.sticks.alpha)),
+        logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, v).sum()),
+        logq_v=float(m.sticks.log_prob(v).sum()),
+        logp_v=float(ibp.sticks_prior_log_prob(v, m.sticks.alpha).sum()),
     )
 
 
-def per_point_elbo_terms(m, x, label, draw, mode="marginalize", alpha_sup=0.0):
+def per_point_elbo_terms(m, x, label, draw, alpha_sup=0.0):
     """Signed ELBO contributions of one data point for one joint draw.
 
     Labeled points condition the decoder on their one-hot label and add
     the supervised classifier term alpha_sup * log q(y = label); unlabeled
-    points either marginalize the reconstruction over classes weighted by
-    q(y) or use a zero label vector, and pay -KL(q(y) || Uniform(C)).
-    Returns a dict with keys recon, kl_gauss, term_zhat, term_v, term_y.
+    points marginalize the reconstruction over classes weighted by q(y)
+    and pay -KL(q(y) || Uniform(C)).  Returns a dict with keys recon,
+    kl_gauss, term_zhat, term_v, term_y.
     """
-    if mode not in mdl.UNLABELED_MODES:
-        raise ValueError(f"unknown unlabeled mode {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     z = draw.z
     labeled = label is not None and int(label) >= 0
@@ -205,11 +203,8 @@ def per_point_elbo_terms(m, x, label, draw, mode="marginalize", alpha_sup=0.0):
         recon = likelihood_log_prob(m, x, mdl.decode(m, z, onehots[label]))
         term_y = alpha_sup * np.log(q_y[int(label)]) if alpha_sup != 0.0 else 0.0
     else:
-        if mode == "marginalize":
-            recon = sum(q_y[c] * likelihood_log_prob(m, x, mdl.decode(m, z, onehots[c]))
-                        for c in range(m.C))
-        else:
-            recon = likelihood_log_prob(m, x, mdl.decode(m, z, np.zeros(m.C)))
+        recon = sum(q_y[c] * likelihood_log_prob(m, x, mdl.decode(m, z, onehots[c]))
+                    for c in range(m.C))
         term_y = -np.sum(q_y * np.log(m.C * q_y))
 
     mean, var, _ = mdl.encode(m, x)

@@ -17,7 +17,7 @@ from oracles import LatentDraw, bernoulli_log_pmf, exact_stick_objective, \
 def test_cv_coeff_perfect_correlation():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(50, 3))
-    samples = bbvi.ScoreSampleSet(f=np.full(50, 3.0), h=h)
+    samples = bbvi.ScoreSampleSet(f=np.full((50, 3), 3.0), h=h)
     a = bbvi.control_variate_coeffs(samples)
     assert np.allclose(a, 3.0, atol=1e-6)
 
@@ -27,14 +27,14 @@ def test_cv_coeff_independent_pair_vanishes():
     s = 10_000
     h = (rng.random(s) < 0.5).astype(float) - 0.5
     f = rng.standard_normal(s)
-    a = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f=f, h=h[:, None]))
+    a = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f=f[:, None], h=h[:, None]))
     assert np.max(np.abs(a)) < 0.1
 
 
 def test_cv_coeff_constant_score_guard():
     # a constant score carries nothing to regress on: each sample falls
     # back to the mean signal of the others
-    samples = bbvi.ScoreSampleSet(f=np.array([1.0, 2.0, 3.0]),
+    samples = bbvi.ScoreSampleSet(f=np.repeat([[1.0], [2.0], [3.0]], 2, axis=1),
                                   h=np.full((3, 2), 0.7))
     assert np.array_equal(bbvi.control_variate_coeffs(samples),
                           [[2.5, 2.5], [2.0, 2.0], [1.5, 1.5]])
@@ -43,7 +43,7 @@ def test_cv_coeff_constant_score_guard():
 def test_cv_coeff_needs_two_samples():
     with pytest.raises(ValueError):
         bbvi.control_variate_coeffs(
-            bbvi.ScoreSampleSet(f=np.array([1.0]), h=np.ones((1, 2))))
+            bbvi.ScoreSampleSet(f=np.ones((1, 2)), h=np.ones((1, 2))))
 
 
 def test_loo_coeffs_match_brute_force():
@@ -61,23 +61,17 @@ def test_loo_coeffs_match_brute_force():
             assert np.allclose(got[s, p], want, rtol=1e-12, atol=1e-12)
 
 
-def test_loo_coeffs_shared_signal_broadcasts():
-    rng = np.random.default_rng(15)
-    f = 5.0 * rng.normal(size=7)
-    h = rng.normal(size=(7, 2))
-    shared = bbvi.ScoreSampleSet(f, h)
-    tiled = bbvi.ScoreSampleSet(np.tile(f[:, None], 2), h)
-    assert np.allclose(bbvi.control_variate_coeffs(shared),
-                       bbvi.control_variate_coeffs(tiled),
-                       rtol=1e-12, atol=1e-12)
-    assert np.allclose(bbvi.score_function_grad(shared), bbvi.score_function_grad(tiled),
-                       rtol=1e-12, atol=1e-12)
+def test_score_sample_set_needs_one_signal_per_parameter():
+    h = np.ones((7, 2))
+    for f in (np.ones(7), np.ones((7, 1)), np.ones((6, 2))):
+        with pytest.raises(ValueError):
+            bbvi.ScoreSampleSet(f, h)
 
 
 def test_loo_grad_constant_score_is_shift_invariant():
     # when every sample's score agrees there is nothing to regress on; the
     # fallback baseline must still absorb a constant shift of the signal
-    f = np.array([1.0, 2.0, 4.0])
+    f = np.repeat([[1.0], [2.0], [4.0]], 2, axis=1)
     h = np.full((3, 2), -0.3)
     for shift in (0.0, -80.0):
         samples = bbvi.ScoreSampleSet(f + shift, h)
@@ -99,7 +93,7 @@ def test_score_grad_constant_signal_near_zero():
     s = 20_000
     pi = 0.3
     z = (rng.random(s) < pi).astype(float)
-    samples = bbvi.ScoreSampleSet(f=np.full(s, 5.0), h=(z - pi)[:, None])
+    samples = bbvi.ScoreSampleSet(f=np.full((s, 1), 5.0), h=(z - pi)[:, None])
     est = bbvi.score_function_grad(samples)[0]
     sem = 5.0 * np.sqrt(pi * (1 - pi) / s)
     assert abs(est) < 3 * sem
@@ -112,7 +106,7 @@ def test_score_grad_bernoulli_closed_form():
     logit = 0.4
     pi = float(dist.sigmoid(np.array(logit)))
     z = (rng.random(s) < pi).astype(float)
-    samples = bbvi.ScoreSampleSet(f=z, h=(z - pi)[:, None])
+    samples = bbvi.ScoreSampleSet(f=z[:, None], h=(z - pi)[:, None])
     est = bbvi.score_function_grad(samples)[0]
     per_sample = (z - pi) * z
     sem = per_sample.std(ddof=1) / np.sqrt(s)
@@ -261,11 +255,10 @@ def test_exact_toy_elbo_shares_no_estimator_likelihood(kind, monkeypatch):
     # there would pass every unbiasedness check unseen
     m, x = selftest.make_enumerable_toy(kind=kind)
     v0 = np.array([0.7, 0.5])
-    cases = [(label, mode) for label in (-1, 1) for mode in mdl.UNLABELED_MODES]
 
     def elbos():
-        return [selftest.exact_toy_elbo(m, x, label, v0, mode=mode, alpha_sup=0.7)
-                for label, mode in cases]
+        return [selftest.exact_toy_elbo(m, x, label, v0, alpha_sup=0.7)
+                for label in (-1, 1)]
 
     want = elbos()
 
@@ -297,12 +290,11 @@ def test_every_distribution_function_is_trained(monkeypatch):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     rng = np.random.default_rng(40)
     for kind in mdl.LIKELIHOODS:
-        for mode in mdl.UNLABELED_MODES:
-            m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
-            x = rng.random((6, 5))
-            bbvi.estimate_elbo_and_grads(m, x, np.array([0, -1, 2, -1, -1, 1]),
-                                         bbvi.McConfig(num_samples=4), rng,
-                                         dataset_size=60, mode=mode, alpha_sup=0.7)
+        m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
+        x = rng.random((6, 5))
+        bbvi.estimate_elbo_and_grads(m, x, np.array([0, -1, 2, -1, -1, 1]),
+                                     bbvi.McConfig(num_samples=4), rng,
+                                     dataset_size=60, alpha_sup=0.7)
     assert "bernoulli_score_grad" in calls and "categorical_kl_to_uniform" in calls
     assert [name for name, n in calls.items() if n == 0] == []
 
@@ -322,7 +314,7 @@ def test_exact_log_marginal_upper_bounds_elbo():
     marginal = 0.0
     for pattern in itertools.product([0.0, 1.0], repeat=m.K):
         pattern = np.array(pattern)
-        p_z = np.exp(ibp.ibp_prior_log_prob_from_sticks(pattern, v0))
+        p_z = np.exp(ibp.ibp_prior_log_prob_from_sticks(pattern, v0).sum())
         z_rows = nodes * pattern       # prior draws are standard normal
         lik = 0.0
         for c in range(m.C):
@@ -360,9 +352,8 @@ def test_numeric_error_names_term(monkeypatch):
 
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
 @pytest.mark.parametrize("batch", ["labeled", "unlabeled", "mixed"])
-@pytest.mark.parametrize("mode", mdl.UNLABELED_MODES)
 @pytest.mark.parametrize("frozen", [False, True])
-def test_forward_only_estimate_matches_full(kind, batch, mode, frozen):
+def test_forward_only_estimate_matches_full(kind, batch, frozen):
     rng = np.random.default_rng(21)
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
     x = rng.random((6, 5))
@@ -378,7 +369,7 @@ def test_forward_only_estimate_matches_full(kind, batch, mode, frozen):
     def estimate(with_grads):
         return bbvi.estimate_elbo_and_grads(
             m, x, labels, bbvi.McConfig(num_samples=4), np.random.default_rng(5),
-            dataset_size=60, mode=mode, alpha_sup=0.7, frozen_sticks=sticks,
+            dataset_size=60, alpha_sup=0.7, frozen_sticks=sticks,
             with_grads=with_grads)
 
     full, forward = estimate(True), estimate(False)
@@ -409,10 +400,9 @@ def test_forward_only_numeric_error_names_term(monkeypatch):
 
 @pytest.mark.parametrize("with_grads", [True, False])
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
-@pytest.mark.parametrize("mode", mdl.UNLABELED_MODES)
 @pytest.mark.parametrize("batch", ["labeled", "unlabeled", "mixed"])
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
-def test_blocked_estimate_matches_one_block(block_rows, batch, mode, kind, with_grads,
+def test_blocked_estimate_matches_one_block(block_rows, batch, kind, with_grads,
                                             monkeypatch):
     rng = np.random.default_rng(22)
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
@@ -427,15 +417,15 @@ def test_blocked_estimate_matches_one_block(block_rows, batch, mode, kind, with_
     def estimate():
         return bbvi.estimate_elbo_and_grads(
             m, x, labels, bbvi.McConfig(num_samples=s), np.random.default_rng(5),
-            dataset_size=60, mode=mode, alpha_sup=0.7, with_grads=with_grads)
+            dataset_size=60, alpha_sup=0.7, with_grads=with_grads)
 
     one_block = estimate()
     monkeypatch.setattr(bbvi, "DECODER_BLOCK_ROWS", block_rows)
     blocked = estimate()
-    # rows of the labeled and the unlabeled points, each decoded on its own
+    # rows of the labeled and the unlabeled points, each decoded on its own;
+    # an unlabeled point decodes one row per class
     n_lab = int(np.sum(labels >= 0))
-    n_cls = m.C if mode == "marginalize" else 1
-    fits = max(n_lab * s, (labels.size - n_lab) * s * n_cls) <= block_rows
+    fits = max(n_lab * s, (labels.size - n_lab) * s * m.C) <= block_rows
     names = ("total", "recon", "kl_gauss", "term_zhat", "term_v", "term_y")
     for name in names:
         a, b = getattr(blocked, name), getattr(one_block, name)
@@ -455,9 +445,8 @@ def test_blocked_gradient_matches_fd(monkeypatch):
     monkeypatch.setattr(bbvi, "DECODER_BLOCK_ROWS", 1)
     rng = np.random.default_rng(31)
     for kind in mdl.LIKELIHOODS:
-        for mode in mdl.UNLABELED_MODES:
-            worst = selftest.estimator_fd_worst(kind, mode, rng)
-            assert worst < 1e-4, (kind, mode, worst)
+        worst = selftest.estimator_fd_worst(kind, rng)
+        assert worst < 1e-4, (kind, worst)
 
 
 def test_forward_only_memory_bounded_in_points():
@@ -520,7 +509,7 @@ def test_per_point_terms_match_vectorized_estimator():
         logq_zhat=bernoulli_log_pmf(zhat, incl),
         logp_zhat=bernoulli_log_pmf(zhat, pi),
         logq_v=0.0, logp_v=0.0)
-    terms = per_point_elbo_terms(m, x, None, draw, mode="marginalize")
+    terms = per_point_elbo_terms(m, x, None, draw)
     assert abs(terms["recon"] - bd.recon) < 1e-9
     assert abs(terms["kl_gauss"] - bd.kl_gauss) < 1e-9
     assert abs(terms["term_zhat"] - bd.term_zhat) < 1e-9

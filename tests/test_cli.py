@@ -109,6 +109,41 @@ def test_bad_amat_exits_two(tmp_path):
     assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(bad)]) == 2
 
 
+def _bad_amat(tmp_path, text):
+    path = str(tmp_path / "bad.amat")
+    Path(path).write_text(text)
+    return ["--amat", path], ["dataset=amat", f"train_path={path}"], path
+
+
+def _bad_idx_labels(tmp_path):
+    images, labels = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [3, 12])
+    return (["--images", images, "--labels", labels],
+            ["dataset=idx", f"images={images}", f"labels={labels}"], labels)
+
+
+# each gives (eval's data flags, train's --set pairs, the file to name)
+OUT_OF_RANGE_FILES = {
+    "amat_pixel_two": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 2 0 0\n"),
+    "amat_label_minus_three": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 -3\n"),
+    "idx_label_twelve": _bad_idx_labels,
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE_FILES))
+def test_out_of_range_file_contents_exit_two(tmp_path, capsys, case, command):
+    # a value outside the dataset's range is a malformed file, not a usage error
+    eval_flags, sets, named = OUT_OF_RANGE_FILES[case](tmp_path)
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "run")]
+        for pair in sets:
+            argv += ["--set", pair]
+    else:
+        argv = ["eval", "--checkpoint", _make_checkpoint(tmp_path), *eval_flags]
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 def _corrupt_short_blob(ckpt):
     blob = Path(ckpt + ".bin")
     blob.write_bytes(blob.read_bytes()[:-8])
@@ -175,7 +210,8 @@ def test_eval_dimension_mismatch_is_usage_error(tmp_path):
                      "--config", cfgp]) == 1
 
 
-def test_report_untrained_all_active_and_json(tmp_path, capsys):
+def _untrained_report_inputs(tmp_path):
+    """A checkpoint whose inclusion probabilities are all 0.5, and data."""
     rng = np.random.default_rng(2)
     m = mdl.build_model(4, 2, 3, 4, "bernoulli", 2.0, 1e-2, rng)
     m.encoder.params[:] = 0.0
@@ -183,9 +219,14 @@ def test_report_untrained_all_active_and_json(tmp_path, capsys):
     mdl.save_checkpoint(m, ckpt)
     amat = tmp_path / "data.amat"
     amat.write_text("\n".join("0 1 0 1 0" for _ in range(6)) + "\n")
+    return ckpt, amat
+
+
+def test_report_untrained_all_active_and_json(tmp_path, capsys):
+    ckpt, amat = _untrained_report_inputs(tmp_path)
     out_dir = str(tmp_path / "rep")
     assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat),
-                     "--tau", "0.01", "--out", out_dir]) == 0
+                     "--set", "tau=0.01", "--out", out_dir]) == 0
     text = capsys.readouterr().out
     assert "active_count: 3" in text
     payload = json.load(open(os.path.join(out_dir, "report.json")))
@@ -193,8 +234,17 @@ def test_report_untrained_all_active_and_json(tmp_path, capsys):
     assert np.allclose(payload["mean"], 0.5)
 
     assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat),
-                     "--tau", "1.0"]) == 0
+                     "--set", "tau=1.0"]) == 0
     assert "active_count: 0" in capsys.readouterr().out
+
+
+def test_report_reads_tau_from_environment(tmp_path, monkeypatch, capsys):
+    # the threshold has one source, RunConfig.tau, so IBPDGM_TAU applies
+    ckpt, amat = _untrained_report_inputs(tmp_path)
+    monkeypatch.setenv("IBPDGM_TAU", "1.0")
+    assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat)]) == 0
+    text = capsys.readouterr().out
+    assert "tau: 1.0" in text and "active_count: 0" in text
 
 
 def test_gen_writes_csv(tmp_path):
@@ -208,6 +258,25 @@ def test_gen_writes_csv(tmp_path):
     samples = np.loadtxt(os.path.join(out_dir, "generated_samples.csv"),
                          delimiter=",")
     assert samples.shape == (3, 4)
+
+
+@pytest.mark.parametrize("label", ["-1", "2"])
+def test_gen_label_outside_classes_is_usage_error(tmp_path, capsys, label):
+    # the checkpoint has 2 classes: -1 must not wrap round to class 1, and
+    # 2 must not escape as an IndexError
+    ckpt = _make_checkpoint(tmp_path, num_classes=2)
+    out_dir = tmp_path / "gen"
+    assert cli.main(["gen", "--checkpoint", ckpt, "--label", label,
+                     "--out", str(out_dir)]) == 1
+    assert f"label {label}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", [["--config", "run.cfg"], ["--seed", "1"],
+                                  ["--out", "runs"], ["--set", "truncation=3"]])
+def test_selftest_takes_only_reps(flag):
+    # the suites run at their own pinned seeds and write nothing
+    assert cli.main(["selftest", *flag]) == 1
 
 
 def test_selftest_passes_quick(capsys):

@@ -166,12 +166,6 @@ def test_beta_log_prob_domain():
         dist.beta_log_prob(1.0, 2.0, 2.0)
 
 
-def test_beta_scalar_calls_return_floats():
-    # criteria 1 and 2 feed them to rel_err and scipy.integrate.quad
-    assert type(dist.beta_log_prob(0.3, 2.3, 0.8)) is float
-    assert [type(g) for g in dist.beta_score_grad(0.3, 2.3, 0.8)] == [float, float]
-
-
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, np.nan])
 def test_beta_array_calls_reject_v_outside_unit_interval(bad):
     a, b = np.array([1.5, 2.0, 0.7]), np.array([1.0, 3.0, 2.0])

@@ -39,16 +39,16 @@ def test_stick_breaking_monotone():
 
 def test_ibp_prior_log_prob_basic():
     # v = (0.5, 1) gives pi = (0.5, 0.5)
-    got = float(ibp.ibp_prior_log_prob_from_sticks(np.array([1.0, 0.0]), np.array([0.5, 1.0])))
-    assert abs(got - 2 * math.log(0.5)) < 1e-12
+    got = ibp.ibp_prior_log_prob_from_sticks(np.array([1.0, 0.0]), np.array([0.5, 1.0]))
+    assert np.allclose(got, [math.log(0.5), math.log(0.5)], rtol=0, atol=1e-12)
 
 
 def test_ibp_prior_log_prob_pi_one():
     on = ibp.ibp_prior_log_prob_from_sticks(np.array([1.0]), np.array([1.0]))
-    assert on == 0.0
+    assert on.tolist() == [0.0]
     # impossible event: guarded sentinel instead of -inf
     got = ibp.ibp_prior_log_prob_from_sticks(np.array([0.0]), np.array([1.0]))
-    assert got == ibp.LOG_ZERO_SENTINEL
+    assert got.tolist() == [ibp.LOG_ZERO_SENTINEL]
 
 
 def test_ibp_prior_log_prob_length_mismatch():
@@ -59,7 +59,8 @@ def test_ibp_prior_log_prob_length_mismatch():
 def test_ibp_prior_normalizes():
     rng = np.random.default_rng(1)
     v = rng.random(3) * 0.9 + 0.05
-    total = sum(np.exp(ibp.ibp_prior_log_prob_from_sticks(z, v)) for z in enumerate_binary(3))
+    total = sum(np.exp(ibp.ibp_prior_log_prob_from_sticks(z, v).sum())
+                for z in enumerate_binary(3))
     assert abs(total - 1.0) < 1e-9
 
 
@@ -69,16 +70,16 @@ def test_ibp_prior_from_sticks_matches_direct():
     v = rng.random(5) * 0.9 + 0.05
     pi = ibp.stick_breaking(v)
     for z in (np.zeros(5), np.ones(5), (rng.random(5) < 0.5).astype(float)):
-        direct = np.sum(z * np.log(pi) + (1.0 - z) * np.log1p(-pi))
-        from_sticks = float(ibp.ibp_prior_log_prob_from_sticks(z, v))
-        assert abs(direct - from_sticks) < 1e-10
+        direct = z * np.log(pi) + (1.0 - z) * np.log1p(-pi)
+        from_sticks = ibp.ibp_prior_log_prob_from_sticks(z, v)
+        assert np.allclose(direct, from_sticks, rtol=0, atol=1e-10)
 
 
 def test_ibp_prior_from_sticks_no_underflow_large_k():
     # pi underflows to 0 in linear space at K=50 with tiny sticks
     v = np.full(50, 1e-7)
     z = np.zeros(50)
-    got = float(ibp.ibp_prior_log_prob_from_sticks(z, v))
+    got = float(ibp.ibp_prior_log_prob_from_sticks(z, v).sum())
     assert np.isfinite(got)
     assert abs(got) < 1e-3   # all-off under a near-zero prior is nearly free
 
@@ -86,20 +87,20 @@ def test_ibp_prior_from_sticks_no_underflow_large_k():
 def test_sticks_prior_uniform_alpha_one():
     rng = np.random.default_rng(3)
     v = rng.random(6) * 0.9 + 0.05
-    assert abs(float(ibp.sticks_prior_log_prob(v, 1.0))) < 1e-12
+    assert np.all(np.abs(ibp.sticks_prior_log_prob(v, 1.0)) < 1e-12)
 
 
 def test_sticks_prior_value():
-    got = float(ibp.sticks_prior_log_prob(np.array([0.5]), 2.0))
-    assert abs(got - (math.log(2) + math.log(0.5))) < 1e-12
+    got = ibp.sticks_prior_log_prob(np.array([0.5]), 2.0)
+    assert got.shape == (1,) and abs(got[0] - (math.log(2) + math.log(0.5))) < 1e-12
 
 
 def test_sticks_prior_matches_beta_log_prob():
     rng = np.random.default_rng(4)
     alpha = 2.7
     v = rng.random(5) * 0.9 + 0.05
-    expected = sum(dist.beta_log_prob(vk, alpha, 1.0) for vk in v)
-    assert abs(float(ibp.sticks_prior_log_prob(v, alpha)) - expected) < 1e-10
+    expected = [dist.beta_log_prob(vk, alpha, 1.0) for vk in v]
+    assert np.allclose(ibp.sticks_prior_log_prob(v, alpha), expected, rtol=0, atol=1e-10)
 
 
 def test_sticks_prior_domain():
@@ -136,10 +137,8 @@ def test_global_sticks_log_prob_matches_beta():
     sticks = ibp.GlobalSticks(3, 2.0)
     sticks.params[:] = np.log([1.5, 2.0, 3.0, 1.0, 0.5, 2.0])
     v = np.array([0.3, 0.6, 0.9])
-    expected = sum(
-        dist.beta_log_prob(v[i], sticks.a[i], sticks.b[i])
-        for i in range(3))
-    assert abs(float(sticks.log_prob(v)) - expected) < 1e-10
+    expected = [dist.beta_log_prob(v[i], sticks.a[i], sticks.b[i]) for i in range(3)]
+    assert np.allclose(sticks.log_prob(v), expected, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("shape", [(25, 32, 16), (100, 4, 50)])
@@ -151,9 +150,7 @@ def test_global_sticks_match_the_written_out_formulas_bit_for_bit(shape):
     sticks.params[:] = rng.normal(scale=0.7, size=sticks.params.size)
     v = sticks.sample(shape[:-1], rng)
     v[0, 0], v[0, 1] = 1e-7, 1.0 - 1e-7
-    terms = sticks_log_prob_formula(sticks, v)
-    for got, want in ((sticks.log_prob(v, per_component=True), terms),
-                      (sticks.log_prob(v), terms.sum(axis=-1)),
+    for got, want in ((sticks.log_prob(v), sticks_log_prob_formula(sticks, v)),
                       (sticks.score_grads(v), sticks_score_grads_formula(sticks, v))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -163,18 +160,18 @@ def test_global_sticks_score_grads_match_fd():
     sticks.params[:] = np.log([1.5, 2.5, 0.7, 1.2])
     v = np.array([0.35, 0.8])
     grads = sticks.score_grads(v)
-    fd = fd_grad_all(lambda: float(sticks.log_prob(v)), sticks.params, h=1e-6)
+    fd = fd_grad_all(lambda: float(sticks.log_prob(v).sum()), sticks.params, h=1e-6)
     assert np.all(np.abs(grads - fd) < 1e-6)
 
 
 def test_active_components_all_zero():
-    report = ibp.active_components(np.zeros(5), 0.01)
+    report = ibp.active_components(np.zeros((4, 5)), 0.01)
     assert report.count == 0
     assert report.active.size == 0
 
 
 def test_active_components_threshold():
-    report = ibp.active_components(np.array([0.9, 0.005, 0.4]), 0.01)
+    report = ibp.active_components(np.array([[0.9, 0.005, 0.4]]), 0.01)
     assert list(report.active) == [0, 2]
     assert report.count == 2
 
@@ -189,4 +186,6 @@ def test_active_components_matrix_stats():
 
 def test_active_components_validates_range():
     with pytest.raises(ValueError):
-        ibp.active_components(np.array([1.2]), 0.01)
+        ibp.active_components(np.array([[1.2]]), 0.01)
+    with pytest.raises(ValueError):   # an averaged (K,) vector, not (N, K)
+        ibp.active_components(np.array([0.5]), 0.01)

@@ -61,8 +61,9 @@ def test_config_validation():
         training.RunConfig(dataset="nope").validate()
     with pytest.raises(ValueError):
         training.RunConfig(labeled_fraction=1.5).validate()
-    with pytest.raises(ValueError):
-        training.RunConfig(unlabeled_mode="sometimes").validate()
+    for mode in ("sometimes", "unconditional"):   # unlabeled points always marginalize
+        with pytest.raises(ValueError):
+            training.RunConfig(unlabeled_mode=mode).validate()
     with pytest.raises(ValueError):
         training.RunConfig(lr=-1.0).validate()
 
