@@ -350,10 +350,18 @@ def test_numeric_error_names_term(monkeypatch):
     assert err.value.term == "recon"
 
 
+# Each batch with the rule its unlabeled points take for their label: they
+# marginalize it under q(y | x). A fully labeled batch takes no rule, so it is
+# also checked under "unconditional", the zero-label rule that
+# RunConfig.validate rejects; the rule changes nothing there.
+BATCH_RULES = [("labeled", "marginalize"), ("labeled", "unconditional"),
+               ("unlabeled", "marginalize"), ("mixed", "marginalize")]
+
+
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
-@pytest.mark.parametrize("batch", ["labeled", "unlabeled", "mixed"])
+@pytest.mark.parametrize("rule, batch", [r[::-1] for r in BATCH_RULES])
 @pytest.mark.parametrize("frozen", [False, True])
-def test_forward_only_estimate_matches_full(kind, batch, frozen):
+def test_forward_only_estimate_matches_full(kind, batch, rule, frozen):
     rng = np.random.default_rng(21)
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
     x = rng.random((6, 5))
@@ -400,9 +408,9 @@ def test_forward_only_numeric_error_names_term(monkeypatch):
 
 @pytest.mark.parametrize("with_grads", [True, False])
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
-@pytest.mark.parametrize("batch", ["labeled", "unlabeled", "mixed"])
+@pytest.mark.parametrize("batch, rule", BATCH_RULES)
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
-def test_blocked_estimate_matches_one_block(block_rows, batch, kind, with_grads,
+def test_blocked_estimate_matches_one_block(block_rows, batch, rule, kind, with_grads,
                                             monkeypatch):
     rng = np.random.default_rng(22)
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
