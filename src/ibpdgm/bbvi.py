@@ -149,22 +149,25 @@ def _softmax_jacobian_vec(probs, g):
     return probs * (g - inner)
 
 
-def _likelihood_values(kind, dec_out, x_rows, input_dim):
-    """Per-row log-likelihood of x_rows under the raw decoder output."""
+def _likelihood_values(kind, dec_out, x_pts, input_dim):
+    """Log-likelihood of each row of the raw decoder output (the last axis
+    is the output width).  x_pts broadcasts against those rows: each point's
+    data once, for every row decoded for it."""
     if kind == "bernoulli":
-        return dist.bernoulli_log_prob(x_rows, dec_out).sum(axis=1)
-    return dist.gaussian_log_prob(x_rows, *mdl.split_decoder_out(dec_out, input_dim))
+        return dist.bernoulli_log_prob(x_pts, dec_out).sum(axis=-1)
+    return dist.gaussian_log_prob(x_pts, *mdl.split_decoder_out(dec_out, input_dim))
 
 
-def _likelihood_values_and_grads(kind, dec_out, x_rows, input_dim):
-    """Per-row log-likelihood and its gradient w.r.t. the raw decoder output."""
+def _likelihood_values_and_grads(kind, dec_out, x_pts, input_dim):
+    """`_likelihood_values` and its gradient w.r.t. the raw decoder output,
+    shaped like dec_out."""
     if kind == "bernoulli":
-        return (_likelihood_values(kind, dec_out, x_rows, input_dim),
-                dist.bernoulli_score_grad(x_rows, dec_out))
+        return (_likelihood_values(kind, dec_out, x_pts, input_dim),
+                dist.bernoulli_score_grad(x_pts, dec_out))
     mean, var = mdl.split_decoder_out(dec_out, input_dim)
-    g_mean, g_var = dist.gaussian_score_grad(x_rows, mean, var)
-    return dist.gaussian_log_prob(x_rows, mean, var), np.concatenate(
-        [g_mean, g_var * dist.sigmoid(dec_out[:, input_dim:])], axis=1)
+    g_mean, g_var = dist.gaussian_score_grad(x_pts, mean, var)
+    return dist.gaussian_log_prob(x_pts, mean, var), np.concatenate(
+        [g_mean, g_var * dist.sigmoid(dec_out[..., input_dim:])], axis=-1)
 
 
 def _check_finite(name, *arrays):
@@ -274,17 +277,16 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
             dec_in[..., :k] = z[pts][:, :, None, :]
             dec_in[..., k:] = y_pt[blk][:, None]
             out, tape = nn.forward(m.decoder, dec_in.reshape(-1, k + c))
-            x_rows = np.repeat(x[pts], s * n_cls, axis=0)
+            out = out.reshape(pts.size, s, n_cls, -1)
+            x_pts = x[pts][:, None, None, :]
             if not with_grads:
-                r[blk] = _likelihood_values(
-                    m.likelihood_kind, out, x_rows, m.D).reshape(-1, s, n_cls)
+                r[blk] = _likelihood_values(m.likelihood_kind, out, x_pts, m.D)
                 continue
-            r_rows, g_out = _likelihood_values_and_grads(
-                m.likelihood_kind, out, x_rows, m.D)
-            r[blk] = r_rows.reshape(-1, s, n_cls)
-            w_rows = np.broadcast_to((w_pt[blk] * (scale / s))[:, None, :],
-                                     (pts.size, s, n_cls)).reshape(-1, 1)
-            g_params, g_in = nn.backward(m.decoder, tape, g_out * w_rows)
+            r[blk], g_out = _likelihood_values_and_grads(
+                m.likelihood_kind, out, x_pts, m.D)
+            g_out *= (w_pt[blk] * (scale / s))[:, None, :, None]
+            g_params, g_in = nn.backward(m.decoder, tape,
+                                         g_out.reshape(-1, out.shape[-1]))
             # the one-hots are constants and the weights are folded in: the
             # z-gradient sums the class rows
             g_z[pts] = g_in[:, :k].reshape(-1, s, n_cls, k).sum(axis=2)

@@ -162,6 +162,10 @@ def cmd_eval(args):
     if dataset.dim != m.D:
         raise UsageError(
             f"dataset has {dataset.dim} features, checkpoint expects {m.D}")
+    top = int(dataset.labels.max(initial=-1))
+    if top >= m.C:
+        raise UsageError(
+            f"dataset labels name {top + 1} classes, checkpoint has {m.C}")
     err = training.error_rate(m, dataset)
     print(f"error_rate_percent: {err:.4f}")
     return EXIT_OK

@@ -27,15 +27,23 @@ def sigmoid(x):
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from one
     exp(-|x|), so no exp overflows."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(np.minimum(x, -x))     # -|x|; unlike -abs(x), keeps a NaN's sign
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
-    return out
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)           # -|x|; unlike -abs(x), keeps a NaN's sign
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)       # 1 where x >= 0, since e <= 1 there
+    e += 1.0
+    return np.divide(num, e, out=e)
 
 
 def softplus(x):
+    """log(1 + exp(x)) as log1p(exp(-|x|)) + max(x, 0), so no exp overflows."""
     x = np.asarray(x, dtype=np.float64)
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def softmax(logits, axis=-1):
@@ -103,12 +111,17 @@ def gaussian_score_grad(x, mean, var):
 def bernoulli_log_prob(z, logits):
     """z ln pi + (1 - z) ln(1 - pi) with pi = sigmoid(logits), elementwise,
     as z * logits - softplus(logits)."""
-    return z * logits - softplus(logits)
+    out = z * logits
+    out -= softplus(logits)
+    return out
 
 
 def bernoulli_score_grad(z, logits):
     """d/d logits of `bernoulli_log_prob`: z - sigmoid(logits)."""
-    return z - sigmoid(logits)
+    p = sigmoid(logits)
+    if np.broadcast_shapes(np.shape(z), p.shape) == p.shape:
+        return np.subtract(z, p, out=p)
+    return z - p
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,8 @@ def forward(net, x):
     h = x
     for (w, b), act in zip(net._views, net.activations):
         inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         preacts.append(z)
         h = np.maximum(z, 0.0) if act == "relu" else z
     tape = Tape(inputs, preacts, single)
@@ -143,18 +144,25 @@ def backward(net, tape, grad_out):
             f"{tape.preacts[-1].shape}")
     grads = net.zero_grad_like()
     off = net.params.size
+    owned = False             # g is the caller's grad_out until the first g @ w
     for layer in range(len(net._views) - 1, -1, -1):
         w, _ = net._views[layer]
         if tape.inputs[layer].shape[1] != w.shape[1]:
             raise ValueError("tape does not match network (layer shape)")
         if net.activations[layer] == "relu":
-            g = g * (tape.preacts[layer] > 0.0)
+            mask = tape.preacts[layer] > 0.0
+            if owned:
+                g *= mask
+            else:
+                g = g * mask
         fan_out, fan_in = w.shape
         off -= fan_out
-        grads[off:off + fan_out] = g.sum(axis=0)
+        g.sum(axis=0, out=grads[off:off + fan_out])
         off -= fan_out * fan_in
-        grads[off:off + fan_out * fan_in] = (g.T @ tape.inputs[layer]).ravel()
+        np.matmul(g.T, tape.inputs[layer],
+                  out=grads[off:off + fan_out * fan_in].reshape(fan_out, fan_in))
         g = g @ w
+        owned = True
     grad_in = g[0] if tape.single else g
     return grads, grad_in
 
@@ -181,11 +189,20 @@ def adam_step(params, grads, state):
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
+    # m <- b1 m + (1 - b1) g,  v <- b2 v + (1 - b2) g g,
+    # params -= lr m_hat / (sqrt(v_hat) + eps), in that order of operations
+    tmp = np.multiply(grads, 1.0 - ADAM_BETA1)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    m += tmp
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= grads
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    params -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    v += tmp
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=tmp)        # v_hat
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step = np.divide(m, 1.0 - ADAM_BETA1 ** t)           # m_hat
+    step *= state.lr
+    step /= tmp
+    params -= step
     return params, state

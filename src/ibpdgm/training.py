@@ -252,7 +252,9 @@ def train(cfg, train_data=None, test_data=None, log=None):
                     dataset_size=n, alpha_sup=alpha_sup,
                     prior_weight=spike_prior_weight(step, total_steps))
                 step += 1
-                loss_grads = {k: -g for k, g in breakdown.grads.items()}
+                loss_grads = breakdown.grads
+                for g in loss_grads.values():
+                    np.negative(g, out=g)
                 bbvi.clip_global_norm(loss_grads, GRAD_CLIP * n)
                 groups = m.parameter_groups()
                 for name, g in loss_grads.items():

@@ -42,6 +42,12 @@ def sigmoid_masked(x):
     return out
 
 
+def softplus_unfused(x):
+    """log(1 + exp(-|x|)) + max(x, 0), one temporary per operation."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+
+
 def _expect_sticks(fun, a, b, nodes=200):
     """E[fun(v1, v2)] under independent Beta(a[0], b[0]) x Beta(a[1], b[1]),
     by tensor Gauss-Jacobi quadrature (scipy.special.roots_jacobi); fun

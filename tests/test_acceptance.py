@@ -10,6 +10,7 @@ statistics it gets back.  Criterion 8 needs real MNIST IDX files
 slow/optional one.
 """
 
+import hashlib
 import os
 import time
 
@@ -166,7 +167,8 @@ def test_criterion_9_bit_exact_determinism(tmp_path):
     bytes_b = open(b.metrics_path, "rb").read()
     assert bytes_a == bytes_b
     elapsed = time.time() - start
-    report(9, f"two runs, metrics files byte-identical in {elapsed:.1f}s")
+    report(9, f"two runs, metrics files byte-identical in {elapsed:.1f}s, "
+              f"sha256 {hashlib.sha256(bytes_a).hexdigest()}")
 
 
 # ---------------------------------------------------------------------------

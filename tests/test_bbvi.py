@@ -220,8 +220,8 @@ def test_estimator_shift_invariant(monkeypatch):
         x = (rng.random((5, 6)) < 0.5).astype(float)
         exact_likelihood = bbvi._likelihood_values_and_grads
 
-        def shifted(kind, dec_out, x_rows, input_dim):
-            r, g = exact_likelihood(kind, dec_out, x_rows, input_dim)
+        def shifted(kind, dec_out, x_pts, input_dim):
+            r, g = exact_likelihood(kind, dec_out, x_pts, input_dim)
             return r + shift, g
 
         monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", shifted)
@@ -341,8 +341,8 @@ def test_numeric_error_names_term(monkeypatch):
     m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((2, 4)) < 0.5).astype(float)
 
-    def poisoned_likelihood(kind, dec_out, x_rows, input_dim):
-        return np.full(dec_out.shape[0], np.nan), np.zeros_like(dec_out)
+    def poisoned_likelihood(kind, dec_out, x_pts, input_dim):
+        return np.full(dec_out.shape[:-1], np.nan), np.zeros_like(dec_out)
 
     monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", poisoned_likelihood)
     with pytest.raises(bbvi.NumericError) as err:
@@ -393,8 +393,8 @@ def test_forward_only_numeric_error_names_term(monkeypatch):
     m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((2, 4)) < 0.5).astype(float)
 
-    def poisoned_likelihood(kind, dec_out, x_rows, input_dim):
-        return np.full(dec_out.shape[0], np.nan)
+    def poisoned_likelihood(kind, dec_out, x_pts, input_dim):
+        return np.full(dec_out.shape[:-1], np.nan)
 
     monkeypatch.setattr(bbvi, "_likelihood_values", poisoned_likelihood)
     with pytest.raises(bbvi.NumericError) as err:

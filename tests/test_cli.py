@@ -210,6 +210,18 @@ def test_eval_dimension_mismatch_is_usage_error(tmp_path):
                      "--config", cfgp]) == 1
 
 
+def test_eval_labels_beyond_checkpoint_classes_is_usage_error(tmp_path, capsys):
+    ckpt = _make_checkpoint(tmp_path, input_dim=2, num_classes=2)
+    amat = tmp_path / "data.amat"
+    amat.write_text("0.1 0.2 5\n0.3 0.4 7\n0.5 0.6 1\n")
+    cfgp = write_cfg(tmp_path, likelihood="gaussian")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat),
+                     "--config", cfgp]) == 1
+    captured = capsys.readouterr()
+    assert "error_rate_percent" not in captured.out
+    assert "8 classes" in captured.err and "checkpoint has 2" in captured.err
+
+
 def _untrained_report_inputs(tmp_path):
     """A checkpoint whose inclusion probabilities are all 0.5, and data."""
     rng = np.random.default_rng(2)

@@ -8,34 +8,70 @@ import scipy.stats
 
 from ibpdgm import distributions as dist
 
-from oracles import central_diff, enumerate_binary, rel_err, sigmoid_masked
+from oracles import (central_diff, enumerate_binary, rel_err, sigmoid_masked,
+                     softplus_unfused)
 
 
 # ---------------------------------------------------------------------------
-# logistic sigmoid
+# elementwise maps: each against its formula written out, bit for bit
 
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+MAPS = {"sigmoid": (dist.sigmoid, sigmoid_masked),
+        "softplus": (dist.softplus, softplus_unfused)}
 # (B, K) heads, (B * S * C, D) likelihood rows and the decoder's (rows, 2D)
 # Gaussian outputs at the benchmarked shapes
-@pytest.mark.parametrize("shape", [(25, 16), (100, 50), (2000, 16), (2000, 50),
-                                   (800, 30), (100, 784), (4000, 784), (800, 60)])
-def test_sigmoid_matches_mask_formula_bit_for_bit(shape):
+SHAPES = [(25, 16), (100, 50), (2000, 16), (2000, 50),
+          (800, 30), (100, 784), (4000, 784), (800, 60)]
+
+
+@pytest.mark.parametrize("name, shape", [
+    pytest.param(name, shape, id=f"{prefix}shape{i}")
+    for name, prefix in (("sigmoid", ""), ("softplus", "softplus-"))
+    for i, shape in enumerate(SHAPES)])
+def test_sigmoid_matches_mask_formula_bit_for_bit(name, shape):
+    fn, formula = MAPS[name]
     x = 8.0 * np.random.default_rng(shape[0] + shape[1]).standard_normal(shape)
-    assert same_bits(dist.sigmoid(x), sigmoid_masked(x))
+    assert same_bits(fn(x), formula(x))
 
 
 def test_sigmoid_edge_values_bit_for_bit():
     x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
                   745.0, -745.0, 800.0, -800.0, 5e-324, -5e-324])
-    got = dist.sigmoid(x)
-    assert same_bits(got, sigmoid_masked(x))
-    assert got[2] == 1.0 and got[3] == 0.0 and got[7] > 0.0
-    for scalar in (0.3, -0.3, 0.0, -800.0, np.nan):
-        got = dist.sigmoid(scalar)
-        assert got.shape == () and same_bits(got, sigmoid_masked(scalar))
+    for fn, formula in MAPS.values():
+        got = fn(x)
+        assert same_bits(got, formula(x))
+        for scalar in (0.3, -0.3, 0.0, -800.0, np.inf, -np.inf, np.nan, -np.nan):
+            got_0d = fn(scalar)
+            assert got_0d.shape == () and same_bits(got_0d, formula(scalar))
+    sig, soft = dist.sigmoid(x), dist.softplus(x)
+    assert sig[2] == 1.0 and sig[3] == 0.0 and sig[7] > 0.0
+    assert soft[2] == np.inf and soft[3] == 0.0 and soft[0] == math.log(2.0)
+
+
+# (z, logits) shapes of the estimator's kinds: the spikes' (B, S, K) draws
+# against (B, 1, K) logits, a point's data against its decoded rows, and
+# equal shapes
+ARG_SHAPES = [((3, 4, 5), (3, 1, 5)), ((3, 1, 5), (3, 4, 5)), ((6, 5), (6, 5))]
+
+
+@pytest.mark.parametrize("z_shape, logits_shape", ARG_SHAPES)
+def test_elementwise_maps_leave_their_arguments_unchanged(z_shape, logits_shape):
+    rng = np.random.default_rng(12)
+    z = (rng.random(z_shape) < 0.5).astype(float)
+    logits = 8.0 * rng.standard_normal(logits_shape)
+    z0, logits0 = z.copy(), logits.copy()
+    for fn in (dist.sigmoid, dist.softplus):
+        fn(logits)
+    log_prob = dist.bernoulli_log_prob(z, logits)
+    score = dist.bernoulli_score_grad(z, logits)
+    assert same_bits(z, z0) and same_bits(logits, logits0)
+    assert log_prob.shape == score.shape == np.broadcast_shapes(z_shape, logits_shape)
+    assert not np.shares_memory(score, logits) and not np.shares_memory(score, z)
+    assert same_bits(log_prob, z0 * logits0 - softplus_unfused(logits0))
+    assert same_bits(score, z0 - sigmoid_masked(logits0))
 
 
 # ---------------------------------------------------------------------------

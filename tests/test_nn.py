@@ -135,6 +135,27 @@ def test_backward_batch_matches_sum_of_singles():
     assert batch_in.shape == (5, 3)
 
 
+@pytest.mark.parametrize("out_act", nn.ACTIVATIONS)
+@pytest.mark.parametrize("batched", [False, True])
+def test_backward_leaves_grad_out_and_tape_unchanged(out_act, batched):
+    # a ReLU output layer masks the incoming gradient first: the mask must
+    # not be written into the caller's grad_out
+    rng = np.random.default_rng(13)
+    net = nn.DenseNet([3, 6, 5, 4], ["relu", "relu", out_act])
+    net.params[:] = rng.normal(size=net.num_params)
+    x = rng.normal(size=(7, 3) if batched else 3)
+    _, tape = nn.forward(net, x)
+    grad_out = rng.normal(size=(7, 4) if batched else 4)
+    saved = [grad_out.copy(), [a.copy() for a in tape.inputs],
+             [a.copy() for a in tape.preacts]]
+    first, _ = nn.backward(net, tape, grad_out)
+    assert np.array_equal(grad_out, saved[0])
+    for now, before in zip(tape.inputs + tape.preacts, saved[1] + saved[2]):
+        assert np.array_equal(now, before)
+    again, _ = nn.backward(net, tape, grad_out)
+    assert np.array_equal(first, again)
+
+
 def test_backward_rejects_mismatched_tape():
     rng = np.random.default_rng(0)
     a = nn.glorot_init(3, [4], 2, rng)
@@ -174,3 +195,24 @@ def test_adam_step_count_increments():
     for expected in (1, 2, 3):
         nn.adam_step(params, np.ones(2), state)
         assert state.step_count == expected
+
+
+def test_adam_step_matches_textbook_update_bit_for_bit():
+    # Kingma and Ba's update written out, one temporary per operation
+    rng = np.random.default_rng(17)
+    b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
+    params = rng.normal(size=40)
+    state = nn.AdamState(40, lr=3e-3)
+    want, m, v = params.copy(), np.zeros(40), np.zeros(40)
+    for t in range(1, 7):
+        g = rng.normal(size=40) * 10.0 ** rng.uniform(-4, 4, size=40)
+        state.lr = 3e-3 / t
+        nn.adam_step(params, g, state)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        want = want - state.lr * m_hat / (np.sqrt(v_hat) + eps)
+        for got, ref in ((params, want), (state.first_moment, m),
+                         (state.second_moment, v)):
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
