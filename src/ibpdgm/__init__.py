@@ -1,7 +1,7 @@
 """Deep generative model with a truncated Indian Buffet Process prior,
 trained by black-box variational inference with control variates."""
 
-from .bbvi import (ElboBreakdown, McConfig, NumericError, ScoreSampleSet,
+from .bbvi import (ElboBreakdown, NumericError, ScoreSampleSet,
                    control_variate_coeffs, estimate_elbo_and_grads,
                    score_function_grad)
 from .data import (Dataset, DataFormatError, binarize_epoch, load_amat,

@@ -20,6 +20,10 @@ terms are Monte Carlo.
 Per-data-point terms are averaged over the batch and multiplied by the
 dataset size, so a minibatch estimate targets the full-data objective;
 global quantities (stick terms, the decoder weight prior) enter once.
+
+The estimator has one configuration, the one training takes, and
+computes every term value before any gradient: the forward-only estimate
+of the per-epoch metrics is a prefix of a training step.
 """
 
 from dataclasses import dataclass, field
@@ -46,18 +50,6 @@ class NumericError(RuntimeError):
         self.term = term
         super().__init__(f"non-finite value in term {term!r}" +
                          (f": {detail}" if detail else ""))
-
-
-@dataclass
-class McConfig:
-    num_samples: int
-    use_control_variates: bool = True
-
-    def __post_init__(self):
-        if self.num_samples < 1:
-            raise ValueError("need at least one Monte Carlo sample")
-        if self.use_control_variates and self.num_samples < 2:
-            raise ValueError("control variates need at least 2 samples")
 
 
 @dataclass
@@ -139,7 +131,7 @@ class ElboBreakdown:
     term_zhat: float
     term_v: float
     term_y: float
-    grads: dict
+    grads: dict = field(default_factory=dict)   # {} for a forward-only estimate
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -176,15 +168,15 @@ def _check_finite(name, *arrays):
             raise NumericError(name)
 
 
-def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
+def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
                             alpha_sup=0.0, frozen_sticks=None, prior_weight=1.0,
                             with_grads=True):
     """Estimate the full-data ELBO and its gradients from one minibatch.
 
     x is (B, D); labels is (B,) with -1 marking unlabeled points, which
-    marginalize their label under q(y | x).  For each point, S joint
-    samples (noise -> ztilde, zhat, v) are drawn; all objective terms are
-    assembled vectorized over (B, S).  When
+    marginalize their label under q(y | x).  For each point, `num_samples`
+    (S) joint samples (noise -> ztilde, zhat, v) are drawn; all objective
+    terms are assembled vectorized over (B, S).  When
     `frozen_sticks` is a length-K vector, the sticks are held at that
     constant: no stick sampling, no stick gradient, and the stick term is
     0 (used by the enumeration oracles).  `prior_weight` scales the spike
@@ -193,12 +185,13 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     the default 1 the gradients are the ELBO's.
 
     Returns an ElboBreakdown whose gradients point in the ELBO-ascent
-    direction and include the decoder weight-decay prior.  With
-    `with_grads=False` only the ELBO is estimated: the same draws give the
-    same term values, bit for bit, and the same finiteness checks run, but
-    no backward pass, likelihood gradient or score gradient is computed,
-    and `grads` is {}.  The decoder runs on blocks of whole points of at
-    most DECODER_BLOCK_ROWS rows, so memory is bounded by one block; a
+    direction and include the decoder weight-decay prior; the score
+    gradients always carry the control variates, which need S >= 2.  The
+    draws come first, then every term value and its finiteness check,
+    then the gradients.  With `with_grads=False` (S >= 1) it returns
+    after the values, with `grads` = {}: the same values, bit for bit.
+    The decoder runs on blocks of whole points of at most
+    DECODER_BLOCK_ROWS rows, so memory is bounded by one block; a
     batch that fits in one block decodes exactly as one call would.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -206,9 +199,12 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         raise ValueError("batch must be a nonempty (B, D) matrix")
     if x.shape[1] != m.D:
         raise ValueError("batch feature dimension does not match the model")
+    if num_samples < (2 if with_grads else 1):
+        raise ValueError(f"num_samples = {num_samples}: the leave-one-out control "
+                         "variates need 2 or more, a forward-only estimate 1")
     labels = (np.full(x.shape[0], -1, dtype=np.int64) if labels is None
               else np.asarray(labels, dtype=np.int64))
-    batch_size, s = x.shape[0], cfg.num_samples
+    batch_size, s = x.shape[0], num_samples
     n_data = int(dataset_size) if dataset_size is not None else batch_size
     scale = n_data / batch_size
     k, c = m.K, m.C
@@ -242,7 +238,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     logp_zhat = logp_zhat_k.sum(axis=2)                                  # (B, S)
     logq_zhat = logq_zhat_k.sum(axis=2)
 
-    # --- reconstruction + decoder/path gradients ---------------------------
+    # --- reconstruction, with the decoder's gradients ----------------------
     # Point i decodes one row per (sample, class) with the class one-hots
     # y_pt[i] (n_cls, C) and weights w_pt[i] * scale/S, rows ordered
     # (point, sample, class); n_cls is 1 for a labeled point and C for an
@@ -251,6 +247,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     # decoded apart, each in blocks of whole points of at most
     # DECODER_BLOCK_ROWS rows (one point when a point alone is more), so
     # memory does not grow with the batch; the draws are all made already.
+    # A block's backward pass runs while its output is at hand.
     labeled = labels >= 0
     idx_lab = np.flatnonzero(labeled)
     idx_unl = np.flatnonzero(~labeled)
@@ -265,7 +262,6 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     recon = np.empty((batch_size, s))
     g_z = np.zeros((batch_size, s, k))        # weighted by scale/S already
     dec_grads = m.decoder.zero_grad_like()
-    g_cls_logits = np.zeros((batch_size, c))
     for idx, y_pt, w_pt in groups:
         n_cls = y_pt.shape[1]
         per_block = max(1, DECODER_BLOCK_ROWS // (s * n_cls))
@@ -296,57 +292,24 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     r_per_class = r
     _check_finite("recon", recon)
 
-    # --- spike (zhat) score gradients, per-point control variates ----------
+    # --- the other term values ----------------------------------------------
     # spike k's signal keeps the reconstruction and its own prior and
     # entropy terms; the other spikes' terms are independent of its score
     f_zhat = recon[:, :, None] + prior_weight * (logp_zhat_k - logq_zhat_k)  # (B, S, K)
     _check_finite("term_zhat", f_zhat)
-    if with_grads:
-        h_zhat = dist.bernoulli_score_grad(zhat, logits_z[:, None, :])  # (B, S, K)
-        # the S samples of every (point, spike) pair: (S, B * K)
-        spikes = ScoreSampleSet(f_zhat.transpose(1, 0, 2).reshape(s, -1),
-                                h_zhat.transpose(1, 0, 2).reshape(s, -1))
-        a_zhat = (control_variate_coeffs(spikes)
-                  if cfg.use_control_variates else None)
-        g_logits = score_function_grad(spikes, a_zhat).reshape(batch_size, k)
 
     # analytic -KL(q(ztilde) || N(0, I))
     kl_gauss_points = dist.gaussian_kl_to_standard(mean, var)
-    if with_grads:
-        # pathwise gradients for the Gaussian slab, plus those of -KL
-        g_ztilde = g_z * zhat                              # masked by the spikes
-        g_mean = g_ztilde.sum(axis=1)                      # scale/S folded in
-        g_var = np.sum(g_ztilde * eps, axis=1) / (2.0 * sigma)
-        g_mean += scale * (-mean)
-        g_var += scale * (-0.5 * (1.0 - 1.0 / var))
 
-        raw = enc_out[:, k:2 * k]
-        enc_grad_out = np.concatenate(
-            [g_mean, g_var * dist.sigmoid(raw), scale * g_logits], axis=1)
-        enc_grads, _ = nn.backward(m.encoder, enc_tape, enc_grad_out)
-
-    # --- label terms ---------------------------------------------------------
     term_y_points = np.zeros(batch_size)
     if idx_unl.size:
-        p_u = probs_y[idx_unl]
-        term_y_points[idx_unl] = -dist.categorical_kl_to_uniform(p_u)
-        if with_grads:
-            g_probs = (-dist.categorical_kl_to_uniform_grad(p_u) * scale
-                       + r_per_class.mean(axis=1) * scale)
-            g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
+        term_y_points[idx_unl] = -dist.categorical_kl_to_uniform(probs_y[idx_unl])
     if idx_lab.size and alpha_sup != 0.0:
         term_y_points[idx_lab] = alpha_sup * dist.categorical_log_prob(
             labels[idx_lab], probs_y[idx_lab])
-        if with_grads:
-            g_cls_logits[idx_lab] = scale * alpha_sup * dist.categorical_score_grad(
-                labels[idx_lab], probs_y[idx_lab])
-    if with_grads:
-        cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
 
-    # --- stick gradients, pooled over every (point, sample) draw ------------
     if frozen_sticks is not None:
         term_v = 0.0
-        stick_grads = np.zeros_like(m.sticks.params)
     else:
         logp_v_k = ibp.sticks_prior_log_prob(v, m.sticks.alpha)   # (B, S, K)
         logq_v_k = m.sticks.log_prob(v)
@@ -356,21 +319,7 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         tails = np.cumsum(expected_logp_zhat_k[..., ::-1], axis=2)[..., ::-1]
         f_v = (n_data * tails + logp_v_k - logq_v_k).reshape(-1, k)
         _check_finite("term_v", f_v)
-        if with_grads:
-            h_v = m.sticks.score_grads(v).reshape(-1, 2 * k)
-            _check_finite("term_v", h_v)
-            # every (point, sample) draw of v is independent; stick j's
-            # signal goes with both of its scores, d/d log a_j and d/d log b_j
-            draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
-            a_v = (control_variate_coeffs(draws)
-                   if cfg.use_control_variates else None)
-            stick_grads = score_function_grad(draws, a_v)
         term_v = float(np.mean(np.sum(logp_v_k - logq_v_k, axis=2)))
-
-    # --- decoder weight prior ------------------------------------------------
-    if with_grads:
-        _, theta_prior_grad = mdl.theta_log_prior(m)
-        dec_grads += theta_prior_grad
 
     breakdown = ElboBreakdown(
         total=0.0,
@@ -379,12 +328,6 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
         term_zhat=scale * float(np.sum((logp_zhat - logq_zhat).mean(axis=1))),
         term_v=term_v,
         term_y=scale * float(np.sum(term_y_points)),
-        grads={
-            "encoder": enc_grads,
-            "classifier": cls_grads,
-            "decoder": dec_grads,
-            "sticks": stick_grads,
-        } if with_grads else {},
         diagnostics={
             "log_zero_events": int(np.sum(logp_zhat < ibp.LOG_ZERO_SENTINEL / 2.0)),
         },
@@ -394,6 +337,58 @@ def estimate_elbo_and_grads(m, x, labels, cfg, rng, dataset_size=None,
     for name in ("recon", "kl_gauss", "term_zhat", "term_v", "term_y"):
         if not np.isfinite(getattr(breakdown, name)):
             raise NumericError(name)
+    if not with_grads:
+        return breakdown
+
+    # --- spike (zhat) score gradients, per-point control variates ----------
+    h_zhat = dist.bernoulli_score_grad(zhat, logits_z[:, None, :])  # (B, S, K)
+    # the S samples of every (point, spike) pair: (S, B * K)
+    spikes = ScoreSampleSet(f_zhat.transpose(1, 0, 2).reshape(s, -1),
+                            h_zhat.transpose(1, 0, 2).reshape(s, -1))
+    g_logits = score_function_grad(
+        spikes, control_variate_coeffs(spikes)).reshape(batch_size, k)
+
+    # --- pathwise gradients for the Gaussian slab, plus those of -KL -------
+    g_ztilde = g_z * zhat                              # masked by the spikes
+    g_mean = g_ztilde.sum(axis=1)                      # scale/S folded in
+    g_var = np.sum(g_ztilde * eps, axis=1) / (2.0 * sigma)
+    g_mean += scale * (-mean)
+    g_var += scale * (-0.5 * (1.0 - 1.0 / var))
+
+    raw = enc_out[:, k:2 * k]
+    enc_grad_out = np.concatenate(
+        [g_mean, g_var * dist.sigmoid(raw), scale * g_logits], axis=1)
+    enc_grads, _ = nn.backward(m.encoder, enc_tape, enc_grad_out)
+
+    # --- label gradients -----------------------------------------------------
+    g_cls_logits = np.zeros((batch_size, c))
+    if idx_unl.size:
+        p_u = probs_y[idx_unl]
+        g_probs = (-dist.categorical_kl_to_uniform_grad(p_u) * scale
+                   + r_per_class.mean(axis=1) * scale)
+        g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
+    if idx_lab.size and alpha_sup != 0.0:
+        g_cls_logits[idx_lab] = scale * alpha_sup * dist.categorical_score_grad(
+            labels[idx_lab], probs_y[idx_lab])
+    cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
+
+    # --- stick gradients, pooled over every (point, sample) draw ------------
+    if frozen_sticks is not None:
+        stick_grads = np.zeros_like(m.sticks.params)
+    else:
+        h_v = m.sticks.score_grads(v).reshape(-1, 2 * k)
+        _check_finite("term_v", h_v)
+        # every (point, sample) draw of v is independent; stick j's
+        # signal goes with both of its scores, d/d log a_j and d/d log b_j
+        draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
+        stick_grads = score_function_grad(draws, control_variate_coeffs(draws))
+
+    # --- decoder weight prior ------------------------------------------------
+    _, theta_prior_grad = mdl.theta_log_prior(m)
+    dec_grads += theta_prior_grad
+
+    breakdown.grads = {"encoder": enc_grads, "classifier": cls_grads,
+                       "decoder": dec_grads, "sticks": stick_grads}
     for name, g in breakdown.grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"grad_{name}")

@@ -63,8 +63,9 @@ def _read_u32(fh, path, what):
     return struct.unpack(">I", raw)[0]
 
 
-def load_idx(images_path, labels_path, num_classes=10):
-    """Load an MNIST-style IDX image/label file pair as a Bernoulli dataset."""
+def load_idx(images_path, labels_path):
+    """Load an MNIST-style IDX image/label file pair as a Bernoulli dataset
+    of ten classes."""
     with open(images_path, "rb") as fh:
         magic = _read_u32(fh, images_path, "magic")
         if magic != IDX_IMAGE_MAGIC:
@@ -97,7 +98,7 @@ def load_idx(images_path, labels_path, num_classes=10):
         raise DataFormatError(
             f"{images_path}: {count} images but {n_labels} labels")
     try:
-        return Dataset(images.astype(np.float64) / 255.0, labels, num_classes, "bernoulli")
+        return Dataset(images.astype(np.float64) / 255.0, labels, 10, "bernoulli")
     except ValueError as exc:   # the pixels lie in [0, 1]: a label is out of range
         raise DataFormatError(f"{labels_path}: {exc}") from None
 

@@ -46,11 +46,12 @@ def softplus(x):
     return out
 
 
-def softmax(logits, axis=-1):
+def softmax(logits):
+    """Softmax over the last axis."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def lgamma(x):

@@ -3,7 +3,8 @@
 Four suites: finite-difference agreement of every analytic gradient,
 the estimator's own included (`fd/estimator` differentiates
 `bbvi.estimate_elbo_and_grads` at fixed draws), normalization of every
-density, unbiasedness of the Monte Carlo ELBO/gradient estimator against
+density, unbiasedness of the Monte Carlo ELBO/gradient estimator, control
+variates included (rows `unbiased/elbo` and `unbiased/grad_*`), against
 an enumeration + Gauss-Hermite oracle on a tiny model (`toy_estimates`),
 and variance reduction from the weighted score control variates.  Each
 check returns (name, passed, detail); `run_all` prints one line per
@@ -40,20 +41,20 @@ KL_SEMS = 3.0           # analytic KL vs Monte Carlo, in standard errors
 CV_COEFF_TOL = 0.1      # max |a| fitted to an independent signal and score
 
 
-def central_diff(fun, x0, i, h=FD_STEP):
-    """Central difference of fun along coordinate i of x0."""
+def central_diff(fun, x0, i):
+    """Central difference of fun along coordinate i of x0, step FD_STEP."""
     x = np.array(x0, dtype=np.float64)
-    x[i] += h
+    x[i] += FD_STEP
     fp = fun(x)
-    x[i] -= 2 * h
+    x[i] -= 2 * FD_STEP
     fm = fun(x)
-    return (fp - fm) / (2 * h)
+    return (fp - fm) / (2 * FD_STEP)
 
 
-def rel_err(a, b, floor=1e-8):
-    """|a - b| relative to the larger magnitude; absolute below `floor`."""
+def rel_err(a, b):
+    """|a - b| relative to the larger magnitude; absolute below 1e-8."""
     denom = max(abs(a), abs(b))
-    if denom < floor:
+    if denom < 1e-8:
         return abs(a - b)
     return abs(a - b) / denom
 
@@ -138,14 +139,14 @@ def estimator_fd_worst(kind, rng):
     """Worst relative error between `bbvi.estimate_elbo_and_grads`'s
     gradients and central differences of its own forward-only estimate.
 
-    One seed fixes every draw, the sticks are frozen and the control
-    variates are off, so the estimate is a smooth function of every
-    decoder and classifier parameter and of the encoder's mean and
-    variance output rows and biases; those are compared.  The spike-logit
-    head is not: its gradient is a score-function estimate, not the
-    derivative of a fixed-draw estimate (the unbiasedness suite checks
-    it).  The batch mixes labeled and unlabeled points and stands for a
-    larger dataset.  Every bias is set to a small nonzero value: at
+    One seed fixes every draw and the sticks are frozen, so the estimate
+    is a smooth function of every decoder and classifier parameter and of
+    the encoder's mean and variance output rows and biases; those are
+    compared, and no control variate enters their gradients.  The
+    spike-logit head is not: its gradient is a score-function estimate,
+    not the derivative of a fixed-draw estimate (the unbiasedness suite
+    checks it).  The batch mixes labeled and unlabeled points and stands
+    for a larger dataset.  Every bias is set to a small nonzero value: at
     Glorot's zero biases an all-zero input row (a binary x with every
     pixel off) sits on the ReLU kink, where central differences and
     backprop disagree.
@@ -160,12 +161,11 @@ def estimator_fd_worst(kind, rng):
         x = rng.normal(size=(4, m.D))
     labels = np.array([1, -1, 0, -1])
     v0 = rng.random(m.K) * 0.8 + 0.1
-    cfg = bbvi.McConfig(num_samples=3, use_control_variates=False)
     seed = int(rng.integers(2 ** 31))
 
     def estimate(with_grads):
         return bbvi.estimate_elbo_and_grads(
-            m, x, labels, cfg, np.random.default_rng(seed), dataset_size=10,
+            m, x, labels, 3, np.random.default_rng(seed), dataset_size=10,
             alpha_sup=0.7, frozen_sticks=v0, with_grads=with_grads)
 
     def objective():
@@ -187,9 +187,9 @@ def estimator_fd_worst(kind, rng):
     return worst
 
 
-def _tanh_sinh_unit_interval(n, t_max=4.0):
-    """Tanh-sinh quadrature nodes/weights for integrals over (0, 1)."""
-    t = np.linspace(-t_max, t_max, n)
+def _tanh_sinh_unit_interval(n):
+    """Tanh-sinh nodes/weights, t in [-4, 4], for integrals over (0, 1)."""
+    t = np.linspace(-4.0, 4.0, n)
     step = t[1] - t[0]
     half_pi_sinh = 0.5 * np.pi * np.sinh(t)
     nodes = 0.5 * (1.0 + np.tanh(half_pi_sinh))
@@ -239,15 +239,15 @@ def normalization_suite(seed=20240502):
     return checks
 
 
-def make_enumerable_toy(seed=7, input_dim=5, num_classes=2, kind="bernoulli"):
-    """Tiny model whose exact ELBO is computable: K=2, smooth decoder."""
+def make_enumerable_toy(seed=7, kind="bernoulli"):
+    """Tiny model whose exact ELBO is computable: D=5, C=2, K=2, smooth decoder."""
     rng = np.random.default_rng(seed)
-    m = mdl.build_model(input_dim, num_classes, 2, 4, kind, 2.0, 1.0, rng)
+    m = mdl.build_model(5, 2, 2, 4, kind, 2.0, 1.0, rng)
     m.decoder.activations[0] = "identity"  # keeps the quadrature oracle exact
     if kind == "bernoulli":
-        x = (rng.random(input_dim) < 0.5).astype(np.float64)
+        x = (rng.random(5) < 0.5).astype(np.float64)
     else:
-        x = rng.normal(size=input_dim)
+        x = rng.normal(size=5)
     return m, x
 
 
@@ -349,9 +349,8 @@ def _exact_toy_values(toy_seed, v0):
     return types.MappingProxyType(exact)
 
 
-def toy_estimates(toy_seed, v0, reps, seed0, use_control_variates,
-                  num_samples=8):
-    """Run the estimator `reps` times, with seeds seed0 + j, on one
+def toy_estimates(toy_seed, v0, reps, seed0):
+    """Run the estimator `reps` times, S = 8, with seeds seed0 + j, on one
     unlabeled point of the enumerable toy with the sticks frozen at v0.
 
     Returns a ToyStat for "elbo" and for the "encoder", "classifier" and
@@ -361,9 +360,7 @@ def toy_estimates(toy_seed, v0, reps, seed0, use_control_variates,
     m, x = make_enumerable_toy(seed=toy_seed)
     v0 = np.asarray(v0, dtype=np.float64)
     exact = _exact_toy_values(toy_seed, tuple(v0.tolist()))
-    cfg = bbvi.McConfig(num_samples=num_samples,
-                        use_control_variates=use_control_variates)
-    runs = [bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), cfg,
+    runs = [bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), 8,
                                          np.random.default_rng(seed0 + j),
                                          frozen_sticks=v0)
             for j in range(reps)]
@@ -375,21 +372,17 @@ def toy_estimates(toy_seed, v0, reps, seed0, use_control_variates,
             for name, v in values.items()}
 
 
-def unbiasedness_suite(reps=120, num_samples=8, seed=11):
-    """Mean of MC ELBO/gradient estimates vs the enumeration oracle."""
-    checks = []
-    for cv in (False, True):
-        stats = toy_estimates(7, [0.7, 0.5], reps, seed * 100_000, cv, num_samples)
-        tag = "unbiased/cv" if cv else "unbiased"
-        if not cv:   # the ELBO's value does not depend on the control variates
-            st = stats["elbo"]
-            checks.append((f"{tag}/elbo", st.within(4.0, 1e-6),
-                           f"|z| = {st.max_z():.2f} (mean {st.mean:.4f} "
-                           f"exact {st.exact:.4f})"))
-        for name in ("encoder", "classifier", "decoder"):
-            st = stats[name]
-            checks.append((f"{tag}/grad_{name}", st.within(4.0, 1e-6),
-                           f"max |z| = {st.max_z():.2f}"))
+def unbiasedness_suite(reps=120):
+    """Mean of the estimator's ELBO and gradient estimates, control
+    variates included, vs the enumeration oracle."""
+    stats = toy_estimates(7, [0.7, 0.5], reps, 1_100_000)
+    st = stats["elbo"]
+    checks = [("unbiased/elbo", st.within(4.0, 1e-6),
+               f"|z| = {st.max_z():.2f} (mean {st.mean:.4f} exact {st.exact:.4f})")]
+    for name in TOY_GRAD_GROUPS:
+        st = stats[name]
+        checks.append((f"unbiased/grad_{name}", st.within(4.0, 1e-6),
+                       f"max |z| = {st.max_z():.2f}"))
     return checks
 
 

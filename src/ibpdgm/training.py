@@ -100,8 +100,10 @@ class RunConfig:
                              "points always marginalize their label")
         if self.truncation < 1 or self.hidden < 1 or self.epochs < 0:
             raise ValueError("truncation, hidden, epochs must be positive")
-        if self.batch_size < 1 or self.mc_samples < 1:
-            raise ValueError("batch_size and mc_samples must be >= 1")
+        # mc_samples: the leave-one-out control variates need 2 draws per point
+        for key, least in (("batch_size", 1), ("mc_samples", 2), ("eval_mc_samples", 1)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} = {getattr(self, key)}: must be >= {least}")
         if not (0 < self.labeled_fraction < 1):
             raise ValueError("labeled_fraction must lie in (0, 1)")
         if self.sigma_theta_sq <= 0 or self.lr <= 0 or self.alpha <= 0:
@@ -159,11 +161,11 @@ def error_rate(m, dataset):
     return 100.0 * float(np.mean(pred != dataset.labels[mask]))
 
 
-def inclusion_probs(m, features, batch=2048):
+def inclusion_probs(m, features):
     """q(zhat_ik = 1) for every point: sigmoid of the encoder logit head."""
     rows = []
-    for start in range(0, features.shape[0], batch):
-        out, _ = nn.forward(m.encoder, features[start:start + batch])
+    for start in range(0, features.shape[0], 2048):
+        out, _ = nn.forward(m.encoder, features[start:start + 2048])
         _, _, logits = mdl.split_encoder_out(out, m.K)
         rows.append(dist.sigmoid(logits))
     return np.concatenate(rows, axis=0)
@@ -226,8 +228,6 @@ def train(cfg, train_data=None, test_data=None, log=None):
                         cfg.sigma_theta_sq, np.random.default_rng(s_model))
     states = {name: nn.AdamState(p.size, cfg.lr)
               for name, p in m.parameter_groups().items()}
-    mc_cfg = bbvi.McConfig(num_samples=cfg.mc_samples)
-    eval_cfg = bbvi.McConfig(num_samples=max(2, cfg.eval_mc_samples))
     train_rng = np.random.default_rng(s_train)
     eval_seed = s_eval.generate_state(1)[0]
 
@@ -248,7 +248,7 @@ def train(cfg, train_data=None, test_data=None, log=None):
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 breakdown = bbvi.estimate_elbo_and_grads(
-                    m, feats[idx], split_train.labels[idx], mc_cfg, train_rng,
+                    m, feats[idx], split_train.labels[idx], cfg.mc_samples, train_rng,
                     dataset_size=n, alpha_sup=alpha_sup,
                     prior_weight=spike_prior_weight(step, total_steps))
                 step += 1
@@ -260,8 +260,8 @@ def train(cfg, train_data=None, test_data=None, log=None):
                 for name, g in loss_grads.items():
                     nn.adam_step(groups[name], g, states[name])
 
-            row = _epoch_metrics(m, split_train, test_data, cfg, eval_cfg,
-                                 alpha_sup, epoch, eval_seed)
+            row = _epoch_metrics(m, split_train, test_data, cfg, alpha_sup,
+                                 epoch, eval_seed)
             history.append(row)
             metrics.write(format_metrics_row(row) + "\n")
             metrics.flush()
@@ -274,8 +274,7 @@ def train(cfg, train_data=None, test_data=None, log=None):
                        checkpoint_path=checkpoint_path, history=history)
 
 
-def _epoch_metrics(m, train_data, test_data, cfg, eval_cfg, alpha_sup,
-                   epoch, eval_seed):
+def _epoch_metrics(m, train_data, test_data, cfg, alpha_sup, epoch, eval_seed):
     """One metrics row; the ELBO estimate reuses a fixed evaluation stream."""
     rng = np.random.default_rng(eval_seed)
     feats = train_data.features
@@ -285,7 +284,7 @@ def _epoch_metrics(m, train_data, test_data, cfg, eval_cfg, alpha_sup,
     cap = min(n, 4000)  # bound per-epoch metric cost on big datasets
     idx = np.arange(n) if n <= cap else rng.permutation(n)[:cap]
     bd = bbvi.estimate_elbo_and_grads(
-        m, feats[idx], train_data.labels[idx], eval_cfg, rng, dataset_size=n,
+        m, feats[idx], train_data.labels[idx], cfg.eval_mc_samples, rng, dataset_size=n,
         alpha_sup=alpha_sup, with_grads=False)
     report = component_report(m, train_data, cfg.tau)
     train_err = error_rate(m, train_data)

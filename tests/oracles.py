@@ -107,6 +107,14 @@ def weighted_score_coeff(f, h):
     return 0.0 if var_h < CV_EPS else cov / (var_h + CV_EPS)
 
 
+def zero_control_variates(samples):
+    """A stand-in for `bbvi.control_variate_coeffs` that fits nothing:
+    every coefficient is 0, so every term of the score-function estimate
+    is h * f, bit for bit as the plain estimator (no control variates)
+    computes it.  Tests patch it in to get that estimator as a reference."""
+    return np.zeros_like(samples.f)
+
+
 def _lgamma(x):
     return np.array([math.lgamma(t) for t in np.atleast_1d(x)])
 

@@ -8,7 +8,7 @@ from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, nn, selftest
 
 from oracles import LatentDraw, bernoulli_log_pmf, exact_stick_objective, \
     exact_toy_elbo, fd_grad_all, make_enumerable_toy, per_point_elbo_terms, \
-    weighted_score_coeff
+    weighted_score_coeff, zero_control_variates
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +79,18 @@ def test_loo_grad_constant_score_is_shift_invariant():
         assert np.allclose(bbvi.score_function_grad(samples, a), 0.0, atol=1e-13)
 
 
-def test_mcconfig_invariants():
-    with pytest.raises(ValueError):
-        bbvi.McConfig(num_samples=1, use_control_variates=True)
-    bbvi.McConfig(num_samples=1, use_control_variates=False)
+def test_estimator_needs_two_samples_for_gradients():
+    # the leave-one-out control variates fit each sample on the others; a
+    # forward-only estimate fits none
+    rng = np.random.default_rng(7)
+    m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
+    x = (rng.random((3, 4)) < 0.5).astype(float)
+    with pytest.raises(ValueError, match="num_samples = 1"):
+        bbvi.estimate_elbo_and_grads(m, x, None, 1, rng)
+    with pytest.raises(ValueError, match="num_samples = 0"):
+        bbvi.estimate_elbo_and_grads(m, x, None, 0, rng, with_grads=False)
+    bd = bbvi.estimate_elbo_and_grads(m, x, None, 1, rng, with_grads=False)
+    assert np.isfinite(bd.total) and bd.grads == {}
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +134,7 @@ def test_elbo_breakdown_parts_sum():
     m = mdl.build_model(6, 3, 4, 8, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((7, 6)) < 0.5).astype(float)
     labels = np.array([0, 1, 2, -1, -1, -1, -1])
-    bd = bbvi.estimate_elbo_and_grads(m, x, labels, bbvi.McConfig(num_samples=4),
-                                      rng, alpha_sup=0.7)
+    bd = bbvi.estimate_elbo_and_grads(m, x, labels, 4, rng, alpha_sup=0.7)
     assert abs(bd.total - (bd.recon + bd.kl_gauss + bd.term_zhat
                            + bd.term_v + bd.term_y)) < 1e-9
 
@@ -137,9 +144,8 @@ def test_estimator_deterministic_under_seed():
     m = mdl.build_model(5, 2, 3, 8, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((4, 5)) < 0.5).astype(float)
     labels = np.array([0, -1, 1, -1])
-    cfg = bbvi.McConfig(num_samples=4)
-    a = bbvi.estimate_elbo_and_grads(m, x, labels, cfg, np.random.default_rng(42))
-    b = bbvi.estimate_elbo_and_grads(m, x, labels, cfg, np.random.default_rng(42))
+    a = bbvi.estimate_elbo_and_grads(m, x, labels, 4, np.random.default_rng(42))
+    b = bbvi.estimate_elbo_and_grads(m, x, labels, 4, np.random.default_rng(42))
     assert a.total == b.total
     for name in a.grads:
         assert np.array_equal(a.grads[name], b.grads[name])
@@ -149,8 +155,7 @@ def test_estimator_rejects_empty_batch():
     rng = np.random.default_rng(7)
     m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
     with pytest.raises(ValueError):
-        bbvi.estimate_elbo_and_grads(m, np.empty((0, 4)), None,
-                                     bbvi.McConfig(num_samples=2), rng)
+        bbvi.estimate_elbo_and_grads(m, np.empty((0, 4)), None, 2, rng)
 
 
 def test_single_class_labeled_equals_unlabeled():
@@ -158,35 +163,36 @@ def test_single_class_labeled_equals_unlabeled():
     rng = np.random.default_rng(8)
     m = mdl.build_model(5, 1, 3, 8, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((6, 5)) < 0.5).astype(float)
-    cfg = bbvi.McConfig(num_samples=4)
-    lab = bbvi.estimate_elbo_and_grads(m, x, np.zeros(6, dtype=int), cfg,
+    lab = bbvi.estimate_elbo_and_grads(m, x, np.zeros(6, dtype=int), 4,
                                        np.random.default_rng(9), alpha_sup=1.0)
-    unl = bbvi.estimate_elbo_and_grads(m, x, np.full(6, -1), cfg,
+    unl = bbvi.estimate_elbo_and_grads(m, x, np.full(6, -1), 4,
                                        np.random.default_rng(9), alpha_sup=1.0)
     assert abs(lab.total - unl.total) < 1e-9
 
 
 def test_elbo_estimate_unbiased_on_toy():
-    st = selftest.toy_estimates(7, [0.7, 0.5], 200, 3000, False)["elbo"]
+    st = selftest.toy_estimates(7, [0.7, 0.5], 200, 3000)["elbo"]
     assert abs(st.mean - st.exact) < 3 * st.sem, st
 
 
-def _check_gradient_unbiased_on_toy(use_control_variates):
-    stats = selftest.toy_estimates(5, [0.6, 0.4], 200, 7000, use_control_variates)
+def _check_gradient_unbiased_on_toy():
+    stats = selftest.toy_estimates(5, [0.6, 0.4], 200, 7000)
     for name in ("encoder", "classifier", "decoder"):
         assert stats[name].within(3.0, 1e-6), name
 
 
-def test_gradient_estimate_unbiased_on_toy():
-    _check_gradient_unbiased_on_toy(use_control_variates=False)
+def test_gradient_estimate_unbiased_on_toy(monkeypatch):
+    # the plain estimator, as a reference for the one training takes
+    monkeypatch.setattr(bbvi, "control_variate_coeffs", zero_control_variates)
+    _check_gradient_unbiased_on_toy()
 
 
 def test_gradient_estimate_unbiased_on_toy_with_control_variates():
-    _check_gradient_unbiased_on_toy(use_control_variates=True)
+    _check_gradient_unbiased_on_toy()
 
 
 @pytest.mark.parametrize("cv, points", [(False, 2), (True, 2), (True, 1)])
-def test_stick_gradient_unbiased(cv, points):
+def test_stick_gradient_unbiased(cv, points, monkeypatch):
     # learned sticks: the estimator's stick gradient against the exact
     # stick objective (spikes enumerated, v integrated), differentiated by
     # FD; with one point its S draws are the leave-one-out groups
@@ -199,10 +205,11 @@ def test_stick_gradient_unbiased(cv, points):
         lambda: exact_stick_objective(params, m.sticks.alpha, incl, 10),
         params, h=1e-4)
 
-    cfg = bbvi.McConfig(num_samples=8, use_control_variates=cv)
+    if not cv:   # the plain estimator
+        monkeypatch.setattr(bbvi, "control_variate_coeffs", zero_control_variates)
     reps = 400
     grads = np.array([
-        bbvi.estimate_elbo_and_grads(m, batch, None, cfg,
+        bbvi.estimate_elbo_and_grads(m, batch, None, 8,
                                      np.random.default_rng(11_000 + j),
                                      dataset_size=10).grads["sticks"]
         for j in range(reps)])
@@ -225,8 +232,7 @@ def test_estimator_shift_invariant(monkeypatch):
             return r + shift, g
 
         monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", shifted)
-        bd = bbvi.estimate_elbo_and_grads(m, x, None, bbvi.McConfig(num_samples=8),
-                                          np.random.default_rng(1),
+        bd = bbvi.estimate_elbo_and_grads(m, x, None, 8, np.random.default_rng(1),
                                           dataset_size=100)
         monkeypatch.undo()
         return bd.grads
@@ -292,8 +298,7 @@ def test_every_distribution_function_is_trained(monkeypatch):
     for kind in mdl.LIKELIHOODS:
         m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
         x = rng.random((6, 5))
-        bbvi.estimate_elbo_and_grads(m, x, np.array([0, -1, 2, -1, -1, 1]),
-                                     bbvi.McConfig(num_samples=4), rng,
+        bbvi.estimate_elbo_and_grads(m, x, np.array([0, -1, 2, -1, -1, 1]), 4, rng,
                                      dataset_size=60, alpha_sup=0.7)
     assert "bernoulli_score_grad" in calls and "categorical_kl_to_uniform" in calls
     assert [name for name, n in calls.items() if n == 0] == []
@@ -328,12 +333,17 @@ def test_exact_log_marginal_upper_bounds_elbo():
     assert np.log(marginal) >= elbo - 1e-6
 
 
-def test_variance_reduction_on_estimator():
-    # enabling control variates must not inflate the estimator variance
-    var = {cv: np.sum(selftest.toy_estimates(11, [0.7, 0.5], 300, 9000, cv)
+def test_variance_reduction_on_estimator(monkeypatch):
+    # the control variates must not inflate the estimator variance over
+    # the plain estimator's
+    def encoder_var():
+        return np.sum(selftest.toy_estimates(11, [0.7, 0.5], 300, 9000)
                       ["encoder"].sem ** 2)
-           for cv in (False, True)}
-    assert var[True] <= var[False] * 1.05
+
+    with monkeypatch.context() as plain:
+        plain.setattr(bbvi, "control_variate_coeffs", zero_control_variates)
+        var_plain = encoder_var()
+    assert encoder_var() <= var_plain * 1.05
 
 
 def test_numeric_error_names_term(monkeypatch):
@@ -346,7 +356,7 @@ def test_numeric_error_names_term(monkeypatch):
 
     monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", poisoned_likelihood)
     with pytest.raises(bbvi.NumericError) as err:
-        bbvi.estimate_elbo_and_grads(m, x, None, bbvi.McConfig(num_samples=2), rng)
+        bbvi.estimate_elbo_and_grads(m, x, None, 2, rng)
     assert err.value.term == "recon"
 
 
@@ -376,7 +386,7 @@ def test_forward_only_estimate_matches_full(kind, batch, rule, frozen):
 
     def estimate(with_grads):
         return bbvi.estimate_elbo_and_grads(
-            m, x, labels, bbvi.McConfig(num_samples=4), np.random.default_rng(5),
+            m, x, labels, 4, np.random.default_rng(5),
             dataset_size=60, alpha_sup=0.7, frozen_sticks=sticks,
             with_grads=with_grads)
 
@@ -398,8 +408,7 @@ def test_forward_only_numeric_error_names_term(monkeypatch):
 
     monkeypatch.setattr(bbvi, "_likelihood_values", poisoned_likelihood)
     with pytest.raises(bbvi.NumericError) as err:
-        bbvi.estimate_elbo_and_grads(m, x, None, bbvi.McConfig(num_samples=2), rng,
-                                     with_grads=False)
+        bbvi.estimate_elbo_and_grads(m, x, None, 2, rng, with_grads=False)
     assert err.value.term == "recon"
 
 
@@ -424,7 +433,7 @@ def test_blocked_estimate_matches_one_block(block_rows, batch, rule, kind, with_
 
     def estimate():
         return bbvi.estimate_elbo_and_grads(
-            m, x, labels, bbvi.McConfig(num_samples=s), np.random.default_rng(5),
+            m, x, labels, s, np.random.default_rng(5),
             dataset_size=60, alpha_sup=0.7, with_grads=with_grads)
 
     one_block = estimate()
@@ -464,12 +473,11 @@ def test_forward_only_memory_bounded_in_points():
     rng = np.random.default_rng(23)
     m = mdl.build_model(784, 10, 50, 500, "bernoulli", 1.0, 0.01, rng)
     x = (rng.random((2000, 784)) < 0.3).astype(float)
-    cfg = bbvi.McConfig(num_samples=2, use_control_variates=False)
 
     def traced_peak(n):
         tracemalloc.start()
         try:
-            bbvi.estimate_elbo_and_grads(m, x[:n], None, cfg, np.random.default_rng(1),
+            bbvi.estimate_elbo_and_grads(m, x[:n], None, 2, np.random.default_rng(1),
                                          with_grads=False)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -498,11 +506,10 @@ def test_per_point_terms_match_vectorized_estimator():
     x = (rng.random(5) < 0.5).astype(float)
     v0 = np.array([0.6, 0.3])
 
-    cfg = bbvi.McConfig(num_samples=1, use_control_variates=False)
     seed = 31337
-    bd = bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), cfg,
+    bd = bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), 1,
                                       np.random.default_rng(seed),
-                                      frozen_sticks=v0)
+                                      frozen_sticks=v0, with_grads=False)
     # replay the same draws
     r = np.random.default_rng(seed)
     mean, var, logits = mdl.encode(m, x)

@@ -90,6 +90,17 @@ def test_removed_config_key_is_usage_error(tmp_path, key, value, source):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key, value", [("mc_samples", "1"), ("eval_mc_samples", "0"),
+                                        ("eval_mc_samples", "-3")])
+def test_too_few_samples_is_usage_error(tmp_path, capsys, key, value):
+    # the leave-one-out control variates need 2 draws, the metrics ELBO 1:
+    # the config check names the key before any output is written
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--set", f"{key}={value}", "--out", out]) == 1
+    assert f"error: {key} = {value}:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_bad_flag_exits_one():
     assert cli.main(["train", "--nonsense"]) == 1
     assert cli.main([]) == 1
@@ -321,7 +332,7 @@ def test_selftest_bernoulli_score_row_guards_training(monkeypatch, capsys):
         m = mdl.build_model(5, 2, 3, 8, "bernoulli", 2.0, 1.0, rng)
         x = (rng.random((4, 5)) < 0.5).astype(float)
         return bbvi.estimate_elbo_and_grads(
-            m, x, None, bbvi.McConfig(num_samples=4), np.random.default_rng(42),
+            m, x, None, 4, np.random.default_rng(42),
             dataset_size=40).grads["encoder"]
 
     before = encoder_grad()

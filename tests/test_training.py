@@ -66,6 +66,11 @@ def test_config_validation():
             training.RunConfig(unlabeled_mode=mode).validate()
     with pytest.raises(ValueError):
         training.RunConfig(lr=-1.0).validate()
+    with pytest.raises(ValueError, match="mc_samples"):
+        training.RunConfig(mc_samples=1).validate()
+    with pytest.raises(ValueError, match="eval_mc_samples"):
+        training.RunConfig(eval_mc_samples=0).validate()
+    training.RunConfig(mc_samples=2, eval_mc_samples=1).validate()
 
 
 def test_run_config_paper_defaults():
@@ -180,6 +185,21 @@ def test_epoch_metrics_run_no_gradient_code(tmp_path, monkeypatch):
     assert calls["backward"] > 0 and calls["cv"] > 0     # training steps ran
 
 
+def test_sample_counts_are_used_as_set(tmp_path, monkeypatch):
+    # training draws mc_samples per point and the metrics pass
+    # eval_mc_samples, 1 included: it fits no control variate
+    seen = set()
+    estimate = bbvi.estimate_elbo_and_grads
+
+    def recording(m, x, labels, num_samples, rng, **kwargs):
+        seen.add((num_samples, kwargs.get("with_grads", True)))
+        return estimate(m, x, labels, num_samples, rng, **kwargs)
+
+    monkeypatch.setattr(bbvi, "estimate_elbo_and_grads", recording)
+    training.train(quick_cfg(tmp_path, mc_samples=3, eval_mc_samples=1))
+    assert seen == {(3, True), (1, False)}
+
+
 def test_clip_spares_ordinary_criterion_6_steps(tmp_path):
     # two epochs at the criterion-6 config, then one ordinary step: its
     # gradient must pass unclipped, while a spike of 100 times it is cut
@@ -194,7 +214,7 @@ def test_clip_spares_ordinary_criterion_6_steps(tmp_path):
     rng = np.random.default_rng(3)
     idx = rng.choice(data.n, cfg.batch_size, replace=False)
     bd = bbvi.estimate_elbo_and_grads(
-        m, data.features[idx], None, bbvi.McConfig(num_samples=cfg.mc_samples),
+        m, data.features[idx], None, cfg.mc_samples,
         rng, dataset_size=data.n)
 
     ordinary = {k: g.copy() for k, g in bd.grads.items()}
