@@ -29,7 +29,7 @@ coeffs = np.zeros((trials, S))
 for t in range(trials):
     z = (rng.random(S) < pi).astype(float)
     samples = bbvi.ScoreSampleSet(f=z[:, None], h=(z - pi)[:, None])
-    plain[t] = bbvi.score_function_grad(samples)[0]
+    plain[t] = bbvi.score_function_grad(samples, 0.0)[0]
     a = bbvi.control_variate_coeffs(samples)
     coeffs[t] = a[:, 0]
     weighted[t] = bbvi.score_function_grad(samples, a)[0]

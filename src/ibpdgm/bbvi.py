@@ -9,13 +9,17 @@ other samples only (leave-one-out, as in Kool, van Hoof and Welling
 2019), on the centred signal, with the other samples' mean signal as the
 fallback when their score is constant.  So the spike and stick gradients
 are unbiased, and adding a constant to a learning signal does not move
-them.  Learning signals are Rao-Blackwellized: each variable's signal
-keeps only the objective terms in its Markov blanket.  Spike k's signal
-is the reconstruction plus its own prior and entropy terms; stick j's
-signal is its own prior and entropy plus the spike prior terms of
-components k >= j, taken in closed form over q(zhat).  Gaussian and
-Categorical complexity terms are analytic; the reported spike and stick
-terms are Monte Carlo.
+them, with one exception: `distributions.beta_sample_array` clamps its
+draws to [1e-7, 1 - 1e-7], and where a stick's b falls to about 0.3 or
+below, which training reaches, enough of the Beta's mass lies past the
+clamp to bias every term that reads the stick draws (the stick terms and
+the spike prior terms) and their gradients.  Learning signals are
+Rao-Blackwellized: each variable's signal keeps only the objective terms
+in its Markov blanket.  Spike k's signal is the reconstruction plus its
+own prior and entropy terms; stick j's signal is its own prior and
+entropy plus the spike prior terms of components k >= j, taken in closed
+form over q(zhat).  Gaussian and Categorical complexity terms are
+analytic; the reported spike and stick terms are Monte Carlo.
 
 Per-data-point terms are averaged over the batch and multiplied by the
 dataset size, so a minibatch estimate targets the full-data objective;
@@ -110,15 +114,15 @@ def control_variate_coeffs(samples):
     return a
 
 
-def score_function_grad(samples, a=None):
+def score_function_grad(samples, a):
     """(1/S) sum_s h_s * (f_s - a_s): the weighted score-function estimate.
 
-    `a` is None (no control variate), one coefficient per parameter (P,)
-    or one row per sample (S, P).  Unbiased for the gradient of E[f] when
-    a_s is independent of sample s, because the score has zero mean.
+    `a` is one row per sample (S, P), as `control_variate_coeffs` fits
+    it; it broadcasts, so a = 0.0 gives the plain estimator h * f.
+    Unbiased for the gradient of E[f] when a_s is independent of sample
+    s, because the score has zero mean.
     """
-    f = samples.f
-    return np.mean(samples.h * (f if a is None else f - a), axis=0)
+    return np.mean(samples.h * (samples.f - a), axis=0)
 
 
 @dataclass
@@ -169,20 +173,17 @@ def _check_finite(name, *arrays):
 
 
 def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
-                            alpha_sup=0.0, frozen_sticks=None, prior_weight=1.0,
-                            with_grads=True):
+                            alpha_sup=0.0, prior_weight=1.0, with_grads=True):
     """Estimate the full-data ELBO and its gradients from one minibatch.
 
     x is (B, D); labels is (B,) with -1 marking unlabeled points, which
     marginalize their label under q(y | x).  For each point, `num_samples`
-    (S) joint samples (noise -> ztilde, zhat, v) are drawn; all objective
-    terms are assembled vectorized over (B, S).  When
-    `frozen_sticks` is a length-K vector, the sticks are held at that
-    constant: no stick sampling, no stick gradient, and the stick term is
-    0 (used by the enumeration oracles).  `prior_weight` scales the spike
-    prior and entropy terms in the spikes' learning signal only (a KL
-    warm-up); the returned values are always the ELBO's own terms, and at
-    the default 1 the gradients are the ELBO's.
+    (S) joint samples (noise -> ztilde, zhat, v) are drawn, the sticks v
+    from `m.sticks` (`sample`, `log_prob` and `score_grads`); all
+    objective terms are assembled vectorized over (B, S).  `prior_weight`
+    scales the spike prior and entropy terms in the spikes' learning
+    signal only (a KL warm-up); the returned values are always the ELBO's
+    own terms, and at the default 1 the gradients are the ELBO's.
 
     Returns an ElboBreakdown whose gradients point in the ELBO-ascent
     direction and include the decoder weight-decay prior; the score
@@ -224,11 +225,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     zhat = (rng.random((batch_size, s, k)) < pi_hat[:, None, :]).astype(np.float64)
     z = ztilde * zhat
 
-    if frozen_sticks is not None:
-        v = np.broadcast_to(np.asarray(frozen_sticks, dtype=np.float64),
-                            (batch_size, s, k))
-    else:
-        v = m.sticks.sample((batch_size, s), rng)
+    v = m.sticks.sample((batch_size, s), rng)
 
     # the spike prior terms of the drawn spikes and, for the sticks' signal,
     # their expectation over q(zhat) (the terms are linear in zhat)
@@ -308,25 +305,21 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
         term_y_points[idx_lab] = alpha_sup * dist.categorical_log_prob(
             labels[idx_lab], probs_y[idx_lab])
 
-    if frozen_sticks is not None:
-        term_v = 0.0
-    else:
-        logp_v_k = ibp.sticks_prior_log_prob(v, m.sticks.alpha)   # (B, S, K)
-        logq_v_k = m.sticks.log_prob(v)
-        # Markov blanket of v_j: the spike priors of components k >= j,
-        # in expectation over q(zhat) and batch-scaled to the dataset, plus
-        # the stick's own prior and entropy
-        tails = np.cumsum(expected_logp_zhat_k[..., ::-1], axis=2)[..., ::-1]
-        f_v = (n_data * tails + logp_v_k - logq_v_k).reshape(-1, k)
-        _check_finite("term_v", f_v)
-        term_v = float(np.mean(np.sum(logp_v_k - logq_v_k, axis=2)))
+    logp_v_k = ibp.sticks_prior_log_prob(v, m.sticks.alpha)   # (B, S, K)
+    logq_v_k = m.sticks.log_prob(v)
+    # Markov blanket of v_j: the spike priors of components k >= j, in
+    # expectation over q(zhat) and batch-scaled to the dataset, plus the
+    # stick's own prior and entropy
+    tails = np.cumsum(expected_logp_zhat_k[..., ::-1], axis=2)[..., ::-1]
+    f_v = (n_data * tails + logp_v_k - logq_v_k).reshape(-1, k)
+    _check_finite("term_v", f_v)
 
     breakdown = ElboBreakdown(
         total=0.0,
         recon=scale * float(np.sum(recon.mean(axis=1))),
         kl_gauss=-scale * float(np.sum(kl_gauss_points)),
         term_zhat=scale * float(np.sum((logp_zhat - logq_zhat).mean(axis=1))),
-        term_v=term_v,
+        term_v=float(np.mean(np.sum(logp_v_k - logq_v_k, axis=2))),
         term_y=scale * float(np.sum(term_y_points)),
         diagnostics={
             "log_zero_events": int(np.sum(logp_zhat < ibp.LOG_ZERO_SENTINEL / 2.0)),
@@ -373,15 +366,12 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
 
     # --- stick gradients, pooled over every (point, sample) draw ------------
-    if frozen_sticks is not None:
-        stick_grads = np.zeros_like(m.sticks.params)
-    else:
-        h_v = m.sticks.score_grads(v).reshape(-1, 2 * k)
-        _check_finite("term_v", h_v)
-        # every (point, sample) draw of v is independent; stick j's
-        # signal goes with both of its scores, d/d log a_j and d/d log b_j
-        draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
-        stick_grads = score_function_grad(draws, control_variate_coeffs(draws))
+    h_v = m.sticks.score_grads(v).reshape(-1, 2 * k)
+    _check_finite("term_v", h_v)
+    # every (point, sample) draw of v is independent; stick j's signal
+    # goes with both of its scores, d/d log a_j and d/d log b_j
+    draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
+    stick_grads = score_function_grad(draws, control_variate_coeffs(draws))
 
     # --- decoder weight prior ------------------------------------------------
     _, theta_prior_grad = mdl.theta_log_prior(m)

@@ -86,26 +86,28 @@ def split_encoder_out(out, k):
 
 
 def encode(m, x):
-    """Posterior parameters (mean, var, inclusion logits) for x."""
+    """Posterior parameters (mean, var, inclusion logits), each (B, K), for
+    a batch x of shape (B, D)."""
     out, _ = nn.forward(m.encoder, x)
     return split_encoder_out(out, m.K)
 
 
 def classify(m, x):
-    """Label probabilities q(y | x)."""
+    """Label probabilities q(y | x), (B, C), for a batch x of shape (B, D)."""
     out, _ = nn.forward(m.classifier, x)
     return dist.softmax(out)
 
 
 def predict_batch(m, x):
-    out, _ = nn.forward(m.classifier, np.atleast_2d(x))
+    """The most probable label of each row of x, (B,)."""
+    out, _ = nn.forward(m.classifier, x)
     return np.argmax(out, axis=1)
 
 
 def decode(m, z, y_embed):
-    """Raw decoder output for latent codes and label embeddings (class
-    one-hots): the Bernoulli logits, or a Gaussian's [mean | raw var] (see
-    `split_decoder_out`)."""
+    """Raw decoder output for latent codes z (B, K) and label embeddings
+    (class one-hots, (B, C)): the Bernoulli logits, or a Gaussian's
+    [mean | raw var] (see `split_decoder_out`)."""
     z = np.asarray(z, dtype=np.float64)
     y_embed = np.asarray(y_embed, dtype=np.float64)
     if z.shape[-1] != m.K or y_embed.shape[-1] != m.C:

@@ -2,7 +2,7 @@
 
 Every network keeps its weights in one flat float64 vector; the layer
 matrices are views into that vector, so an optimizer can treat any
-network (or a bag of networks) as a single parameter array.
+network (or a bag of networks) as one parameter array.
 """
 
 import numpy as np
@@ -17,10 +17,9 @@ ADAM_EPS = 1e-8
 class Tape:
     """Per-layer cache from one forward pass, consumed by backward()."""
 
-    def __init__(self, inputs, preacts, single):
+    def __init__(self, inputs, preacts):
         self.inputs = inputs      # list of layer inputs, shape (B, fan_in)
         self.preacts = preacts    # list of pre-activations, shape (B, fan_out)
-        self.single = single      # True if forward() was called with a 1-D x
 
 
 class DenseNet:
@@ -98,19 +97,16 @@ def glorot_init(input_dim, hidden_dims, output_dim, rng):
 
 
 def forward(net, x):
-    """Run the network on x (shape (in,) or (B, in)); returns (y, tape).
+    """Run the network on a batch x of shape (B, in); returns (y, tape),
+    y of shape (B, out).  One point is a one-row batch.
 
     Pure given the parameters: same params + same input give bit-identical
     output.
     """
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
-            f"input has {x.shape[-1] if x.ndim else 0} features, "
-            f"network expects {net.input_dim}")
+            f"input of shape {x.shape}: network expects (B, {net.input_dim})")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
     inputs, preacts = [], []
@@ -121,23 +117,20 @@ def forward(net, x):
         z += b
         preacts.append(z)
         h = np.maximum(z, 0.0) if act == "relu" else z
-    tape = Tape(inputs, preacts, single)
-    return (h[0] if single else h), tape
+    return h, Tape(inputs, preacts)
 
 
 def backward(net, tape, grad_out):
     """Reverse-mode gradients of <grad_out, forward(net, x)>.
 
-    Returns (flat parameter gradient aligned with net.params, gradient
-    w.r.t. the input x).  For batched tapes the parameter gradient is the
-    sum over the batch and grad_in has one row per batch element.  The
-    ReLU subgradient at exactly 0 is taken as 0.
+    grad_out is (B, out), like the forward output.  Returns (flat
+    parameter gradient aligned with net.params, summed over the batch;
+    gradient w.r.t. the input x, one row per batch element).  The ReLU
+    subgradient at exactly 0 is taken as 0.
     """
     if len(tape.inputs) != len(net._views):
         raise ValueError("tape does not match network (layer count)")
     g = np.asarray(grad_out, dtype=np.float64)
-    if tape.single and g.ndim == 1:
-        g = g[None, :]
     if g.shape != tape.preacts[-1].shape:
         raise ValueError(
             f"grad_out shape {g.shape} does not match forward output "
@@ -163,8 +156,7 @@ def backward(net, tape, grad_out):
                   out=grads[off:off + fan_out * fan_in].reshape(fan_out, fan_in))
         g = g @ w
         owned = True
-    grad_in = g[0] if tape.single else g
-    return grads, grad_in
+    return grads, g
 
 
 class AdamState:

@@ -18,6 +18,14 @@ functions the estimator trains with.  The oracle (`make_enumerable_toy`,
 The oracle writes every density and KL out from its definition and
 shares only the networks and the elementwise maps with the estimator, so
 it can catch a fault in the estimator's own densities.
+
+The oracle conditions on fixed sticks v0, and so do the estimates it
+checks: `fd/estimator` and the `unbiased/*` rows run the training
+estimator on a model whose sticks are a `FixedSticks(v0, alpha)`, which
+draws nothing and contributes no stick term or gradient.  Those rows
+check the slab, spike, label and decoder paths; the stick path is
+checked by the test suite (`test_stick_gradient_unbiased`, at moderate
+Beta parameters).
 """
 
 import functools
@@ -122,11 +130,11 @@ def fd_suite(seed=20240501):
 
     # network backprop on a random 3-layer net
     net = nn.glorot_init(5, [7, 6], 4, rng)
-    x_in = rng.normal(size=5)
+    x_in = rng.normal(size=(1, 5))
     direction = rng.normal(size=4)
     _, tape = nn.forward(net, x_in)
-    grads, _ = nn.backward(net, tape, direction)
-    fd = fd_grad_all(lambda: float(direction @ nn.forward(net, x_in)[0]), net.params)
+    grads, _ = nn.backward(net, tape, direction[None])
+    fd = fd_grad_all(lambda: float(direction @ nn.forward(net, x_in)[0][0]), net.params)
     worst = max(rel_err(g, f) for g, f in zip(grads, fd))
     checks.append(("fd/backprop", worst < FD_REL_TOL, f"max rel err {worst:.2e}"))
 
@@ -139,17 +147,17 @@ def estimator_fd_worst(kind, rng):
     """Worst relative error between `bbvi.estimate_elbo_and_grads`'s
     gradients and central differences of its own forward-only estimate.
 
-    One seed fixes every draw and the sticks are frozen, so the estimate
-    is a smooth function of every decoder and classifier parameter and of
-    the encoder's mean and variance output rows and biases; those are
-    compared, and no control variate enters their gradients.  The
-    spike-logit head is not: its gradient is a score-function estimate,
-    not the derivative of a fixed-draw estimate (the unbiasedness suite
-    checks it).  The batch mixes labeled and unlabeled points and stands
-    for a larger dataset.  Every bias is set to a small nonzero value: at
-    Glorot's zero biases an all-zero input row (a binary x with every
-    pixel off) sits on the ReLU kink, where central differences and
-    backprop disagree.
+    One seed fixes every draw and the sticks are held at v0
+    (`FixedSticks`), so the estimate is a smooth function of every decoder
+    and classifier parameter and of the encoder's mean and variance output
+    rows and biases; those are compared, and no control variate enters
+    their gradients.  The spike-logit head is not: its gradient is a
+    score-function estimate, not the derivative of a fixed-draw estimate
+    (the unbiasedness suite checks it).  The batch mixes labeled and
+    unlabeled points and stands for a larger dataset.  Every bias is set to
+    a small nonzero value: at Glorot's zero biases an all-zero input row (a
+    binary x with every pixel off) sits on the ReLU kink, where central
+    differences and backprop disagree.
     """
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
     for net in (m.encoder, m.classifier, m.decoder):
@@ -160,13 +168,13 @@ def estimator_fd_worst(kind, rng):
     else:
         x = rng.normal(size=(4, m.D))
     labels = np.array([1, -1, 0, -1])
-    v0 = rng.random(m.K) * 0.8 + 0.1
+    m.sticks = FixedSticks(rng.random(m.K) * 0.8 + 0.1, m.sticks.alpha)
     seed = int(rng.integers(2 ** 31))
 
     def estimate(with_grads):
         return bbvi.estimate_elbo_and_grads(
             m, x, labels, 3, np.random.default_rng(seed), dataset_size=10,
-            alpha_sup=0.7, frozen_sticks=v0, with_grads=with_grads)
+            alpha_sup=0.7, with_grads=with_grads)
 
     def objective():
         return estimate(False).total + mdl.theta_log_prior(m)[0]
@@ -239,6 +247,32 @@ def normalization_suite(seed=20240502):
     return checks
 
 
+class FixedSticks:
+    """A stand-in for `ibp.GlobalSticks` that holds every stick at v0.
+
+    `sample` draws nothing and returns v0; `log_prob` is the sticks' prior
+    itself, so log p(v) - log q(v) is exactly 0 and so is the estimator's
+    stick term; the scores are 0, and so are the stick gradients.  Set as
+    a model's sticks, it makes the estimator condition on v = v0, as
+    `exact_toy_elbo` does.
+    """
+
+    def __init__(self, v0, alpha):
+        self.v0 = np.asarray(v0, dtype=np.float64)
+        self.alpha = float(alpha)
+        self.K = self.v0.size
+        self.params = np.zeros(2 * self.K)
+
+    def sample(self, size, rng):
+        return np.broadcast_to(self.v0, (*size, self.K))
+
+    def log_prob(self, v):
+        return ibp.sticks_prior_log_prob(v, self.alpha)
+
+    def score_grads(self, v):
+        return np.zeros((*np.shape(v)[:-1], 2 * self.K))
+
+
 def make_enumerable_toy(seed=7, kind="bernoulli"):
     """Tiny model whose exact ELBO is computable: D=5, C=2, K=2, smooth decoder."""
     rng = np.random.default_rng(seed)
@@ -266,12 +300,12 @@ def exact_toy_elbo(m, x, label, v0, alpha_sup=0.0, gh_nodes=32):
     an unlabeled point marginalizes its label under q(y | x).
 
     Only valid for small K and a decoder without kinks, so that the
-    quadrature converges to machine precision; sticks are frozen at v0
-    (their term is 0, matching the estimator's frozen_sticks path).
+    quadrature converges to machine precision; the sticks are held at v0
+    (their term is 0, as the estimator's with `FixedSticks(v0, alpha)`).
     """
     k, c = m.K, m.C
-    mean, var, logits = mdl.encode(m, x)
-    probs_y = mdl.classify(m, x)
+    mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
+    probs_y = mdl.classify(m, x[None])[0]
     t, w = np.polynomial.hermite.hermgauss(gh_nodes)
     nodes = np.array(list(itertools.product(*[np.sqrt(2.0) * t] * k)))
     wts = np.prod(np.array(list(itertools.product(*[w / np.sqrt(np.pi)] * k))), axis=1)
@@ -331,7 +365,7 @@ TOY_GRAD_GROUPS = ("encoder", "classifier", "decoder")
 @functools.lru_cache(maxsize=None)
 def _exact_toy_values(toy_seed, v0):
     """`exact_toy_elbo` of one unlabeled point of the enumerable toy, with
-    the sticks frozen at the tuple v0, and its central differences (plus
+    the sticks held at the tuple v0, and its central differences (plus
     the decoder weight prior) per group in TOY_GRAD_GROUPS.  Cached: the
     differences take about a second, and the arrays are read-only because
     every caller shares them."""
@@ -351,18 +385,18 @@ def _exact_toy_values(toy_seed, v0):
 
 def toy_estimates(toy_seed, v0, reps, seed0):
     """Run the estimator `reps` times, S = 8, with seeds seed0 + j, on one
-    unlabeled point of the enumerable toy with the sticks frozen at v0.
+    unlabeled point of the enumerable toy with the sticks held at v0
+    (`FixedSticks`).
 
     Returns a ToyStat for "elbo" and for the "encoder", "classifier" and
     "decoder" gradients; the exact values are `exact_toy_elbo` and its
     central differences (plus the decoder weight prior).
     """
     m, x = make_enumerable_toy(seed=toy_seed)
-    v0 = np.asarray(v0, dtype=np.float64)
-    exact = _exact_toy_values(toy_seed, tuple(v0.tolist()))
+    m.sticks = FixedSticks(v0, m.sticks.alpha)
+    exact = _exact_toy_values(toy_seed, tuple(m.sticks.v0.tolist()))
     runs = [bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), 8,
-                                         np.random.default_rng(seed0 + j),
-                                         frozen_sticks=v0)
+                                         np.random.default_rng(seed0 + j))
             for j in range(reps)]
     values = {"elbo": np.array([bd.total for bd in runs])}
     values.update({name: np.array([bd.grads[name] for bd in runs])
@@ -402,7 +436,7 @@ def variance_reduction_suite(trials=3000, num_samples=10, seed=5):
         z = (rng.random(num_samples) < pi).astype(np.float64)
         h = (z - pi)[:, None]
         samples = bbvi.ScoreSampleSet(f=z[:, None], h=h)
-        plain[t] = bbvi.score_function_grad(samples)[0]
+        plain[t] = bbvi.score_function_grad(samples, 0.0)[0]
         a = bbvi.control_variate_coeffs(samples)
         weighted[t] = bbvi.score_function_grad(samples, a)[0]
     exact = pi * (1.0 - pi)

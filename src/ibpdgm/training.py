@@ -5,10 +5,13 @@ One AdaM state per parameter group, with the paper's moment decay rates
 clipped when the joint norm of their per-point mean exceeds GRAD_CLIP
 (10): score-function estimators occasionally spike.  The estimator's
 gradients target the full-data objective, so `train` clips their joint
-norm at GRAD_CLIP times the dataset size; one threshold then catches
-those spikes on any dataset size without touching ordinary steps.  The
-clip threshold and Adam's rates are constants, not config keys: every run
-uses the same values.
+norm at GRAD_CLIP times the dataset size; one threshold then serves any
+dataset size.  It does not leave ordinary steps alone everywhere: at the
+criterion-6 config it fires in the first epoch and almost never after,
+but at the MNIST shape (D=784, K=50, H=500) it fired on all 60 steps of
+a traced 15-second `perfbench` `mnist-train` run, so there it scales
+every update.  The clip threshold and Adam's rates are constants, not
+config keys: every run uses the same values.
 
 Two schedules shape every run; neither has a config key:
 
@@ -100,8 +103,10 @@ class RunConfig:
                              "points always marginalize their label")
         if self.truncation < 1 or self.hidden < 1 or self.epochs < 0:
             raise ValueError("truncation, hidden, epochs must be positive")
-        # mc_samples: the leave-one-out control variates need 2 draws per point
-        for key, least in (("batch_size", 1), ("mc_samples", 2), ("eval_mc_samples", 1)):
+        # mc_samples: the leave-one-out control variates need 2 draws per
+        # point; a synthetic run needs a training point, and may have no test
+        for key, least in (("batch_size", 1), ("mc_samples", 2), ("eval_mc_samples", 1),
+                           ("synth_n", 1), ("synth_test_n", 0), ("limit_train", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} = {getattr(self, key)}: must be >= {least}")
         if not (0 < self.labeled_fraction < 1):

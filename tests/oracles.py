@@ -182,7 +182,7 @@ class LatentDraw:
 
 def draw_latents(m, x, rng):
     """Sample (ztilde, zhat, v) from the amortized posteriors for one point."""
-    mean, var, logits = mdl.encode(m, x)
+    mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
     ztilde = mean + np.sqrt(var) * rng.standard_normal(m.K)
     incl = 1.0 / (1.0 + np.exp(-logits))
     zhat = (rng.random(m.K) < incl).astype(np.float64)
@@ -211,17 +211,19 @@ def per_point_elbo_terms(m, x, label, draw, alpha_sup=0.0):
     z = draw.z
     labeled = label is not None and int(label) >= 0
     onehots = np.eye(m.C)
-    q_y = mdl.classify(m, x)
+    q_y = mdl.classify(m, x[None])[0]
+
+    def recon_given(c):
+        return likelihood_log_prob(m, x, mdl.decode(m, z[None], onehots[c][None]))
 
     if labeled:
-        recon = likelihood_log_prob(m, x, mdl.decode(m, z, onehots[label]))
+        recon = recon_given(int(label))
         term_y = alpha_sup * np.log(q_y[int(label)]) if alpha_sup != 0.0 else 0.0
     else:
-        recon = sum(q_y[c] * likelihood_log_prob(m, x, mdl.decode(m, z, onehots[c]))
-                    for c in range(m.C))
+        recon = sum(q_y[c] * recon_given(c) for c in range(m.C))
         term_y = -np.sum(q_y * np.log(m.C * q_y))
 
-    mean, var, _ = mdl.encode(m, x)
+    mean, var, _ = (head[0] for head in mdl.encode(m, x[None]))
     return {
         "recon": float(recon),
         "kl_gauss": 0.5 * float(np.sum(1.0 + np.log(var) - mean ** 2 - var)),

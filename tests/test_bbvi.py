@@ -102,7 +102,7 @@ def test_score_grad_constant_signal_near_zero():
     pi = 0.3
     z = (rng.random(s) < pi).astype(float)
     samples = bbvi.ScoreSampleSet(f=np.full((s, 1), 5.0), h=(z - pi)[:, None])
-    est = bbvi.score_function_grad(samples)[0]
+    est = bbvi.score_function_grad(samples, 0.0)[0]
     sem = 5.0 * np.sqrt(pi * (1 - pi) / s)
     assert abs(est) < 3 * sem
 
@@ -115,7 +115,7 @@ def test_score_grad_bernoulli_closed_form():
     pi = float(dist.sigmoid(np.array(logit)))
     z = (rng.random(s) < pi).astype(float)
     samples = bbvi.ScoreSampleSet(f=z[:, None], h=(z - pi)[:, None])
-    est = bbvi.score_function_grad(samples)[0]
+    est = bbvi.score_function_grad(samples, 0.0)[0]
     per_sample = (z - pi) * z
     sem = per_sample.std(ddof=1) / np.sqrt(s)
     assert abs(est - pi * (1 - pi)) < 3 * sem
@@ -315,7 +315,7 @@ def test_exact_log_marginal_upper_bounds_elbo():
     nodes = np.array(list(itertools.product(*[np.sqrt(2.0) * t] * m.K)))
     wts = np.prod(np.array(list(
         itertools.product(*[w / np.sqrt(np.pi)] * m.K))), axis=1)
-    probs_y = mdl.classify(m, x)
+    probs_y = mdl.classify(m, x[None])[0]
     marginal = 0.0
     for pattern in itertools.product([0.0, 1.0], repeat=m.K):
         pattern = np.array(pattern)
@@ -370,8 +370,8 @@ BATCH_RULES = [("labeled", "marginalize"), ("labeled", "unconditional"),
 
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
 @pytest.mark.parametrize("rule, batch", [r[::-1] for r in BATCH_RULES])
-@pytest.mark.parametrize("frozen", [False, True])
-def test_forward_only_estimate_matches_full(kind, batch, rule, frozen):
+@pytest.mark.parametrize("fixed", [False, True])
+def test_forward_only_estimate_matches_full(kind, batch, rule, fixed):
     rng = np.random.default_rng(21)
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
     x = rng.random((6, 5))
@@ -380,22 +380,21 @@ def test_forward_only_estimate_matches_full(kind, batch, rule, frozen):
     labels = {"labeled": np.array([0, 1, 2, 0, 1, 2]),
               "unlabeled": np.full(6, -1),
               "mixed": np.array([0, -1, 2, -1, -1, 1])}[batch]
-    # a stick at 1 gives pi_1 = 1, so each first spike drawn off is a
-    # log-zero event
-    sticks = np.array([1.0, 0.6, 0.3]) if frozen else None
+    if fixed:   # the sticks the enumeration oracles condition on
+        m.sticks = selftest.FixedSticks([0.9, 0.6, 0.3], m.sticks.alpha)
 
     def estimate(with_grads):
         return bbvi.estimate_elbo_and_grads(
             m, x, labels, 4, np.random.default_rng(5),
-            dataset_size=60, alpha_sup=0.7, frozen_sticks=sticks,
-            with_grads=with_grads)
+            dataset_size=60, alpha_sup=0.7, with_grads=with_grads)
 
     full, forward = estimate(True), estimate(False)
     assert forward.grads == {} and len(full.grads) == 4
     for name in ("total", "recon", "kl_gauss", "term_zhat", "term_v", "term_y"):
         assert getattr(forward, name).hex() == getattr(full, name).hex(), name
     assert forward.diagnostics == full.diagnostics
-    assert full.diagnostics["log_zero_events"] > 0 or not frozen
+    if fixed:
+        assert full.term_v == 0.0 and np.all(full.grads["sticks"] == 0.0)
 
 
 def test_forward_only_numeric_error_names_term(monkeypatch):
@@ -499,20 +498,21 @@ def test_clip_global_norm():
 
 
 def test_per_point_terms_match_vectorized_estimator():
-    # single point, S=1, frozen everything via seeded rng: the batched
-    # estimator's term values must agree with the per-point op
+    # single point, S=1, sticks held at v0 and the other draws fixed by the
+    # seeded rng: the batched estimator's term values must agree with the
+    # per-point op
     rng = np.random.default_rng(13)
     m = mdl.build_model(5, 3, 2, 6, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random(5) < 0.5).astype(float)
     v0 = np.array([0.6, 0.3])
+    m.sticks = selftest.FixedSticks(v0, m.sticks.alpha)
 
     seed = 31337
     bd = bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), 1,
-                                      np.random.default_rng(seed),
-                                      frozen_sticks=v0, with_grads=False)
+                                      np.random.default_rng(seed), with_grads=False)
     # replay the same draws
     r = np.random.default_rng(seed)
-    mean, var, logits = mdl.encode(m, x)
+    mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
     eps = r.standard_normal((1, 1, m.K))[0, 0]
     u = r.random((1, 1, m.K))[0, 0]
     ztilde = mean + np.sqrt(var) * eps

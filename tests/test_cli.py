@@ -91,10 +91,12 @@ def test_removed_config_key_is_usage_error(tmp_path, key, value, source):
 
 
 @pytest.mark.parametrize("key, value", [("mc_samples", "1"), ("eval_mc_samples", "0"),
-                                        ("eval_mc_samples", "-3")])
+                                        ("eval_mc_samples", "-3"), ("synth_n", "0"),
+                                        ("synth_test_n", "-3"), ("limit_train", "-1")])
 def test_too_few_samples_is_usage_error(tmp_path, capsys, key, value):
-    # the leave-one-out control variates need 2 draws, the metrics ELBO 1:
-    # the config check names the key before any output is written
+    # the leave-one-out control variates need 2 draws, the metrics ELBO 1,
+    # a synthetic run 1 training point and no negative count: the config
+    # check names the key before any output is written
     out = str(tmp_path / "run")
     assert cli.main(["train", "--set", f"{key}={value}", "--out", out]) == 1
     assert f"error: {key} = {value}:" in capsys.readouterr().err

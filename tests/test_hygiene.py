@@ -7,8 +7,9 @@ A plain `ast` scan of every program, test and demo file.  Package
 marked `# noqa: F401` is kept on purpose too.  A defaulted parameter of
 a function in `src/ibpdgm` must be set, by keyword or by position, by
 some call to a function of that name in the program, tests, demos or
-benchmark; a setting every caller leaves alone is a constant.  The flag
-check scans
+benchmark; a setting every caller leaves alone is a constant.  Leaving
+the tests and `selftest` out, the program alone must set each one too,
+but for `cli.main`'s argv.  The flag check scans
 `ibpdgm.cli`: every flag a subcommand accepts must be read by its
 `cmd_*` handler or by a `cli` function that the handler passes its
 arguments to (`build_run_config` reads `--config`, `--seed`, `--out` and
@@ -137,6 +138,19 @@ def test_every_library_default_is_set_by_a_caller():
     library = [source_of(p) for p in python_files(("src",))]
     callers = [source_of(p) for p in python_files(SCANNED + ("perfbench",))]
     assert unset_defaults(library, callers) == []
+
+
+def test_every_library_default_is_set_by_the_program():
+    # as above, with the tests and `selftest`, where the oracles live, left
+    # out of both sides: a default that only an oracle sets is a path that
+    # training never takes.  The one exception is `cli.main`'s argv, through
+    # which the tests drive the CLI.
+    def program(tops):
+        return [source_of(p) for p in python_files(tops)
+                if os.path.basename(p) != "selftest.py"]
+
+    assert unset_defaults(program(("src",)),
+                          program(("src", "demos", "perfbench"))) == [("main", "argv")]
 
 
 def attributes_read(tree, name):

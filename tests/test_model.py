@@ -24,7 +24,7 @@ def tiny_model(seed=0, kind="bernoulli", input_dim=5, num_classes=2,
 def test_encode_zero_weights_gives_default_heads():
     m = tiny_model()
     m.encoder.params[:] = 0.0
-    mean, var, logits = mdl.encode(m, np.zeros(5))
+    mean, var, logits = mdl.encode(m, np.zeros((1, 5)))
     assert np.allclose(mean, 0.0)
     assert np.allclose(var, np.log(2.0) + 1e-6)
     assert np.allclose(dist.sigmoid(logits), 0.5)
@@ -32,22 +32,22 @@ def test_encode_zero_weights_gives_default_heads():
 
 def test_encode_output_arity():
     m = tiny_model(input_dim=9, truncation=4)
-    mean, var, logits = mdl.encode(m, np.random.default_rng(1).random(9))
-    assert mean.shape == (4,)
-    assert var.shape == (4,)
-    assert logits.shape == (4,)
+    mean, var, logits = mdl.encode(m, np.random.default_rng(1).random((2, 9)))
+    assert mean.shape == (2, 4)
+    assert var.shape == (2, 4)
+    assert logits.shape == (2, 4)
 
 
 def test_encode_dim_mismatch():
     m = tiny_model()
     with pytest.raises(ValueError):
-        mdl.encode(m, np.zeros(7))
+        mdl.encode(m, np.zeros((1, 7)))
 
 
 def test_encode_gradient_matches_fd():
     # smooth scalar loss of all three heads, FD over encoder params
     m = tiny_model(seed=3)
-    x = np.random.default_rng(4).random(5)
+    x = np.random.default_rng(4).random((1, 5))
 
     def loss():
         mean, var, logits = mdl.encode(m, x)
@@ -56,12 +56,12 @@ def test_encode_gradient_matches_fd():
     mean, var, logits = mdl.encode(m, x)
     k = m.K
     out, tape = nn.forward(m.encoder, x)
-    raw = out[k:2 * k]
+    raw = out[:, k:2 * k]
     head = np.concatenate([
         2.0 * mean,
         np.ones(k) * dist.sigmoid(raw),
         dist.sigmoid(logits) * (1 - dist.sigmoid(logits)),
-    ])
+    ], axis=1)
     grads, _ = nn.backward(m.encoder, tape, head)
     fd = fd_grad_all(loss, m.encoder.params)
     assert max(rel_err(g, f) for g, f in zip(grads, fd)) < 1e-4
@@ -98,29 +98,29 @@ def test_decode_bernoulli_range():
     m = tiny_model(seed=8)
     rng = np.random.default_rng(9)
     for _ in range(10):
-        probs = dist.sigmoid(mdl.decode(m, rng.normal(size=3), np.array([1.0, 0.0])))
+        probs = dist.sigmoid(mdl.decode(m, rng.normal(size=(1, 3)), np.array([[1.0, 0.0]])))
         assert np.all((probs > 0) & (probs < 1))
 
 
 def test_decode_class_conditioning_is_live():
     m = tiny_model(seed=10)
-    z = np.random.default_rng(11).normal(size=3)
-    a = mdl.decode(m, z, np.array([1.0, 0.0]))
-    b = mdl.decode(m, z, np.array([0.0, 1.0]))
+    z = np.random.default_rng(11).normal(size=(1, 3))
+    a = mdl.decode(m, z, np.array([[1.0, 0.0]]))
+    b = mdl.decode(m, z, np.array([[0.0, 1.0]]))
     assert not np.allclose(a, b)
 
 
 def test_decode_zero_everything_gives_half():
     m = tiny_model()
     m.decoder.params[:] = 0.0
-    out = mdl.decode(m, np.zeros(3), np.zeros(2))
+    out = mdl.decode(m, np.zeros((1, 3)), np.zeros((1, 2)))
     assert np.allclose(dist.sigmoid(out), 0.5)
 
 
 def test_decode_dim_mismatch():
     m = tiny_model()
     with pytest.raises(ValueError):
-        mdl.decode(m, np.zeros(4), np.zeros(2))
+        mdl.decode(m, np.zeros((1, 4)), np.zeros((1, 2)))
 
 
 def test_likelihood_bernoulli_perfect_fit():
@@ -146,7 +146,7 @@ def test_likelihood_kind_mismatch():
 
 def test_likelihood_bernoulli_normalizes_d3():
     m = tiny_model(input_dim=3)
-    out = mdl.decode(m, np.random.default_rng(12).normal(size=3), np.array([1.0, 0.0]))
+    out = mdl.decode(m, np.random.default_rng(12).normal(size=(1, 3)), np.array([[1.0, 0.0]]))
     total = sum(np.exp(likelihood_log_prob(m, x, out))
                 for x in enumerate_binary(3))
     assert abs(total - 1.0) < 1e-9
@@ -185,7 +185,7 @@ def test_sigma_theta_grid_is_documented():
 def test_classify_zero_weights_uniform_and_tiebreak():
     m = tiny_model(num_classes=4)
     m.classifier.params[:] = 0.0
-    x = np.random.default_rng(13).random(5)
+    x = np.random.default_rng(13).random((1, 5))
     probs = mdl.classify(m, x)
     assert np.allclose(probs, 0.25)
     assert mdl.predict_batch(m, x)[0] == 0   # lowest index wins ties
@@ -195,14 +195,14 @@ def test_classify_simplex():
     m = tiny_model(num_classes=3)
     rng = np.random.default_rng(14)
     for _ in range(20):
-        probs = mdl.classify(m, rng.random(5))
+        probs = mdl.classify(m, rng.random((1, 5)))
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs >= 0)
 
 
 def test_predict_shift_invariant():
     m = tiny_model(num_classes=3, seed=15)
-    x = np.random.default_rng(16).random(5)
+    x = np.random.default_rng(16).random((1, 5))
     before = mdl.predict_batch(m, x)[0]
     m.classifier.biases(1)[:] += 7.3   # uniform logit shift
     assert mdl.predict_batch(m, x)[0] == before
@@ -232,7 +232,7 @@ def test_per_point_terms_labeled_ignores_qy_kl():
     t0 = per_point_elbo_terms(m, x, 1, draw, alpha_sup=0.0)
     assert t0["term_y"] == 0.0
     t1 = per_point_elbo_terms(m, x, 1, draw, alpha_sup=2.0)
-    q_y = mdl.classify(m, x)
+    q_y = mdl.classify(m, x[None])[0]
     assert abs(t1["term_y"] - 2.0 * dist.categorical_log_prob(1, q_y)) < 1e-12
 
 
@@ -241,7 +241,7 @@ def test_per_point_terms_unlabeled_uses_uniform_prior():
     x = (np.random.default_rng(22).random(5) < 0.5).astype(float)
     draw = make_draw(m, x)
     terms = per_point_elbo_terms(m, x, None, draw)
-    q_y = mdl.classify(m, x)
+    q_y = mdl.classify(m, x[None])[0]
     assert abs(terms["term_y"] + dist.categorical_kl_to_uniform(q_y)) < 1e-12
 
 
@@ -249,7 +249,7 @@ def test_latent_draw_cached_densities_recompute():
     m = tiny_model(seed=25)
     x = (np.random.default_rng(26).random(5) < 0.5).astype(float)
     draw = make_draw(m, x, seed=27)
-    mean, var, logits = mdl.encode(m, x)
+    mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
     assert abs(draw.logq_ztilde - dist.gaussian_log_prob(draw.ztilde, mean, var)) < 1e-12
     assert abs(draw.logq_zhat - dist.bernoulli_log_prob(draw.zhat, logits).sum()) < 1e-12
     assert abs(draw.logp_zhat - float(
@@ -283,7 +283,7 @@ def test_generate_tiny_alpha_rarely_activates():
     rng = np.random.default_rng(30)
     m = mdl.build_model(4, 2, 6, 8, "bernoulli", 1e-3, 1e-2, rng)
     means, _ = mdl.generate(m, 10_000, rng, y=0)
-    at_zero = dist.sigmoid(mdl.decode(m, np.zeros(m.K), np.eye(m.C)[0]))
+    at_zero = dist.sigmoid(mdl.decode(m, np.zeros((1, m.K)), np.eye(m.C)[[0]]))
     matches = np.all(np.isclose(means, at_zero, rtol=0.0, atol=1e-12), axis=1)
     assert matches.mean() > 0.99
 

@@ -40,40 +40,43 @@ def test_glorot_deterministic_under_seed():
 def test_forward_identity_layer():
     net = nn.DenseNet([2, 2], ["identity"])
     net.weights(0)[:] = np.eye(2)
-    y, _ = nn.forward(net, np.array([1.0, 2.0]))
-    assert np.array_equal(y, [1.0, 2.0])
+    y, _ = nn.forward(net, np.array([[1.0, 2.0]]))
+    assert np.array_equal(y, [[1.0, 2.0]])
 
 
 def test_forward_relu_clamps():
     net = nn.DenseNet([2, 2], ["relu"])
     net.weights(0)[:] = np.eye(2)
-    y, _ = nn.forward(net, np.array([-1.0, 3.0]))
-    assert np.array_equal(y, [0.0, 3.0])
+    y, _ = nn.forward(net, np.array([[-1.0, 3.0]]))
+    assert np.array_equal(y, [[0.0, 3.0]])
 
 
 def test_forward_pure():
     rng = np.random.default_rng(3)
     net = nn.glorot_init(4, [6], 2, rng)
-    x = rng.normal(size=4)
+    x = rng.normal(size=(3, 4))
     y1, _ = nn.forward(net, x)
     y2, _ = nn.forward(net, x)
     assert np.array_equal(y1, y2)
 
 
 def test_forward_rejects_bad_input():
+    # a batch is (B, in): one point is a one-row batch, not a vector
     net = nn.DenseNet([2, 2], ["identity"])
     with pytest.raises(ValueError):
-        nn.forward(net, np.array([1.0, 2.0, 3.0]))
+        nn.forward(net, np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
-        nn.forward(net, np.array([1.0, np.nan]))
+        nn.forward(net, np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError, match=r"expects \(B, 2\)"):
+        nn.forward(net, np.array([1.0, 2.0]))
 
 
 def test_backward_linear_weight_grad_is_input():
     net = nn.DenseNet([3, 2], ["identity"])
     net.weights(0)[:] = np.random.default_rng(0).normal(size=(2, 3))
     x = np.array([1.5, -2.0, 0.5])
-    _, tape = nn.forward(net, x)
-    grads, _ = nn.backward(net, tape, np.array([1.0, 0.0]))
+    _, tape = nn.forward(net, x[None])
+    grads, _ = nn.backward(net, tape, np.array([[1.0, 0.0]]))
     w_grad = grads[:6].reshape(2, 3)
     assert np.allclose(w_grad[0], x)
     assert np.allclose(w_grad[1], 0.0)
@@ -83,9 +86,9 @@ def test_backward_dead_relu_blocks_gradient():
     net = nn.DenseNet([2, 2, 1], ["relu", "identity"])
     net.weights(0)[:] = -np.eye(2)   # all pre-activations negative for x > 0
     net.weights(1)[:] = 1.0
-    x = np.array([1.0, 2.0])
+    x = np.array([[1.0, 2.0]])
     _, tape = nn.forward(net, x)
-    grads, grad_in = nn.backward(net, tape, np.array([1.0]))
+    grads, grad_in = nn.backward(net, tape, np.array([[1.0]]))
     assert np.all(grads[:6] == 0.0)   # layer-0 weights and biases
     assert np.all(grad_in == 0.0)
 
@@ -95,16 +98,16 @@ def test_backward_matches_finite_differences():
     net = nn.glorot_init(4, [6, 5], 3, rng)
     x = rng.normal(size=4)
     direction = rng.normal(size=3)
-    _, tape = nn.forward(net, x)
-    grads, grad_in = nn.backward(net, tape, direction)
+    _, tape = nn.forward(net, x[None])
+    grads, grad_in = nn.backward(net, tape, direction[None])
 
     def scalar_of_params(i):
         def fun(p):
             old = net.params[i]
             net.params[i] = p[0]
-            y, _ = nn.forward(net, x)
+            y, _ = nn.forward(net, x[None])
             net.params[i] = old
-            return float(direction @ y)
+            return float(direction @ y[0])
         return fun
 
     worst = 0.0
@@ -115,8 +118,8 @@ def test_backward_matches_finite_differences():
 
     for i in range(4):
         fd = central_diff(
-            lambda xv: float(direction @ nn.forward(net, xv)[0]), x, i)
-        assert rel_err(grad_in[i], fd) < 1e-4
+            lambda xv: float(direction @ nn.forward(net, xv[None])[0][0]), x, i)
+        assert rel_err(grad_in[0, i], fd) < 1e-4
 
 
 def test_backward_batch_matches_sum_of_singles():
@@ -128,8 +131,8 @@ def test_backward_batch_matches_sum_of_singles():
     batch_grads, batch_in = nn.backward(net, tape, gs)
     acc = net.zero_grad_like()
     for x, g in zip(xs, gs):
-        _, t = nn.forward(net, x)
-        gr, gi = nn.backward(net, t, g)
+        _, t = nn.forward(net, x[None])
+        gr, gi = nn.backward(net, t, g[None])
         acc += gr
     assert np.allclose(batch_grads, acc, atol=1e-12)
     assert batch_in.shape == (5, 3)
@@ -139,13 +142,14 @@ def test_backward_batch_matches_sum_of_singles():
 @pytest.mark.parametrize("batched", [False, True])
 def test_backward_leaves_grad_out_and_tape_unchanged(out_act, batched):
     # a ReLU output layer masks the incoming gradient first: the mask must
-    # not be written into the caller's grad_out
+    # not be written into the caller's grad_out; unbatched is one row
     rng = np.random.default_rng(13)
     net = nn.DenseNet([3, 6, 5, 4], ["relu", "relu", out_act])
     net.params[:] = rng.normal(size=net.num_params)
-    x = rng.normal(size=(7, 3) if batched else 3)
+    rows = 7 if batched else 1
+    x = rng.normal(size=(rows, 3))
     _, tape = nn.forward(net, x)
-    grad_out = rng.normal(size=(7, 4) if batched else 4)
+    grad_out = rng.normal(size=(rows, 4))
     saved = [grad_out.copy(), [a.copy() for a in tape.inputs],
              [a.copy() for a in tape.preacts]]
     first, _ = nn.backward(net, tape, grad_out)
@@ -160,9 +164,9 @@ def test_backward_rejects_mismatched_tape():
     rng = np.random.default_rng(0)
     a = nn.glorot_init(3, [4], 2, rng)
     b = nn.glorot_init(3, [], 2, rng)
-    _, tape = nn.forward(a, np.zeros(3))
+    _, tape = nn.forward(a, np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        nn.backward(b, tape, np.zeros(2))
+        nn.backward(b, tape, np.zeros((1, 2)))
 
 
 def test_adam_zero_grad_keeps_params():
