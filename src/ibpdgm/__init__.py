@@ -8,8 +8,7 @@ from .data import (Dataset, DataFormatError, binarize_epoch, load_amat,
                    load_idx, stratified_label_split, synth_blobs,
                    synth_ibp_data)
 from .ibp import (GlobalSticks, active_components,
-                  ibp_prior_log_prob_from_sticks, stick_breaking,
-                  sticks_prior_log_prob)
+                  ibp_prior_log_prob_from_sticks, sticks_prior_log_prob)
 from .model import (IbpDgm, build_model, classify, decode, encode, generate,
                     load_checkpoint, predict_batch, save_checkpoint,
                     theta_log_prior)

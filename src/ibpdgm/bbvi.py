@@ -179,7 +179,8 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     x is (B, D); labels is (B,) with -1 marking unlabeled points, which
     marginalize their label under q(y | x).  For each point, `num_samples`
     (S) joint samples (noise -> ztilde, zhat, v) are drawn, the sticks v
-    from `m.sticks` (`sample`, `log_prob` and `score_grads`); all
+    from `m.sticks` (`sample`, `log_prob` and `score_grads`) as the pair
+    (log v, log(1 - v)) that every stick term reads; all
     objective terms are assembled vectorized over (B, S).  `prior_weight`
     scales the spike prior and entropy terms in the spikes' learning
     signal only (a KL warm-up); the returned values are always the ELBO's
@@ -225,12 +226,12 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     zhat = (rng.random((batch_size, s, k)) < pi_hat[:, None, :]).astype(np.float64)
     z = ztilde * zhat
 
-    v = m.sticks.sample((batch_size, s), rng)
+    log_v, log_1mv = m.sticks.sample((batch_size, s), rng)
 
     # the spike prior terms of the drawn spikes and, for the sticks' signal,
     # their expectation over q(zhat) (the terms are linear in zhat)
     logp_zhat_k, expected_logp_zhat_k = ibp.ibp_prior_log_prob_from_sticks(
-        np.stack([zhat, np.broadcast_to(pi_hat[:, None, :], zhat.shape)]), v)  # (B, S, K)
+        np.stack([zhat, np.broadcast_to(pi_hat[:, None, :], zhat.shape)]), log_v)  # (B, S, K)
     logq_zhat_k = dist.bernoulli_log_prob(zhat, logits_z[:, None, :])
     logp_zhat = logp_zhat_k.sum(axis=2)                                  # (B, S)
     logq_zhat = logq_zhat_k.sum(axis=2)
@@ -285,8 +286,8 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
             g_z[pts] = g_in[:, :k].reshape(-1, s, n_cls, k).sum(axis=2)
             dec_grads += g_params
         recon[idx] = np.sum(w_pt[:, None, :] * r, axis=2)
-    # the unlabeled points are the last group: their (B_u, S, C) values
-    r_per_class = r
+        if idx is idx_unl:
+            r_unl = r                 # the unlabeled points' (B_u, S, C) values
     _check_finite("recon", recon)
 
     # --- the other term values ----------------------------------------------
@@ -305,8 +306,8 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
         term_y_points[idx_lab] = alpha_sup * dist.categorical_log_prob(
             labels[idx_lab], probs_y[idx_lab])
 
-    logp_v_k = ibp.sticks_prior_log_prob(v, m.sticks.alpha)   # (B, S, K)
-    logq_v_k = m.sticks.log_prob(v)
+    logp_v_k = ibp.sticks_prior_log_prob(log_v, m.sticks.alpha)   # (B, S, K)
+    logq_v_k = m.sticks.log_prob(log_v, log_1mv)
     # Markov blanket of v_j: the spike priors of components k >= j, in
     # expectation over q(zhat) and batch-scaled to the dataset, plus the
     # stick's own prior and entropy
@@ -358,7 +359,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     if idx_unl.size:
         p_u = probs_y[idx_unl]
         g_probs = (-dist.categorical_kl_to_uniform_grad(p_u) * scale
-                   + r_per_class.mean(axis=1) * scale)
+                   + r_unl.mean(axis=1) * scale)
         g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
     if idx_lab.size and alpha_sup != 0.0:
         g_cls_logits[idx_lab] = scale * alpha_sup * dist.categorical_score_grad(
@@ -366,7 +367,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
 
     # --- stick gradients, pooled over every (point, sample) draw ------------
-    h_v = m.sticks.score_grads(v).reshape(-1, 2 * k)
+    h_v = m.sticks.score_grads(log_v, log_1mv).reshape(-1, 2 * k)
     _check_finite("term_v", h_v)
     # every (point, sample) draw of v is independent; stick j's signal
     # goes with both of its scores, d/d log a_j and d/d log b_j

@@ -10,7 +10,8 @@ functions checks trained code.  The Gaussian log-density, both KLs and
 the categorical log-probability return one value per row (they reduce
 the last axis); `bernoulli_log_prob` and the score gradients are
 elementwise.  The one sampler is `beta_sample_array`; it takes a
-caller-provided numpy Generator.
+caller-provided numpy Generator and returns a Beta draw v as the pair
+(log v, log(1 - v)), the form every Beta term reads.
 """
 
 import math
@@ -129,43 +130,35 @@ def bernoulli_score_grad(z, logits):
 # Beta
 
 def beta_sample_array(a, b, size, rng):
-    """Beta(a, b) draws of the given shape via two Gamma draws, clamped.
+    """Beta(a, b) draws v of the given shape, as the pair (log v, log(1 - v)).
 
     numpy's Generator.gamma implements the Marsaglia-Tsang rejection
     sampler; the ratio x/(x+y) of two Gamma(a,1), Gamma(b,1) draws is an
-    exact Beta(a, b) variate.  Draws are clamped to [1e-7, 1 - 1e-7] so
-    downstream log(v) and log(1-v) stay finite.
+    exact Beta(a, b) variate.  The ratio is clamped to [1e-7, 1 - 1e-7]
+    before its logs are taken, so both stay finite.
     """
     x = rng.gamma(np.broadcast_to(a, size), 1.0)
     y = rng.gamma(np.broadcast_to(b, size), 1.0)
-    return np.clip(x / (x + y), _V_CLAMP, 1.0 - _V_CLAMP)
+    v = np.clip(x / (x + y), _V_CLAMP, 1.0 - _V_CLAMP)
+    return np.log(v), np.log1p(-v)
 
 
-def _unit_interval(v):
-    v = np.asarray(v, dtype=np.float64)
-    if not np.all((v > 0.0) & (v < 1.0)):
-        raise ValueError("v must lie in (0, 1)")
-    return v
+def beta_log_prob(log_v, log_1mv, a, b):
+    """(a-1) ln v + (b-1) ln(1-v) - ln B(a, b), from ln v and ln(1-v).
 
-
-def beta_log_prob(v, a, b):
-    """(a-1) ln v + (b-1) ln(1-v) - ln B(a, b) for v in the open unit interval.
-
-    v, a and b broadcast against each other (the sticks pass v of shape
-    (..., K) against K shape pairs).
+    The logs, a and b broadcast against each other (the sticks pass logs
+    of shape (..., K) against K shape pairs).
     """
-    v = _unit_interval(v)
     log_beta = lgamma(a) + lgamma(b) - lgamma(a + b)
-    return (a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_beta
+    return (a - 1.0) * log_v + (b - 1.0) * log_1mv - log_beta
 
 
-def beta_score_grad(v, a, b):
-    """Gradient (da, db) of log Beta(v; a, b) w.r.t. (a, b); broadcasts
-    like `beta_log_prob`."""
-    v = _unit_interval(v)
+def beta_score_grad(log_v, log_1mv, a, b):
+    """Gradient (da, db) of log Beta(v; a, b) w.r.t. (a, b), from ln v and
+    ln(1-v); broadcasts like `beta_log_prob`."""
     psi_ab = digamma(a + b)
-    da = np.log(v) - digamma(a) + psi_ab
-    db = np.log1p(-v) - digamma(b) + psi_ab
+    da = log_v - digamma(a) + psi_ab
+    db = log_1mv - digamma(b) + psi_ab
     return da, db
 
 

@@ -2,7 +2,10 @@
 
 Feature probabilities decay as running products of stick fractions
 v_k ~ Beta(alpha, 1); a finite truncation level K caps the number of
-latent features, and everything beyond index K is simply absent.
+latent features, and everything beyond index K is simply absent.  A
+draw of the sticks is the pair (log v, log(1 - v)) that
+`distributions.beta_sample_array` returns; the stick terms read it, and
+log pi_k is the running sum of log v.
 """
 
 from dataclasses import dataclass
@@ -52,30 +55,24 @@ class GlobalSticks:
         return np.exp(self.log_b)
 
     def sample(self, size, rng):
-        """Draw stick fractions of shape (*size, K) from the Beta posteriors."""
+        """Draw stick fractions v of shape (*size, K) from the Beta
+        posteriors, as the pair (log v, log(1 - v))."""
         return dist.beta_sample_array(self.a, self.b, (*size, self.K), rng)
 
-    def log_prob(self, v):
-        """log q(v_k) per stick, shape (..., K), for v of shape (..., K)."""
-        return dist.beta_log_prob(v, self.a, self.b)
+    def log_prob(self, log_v, log_1mv):
+        """log q(v_k) per stick, shape (..., K), for a drawn pair of shape
+        (..., K)."""
+        return dist.beta_log_prob(log_v, log_1mv, self.a, self.b)
 
-    def score_grads(self, v):
+    def score_grads(self, log_v, log_1mv):
         """d log q(v) / d [log_a | log_b], shape (..., 2K).
 
         Chains the Beta score gradient through the exp that maps the
         stored log-parameters to (a, b).
         """
         a, b = self.a, self.b
-        da, db = dist.beta_score_grad(v, a, b)
+        da, db = dist.beta_score_grad(log_v, log_1mv, a, b)
         return np.concatenate([a * da, b * db], axis=-1)
-
-
-def stick_breaking(v):
-    """Running products pi_k = prod_{j<=k} v_j; elementwise non-increasing."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size and (np.any(v <= 0) or np.any(v > 1)):
-        raise ValueError("stick fractions must lie in (0, 1]")
-    return np.cumprod(v, axis=-1)
 
 
 def log_bernoulli_terms(zhat, log_pi, log_one_minus_pi):
@@ -85,35 +82,31 @@ def log_bernoulli_terms(zhat, log_pi, log_one_minus_pi):
     return zhat * on + (1.0 - zhat) * off
 
 
-def ibp_prior_log_prob_from_sticks(zhat, v):
-    """log Bernoulli(zhat_k | pi_k) per component, pi = cumprod(v), in log
-    space: shape (..., K).
+def ibp_prior_log_prob_from_sticks(zhat, log_v):
+    """log Bernoulli(zhat_k | pi_k) per component, log pi = cumsum(log v):
+    shape (..., K).
 
     Works on batched arrays of shape (..., K) and avoids the underflow of
     materializing pi when K is large.  pi_k = 1 with zhat_k = 0 is a
     zero-probability event and contributes the -1e10 sentinel instead of
-    -inf, so callers can flag it.  zhat and v broadcast against each
+    -inf, so callers can flag it.  zhat and log v broadcast against each
     other, and zhat may be fractional: the terms are linear in it, so
     q(zhat = 1) in its place gives their expectation.
     """
     zhat = np.asarray(zhat, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    log_pi = np.cumsum(np.log(v), axis=-1)
+    log_pi = np.cumsum(log_v, axis=-1)
     one_minus_pi = -np.expm1(log_pi)
     with np.errstate(divide="ignore"):
         log_one_minus_pi = np.log(one_minus_pi)
     return log_bernoulli_terms(zhat, log_pi, log_one_minus_pi)
 
 
-def sticks_prior_log_prob(v, alpha):
+def sticks_prior_log_prob(log_v, alpha):
     """log Beta(v_k | alpha, 1) = ln alpha + (alpha-1) ln v_k per stick,
-    shape (..., K)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size and (np.any(v <= 0) or np.any(v >= 1)):
-        raise ValueError("stick fractions must lie in (0, 1)")
+    shape (..., K), from ln v."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return np.log(alpha) + (alpha - 1.0) * np.log(v)
+    return np.log(alpha) + (alpha - 1.0) * log_v
 
 
 @dataclass

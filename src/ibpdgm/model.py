@@ -147,8 +147,9 @@ def generate(m, n, rng, y=None, sample_observations=False):
         raise ValueError("n must be >= 1")
     if y is not None and not 0 <= y < m.C:
         raise ValueError(f"label {y} outside [0, {m.C})")
-    v = dist.beta_sample_array(m.sticks.alpha, 1.0, (n, m.K), rng)
-    zhat = (rng.random((n, m.K)) < ibp.stick_breaking(v)).astype(np.float64)
+    log_v, _ = dist.beta_sample_array(m.sticks.alpha, 1.0, (n, m.K), rng)
+    pi = np.exp(np.cumsum(log_v, axis=-1))
+    zhat = (rng.random((n, m.K)) < pi).astype(np.float64)
     ztilde = rng.standard_normal((n, m.K))
     labels = np.full(n, int(y)) if y is not None else rng.integers(m.C, size=n)
     out = decode(m, ztilde * zhat, np.eye(m.C)[labels])

@@ -13,8 +13,8 @@ seeds, and pin the tolerance constants below.
 
 The fd and normalization suites check the `distributions` and `ibp`
 functions the estimator trains with.  The oracle (`make_enumerable_toy`,
-`exact_toy_elbo`) and the finite-difference helpers (`central_diff`,
-`rel_err`, `fd_grad_all`) live here once; the test suite imports them.
+`exact_toy_elbo`) and the finite-difference helpers (`rel_err`,
+`fd_grad_all`) live here once; the test suite imports them.
 The oracle writes every density and KL out from its definition and
 shares only the networks and the elementwise maps with the estimator, so
 it can catch a fault in the estimator's own densities.
@@ -49,16 +49,6 @@ KL_SEMS = 3.0           # analytic KL vs Monte Carlo, in standard errors
 CV_COEFF_TOL = 0.1      # max |a| fitted to an independent signal and score
 
 
-def central_diff(fun, x0, i):
-    """Central difference of fun along coordinate i of x0, step FD_STEP."""
-    x = np.array(x0, dtype=np.float64)
-    x[i] += FD_STEP
-    fp = fun(x)
-    x[i] -= 2 * FD_STEP
-    fm = fun(x)
-    return (fp - fm) / (2 * FD_STEP)
-
-
 def rel_err(a, b):
     """|a - b| relative to the larger magnitude; absolute below 1e-8."""
     denom = max(abs(a), abs(b))
@@ -91,19 +81,18 @@ def fd_suite(seed=20240501):
     logits = rng.normal(size=5)
     z = (rng.random(5) < 0.5).astype(np.float64)
     an = dist.bernoulli_score_grad(z, logits)
-    worst = 0.0
-    for i in range(5):
-        fd = central_diff(lambda l: np.sum(dist.bernoulli_log_prob(z, l)), logits, i)
-        worst = max(worst, rel_err(an[i], fd))
+    fd = fd_grad_all(lambda: np.sum(dist.bernoulli_log_prob(z, logits)), logits)
+    worst = max(rel_err(g, f) for g, f in zip(an, fd))
     checks.append(("fd/bernoulli_score", worst < FD_REL_TOL, f"max rel err {worst:.2e}"))
 
     # Beta score gradient w.r.t. (a, b)
     worst = 0.0
     for a, b, v in [(1.0, 1.0, 0.5), (2.3, 0.8, 0.12), (5.0, 3.0, 0.77)]:
-        an = dist.beta_score_grad(v, a, b)
-        fd_a = central_diff(lambda p: dist.beta_log_prob(v, p[0], p[1]), np.array([a, b]), 0)
-        fd_b = central_diff(lambda p: dist.beta_log_prob(v, p[0], p[1]), np.array([a, b]), 1)
-        worst = max(worst, rel_err(an[0], fd_a), rel_err(an[1], fd_b))
+        log_v, log_1mv = np.log(v), np.log1p(-v)
+        an = dist.beta_score_grad(log_v, log_1mv, a, b)
+        ab = np.array([a, b])
+        fd = fd_grad_all(lambda: dist.beta_log_prob(log_v, log_1mv, *ab), ab)
+        worst = max(worst, rel_err(an[0], fd[0]), rel_err(an[1], fd[1]))
     checks.append(("fd/beta_score", worst < FD_REL_TOL, f"max rel err {worst:.2e}"))
 
     # Categorical score gradient w.r.t. logits
@@ -111,10 +100,8 @@ def fd_suite(seed=20240501):
     worst = 0.0
     for c in (0, 2, 5):
         an = dist.categorical_score_grad(c, dist.softmax(logits))
-        for i in range(6):
-            fd = central_diff(lambda l: dist.categorical_log_prob(c, dist.softmax(l)),
-                              logits, i)
-            worst = max(worst, rel_err(an[i], fd))
+        fd = fd_grad_all(lambda: dist.categorical_log_prob(c, dist.softmax(logits)), logits)
+        worst = max(worst, max(rel_err(g, f) for g, f in zip(an, fd)))
     checks.append(("fd/categorical_score", worst < FD_REL_TOL, f"max rel err {worst:.2e}"))
 
     # Gaussian score gradient w.r.t. (mean, var)
@@ -122,10 +109,9 @@ def fd_suite(seed=20240501):
     x = rng.normal(size=4)
     gm, gv = dist.gaussian_score_grad(x, mean, var)
     worst = 0.0
-    for i in range(4):
-        fd_m = central_diff(lambda mu: dist.gaussian_log_prob(x, mu, var), mean, i)
-        fd_v = central_diff(lambda vv: dist.gaussian_log_prob(x, mean, vv), var, i)
-        worst = max(worst, rel_err(gm[i], fd_m), rel_err(gv[i], fd_v))
+    for an, param in ((gm, mean), (gv, var)):
+        fd = fd_grad_all(lambda: dist.gaussian_log_prob(x, mean, var), param)
+        worst = max(worst, max(rel_err(g, f) for g, f in zip(an, fd)))
     checks.append(("fd/gaussian_score", worst < FD_REL_TOL, f"max rel err {worst:.2e}"))
 
     # network backprop on a random 3-layer net
@@ -217,8 +203,8 @@ def normalization_suite(seed=20240502):
         logits = rng.normal(size=k) * 2
         total = np.exp(dist.bernoulli_log_prob(patterns, logits).sum(axis=1)).sum()
         worst_bern = max(worst_bern, abs(total - 1.0))
-        v = rng.random(k) * 0.9 + 0.05
-        total = np.exp(ibp.ibp_prior_log_prob_from_sticks(patterns, v).sum(axis=1)).sum()
+        log_v = np.log(rng.random(k) * 0.9 + 0.05)
+        total = np.exp(ibp.ibp_prior_log_prob_from_sticks(patterns, log_v).sum(axis=1)).sum()
         worst_ibp = max(worst_ibp, abs(total - 1.0))
     checks.append(("norm/bernoulli_enum", worst_bern < NORM_ENUM_TOL,
                    f"max |sum-1| {worst_bern:.2e} over K = 2, 3, 4"))
@@ -228,9 +214,11 @@ def normalization_suite(seed=20240502):
     # Beta density integrates to 1 (tanh-sinh rule on (0,1): robust to the
     # integrable endpoint singularities that appear when a or b is < 1)
     nodes, weights = _tanh_sinh_unit_interval(400)
+    log_nodes, log_1m_nodes = np.log(nodes), np.log1p(-nodes)
     worst = 0.0
     for a, b in [(1.0, 1.0), (2.5, 1.3), (4.0, 6.0), (1.2, 0.9)]:
-        integral = float(np.sum(weights * np.exp(dist.beta_log_prob(nodes, a, b))))
+        integral = float(np.sum(weights * np.exp(
+            dist.beta_log_prob(log_nodes, log_1m_nodes, a, b))))
         worst = max(worst, abs(integral - 1.0))
     checks.append(("norm/beta_quadrature", worst < NORM_QUAD_TOL,
                    f"max |integral-1| {worst:.2e}"))
@@ -250,11 +238,11 @@ def normalization_suite(seed=20240502):
 class FixedSticks:
     """A stand-in for `ibp.GlobalSticks` that holds every stick at v0.
 
-    `sample` draws nothing and returns v0; `log_prob` is the sticks' prior
-    itself, so log p(v) - log q(v) is exactly 0 and so is the estimator's
-    stick term; the scores are 0, and so are the stick gradients.  Set as
-    a model's sticks, it makes the estimator condition on v = v0, as
-    `exact_toy_elbo` does.
+    `sample` draws nothing and returns v0 as the pair (log v0,
+    log(1 - v0)); `log_prob` is the sticks' prior itself, so log p(v) -
+    log q(v) is exactly 0 and so is the estimator's stick term; the scores
+    are 0, and so are the stick gradients.  Set as a model's sticks, it
+    makes the estimator condition on v = v0, as `exact_toy_elbo` does.
     """
 
     def __init__(self, v0, alpha):
@@ -264,13 +252,14 @@ class FixedSticks:
         self.params = np.zeros(2 * self.K)
 
     def sample(self, size, rng):
-        return np.broadcast_to(self.v0, (*size, self.K))
+        return tuple(np.broadcast_to(log, (*size, self.K))
+                     for log in (np.log(self.v0), np.log1p(-self.v0)))
 
-    def log_prob(self, v):
-        return ibp.sticks_prior_log_prob(v, self.alpha)
+    def log_prob(self, log_v, log_1mv):
+        return ibp.sticks_prior_log_prob(log_v, self.alpha)
 
-    def score_grads(self, v):
-        return np.zeros((*np.shape(v)[:-1], 2 * self.K))
+    def score_grads(self, log_v, log_1mv):
+        return np.zeros((*np.shape(log_v)[:-1], 2 * self.K))
 
 
 def make_enumerable_toy(seed=7, kind="bernoulli"):

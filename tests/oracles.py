@@ -21,7 +21,7 @@ import numpy as np
 
 from ibpdgm import distributions as dist, ibp, model as mdl
 from ibpdgm.bbvi import CV_EPS
-from ibpdgm.selftest import (central_diff, exact_toy_elbo, fd_grad_all,  # noqa: F401
+from ibpdgm.selftest import (exact_toy_elbo, fd_grad_all,  # noqa: F401
                              make_enumerable_toy, reference_log_lik, rel_err)
 
 
@@ -119,24 +119,23 @@ def _lgamma(x):
     return np.array([math.lgamma(t) for t in np.atleast_1d(x)])
 
 
-def sticks_log_prob_formula(sticks, v):
-    """log q(v_k) per stick, (..., K): the Beta log-density written out
-    over arrays, in the expression order `GlobalSticks.log_prob` trains
-    with."""
-    v = np.asarray(v, dtype=np.float64)
+def sticks_log_prob_formula(sticks, log_v, log_1mv):
+    """log q(v_k) per stick, (..., K), from the drawn pair (log v,
+    log(1 - v)): the Beta log-density written out over arrays, in the
+    expression order `GlobalSticks.log_prob` trains with."""
     a, b = sticks.a, sticks.b
     log_beta_fn = (_lgamma(a) + _lgamma(b) - _lgamma(a + b))
-    return (a - 1.0) * np.log(v) + (b - 1.0) * np.log1p(-v) - log_beta_fn
+    return (a - 1.0) * log_v + (b - 1.0) * log_1mv - log_beta_fn
 
 
-def sticks_score_grads_formula(sticks, v):
-    """d log q(v) / d [log_a | log_b], (..., 2K), written out over arrays in
-    the expression order `GlobalSticks.score_grads` trains with."""
-    v = np.asarray(v, dtype=np.float64)
+def sticks_score_grads_formula(sticks, log_v, log_1mv):
+    """d log q(v) / d [log_a | log_b], (..., 2K), from the drawn pair,
+    written out over arrays in the expression order
+    `GlobalSticks.score_grads` trains with."""
     a, b = sticks.a, sticks.b
     psi_ab = dist.digamma(a + b)
-    da = np.log(v) - dist.digamma(a) + psi_ab
-    db = np.log1p(-v) - dist.digamma(b) + psi_ab
+    da = log_v - dist.digamma(a) + psi_ab
+    db = log_1mv - dist.digamma(b) + psi_ab
     return np.concatenate([a * da, b * db], axis=-1)
 
 
@@ -167,7 +166,8 @@ class LatentDraw:
     """One Monte Carlo joint sample with its per-factor log-densities."""
     ztilde: np.ndarray
     zhat: np.ndarray
-    v: np.ndarray
+    log_v: np.ndarray        # the sticks, as the pair (log v, log(1 - v))
+    log_1mv: np.ndarray
     logq_ztilde: float = 0.0
     logp_ztilde: float = 0.0
     logq_zhat: float = 0.0
@@ -186,15 +186,15 @@ def draw_latents(m, x, rng):
     ztilde = mean + np.sqrt(var) * rng.standard_normal(m.K)
     incl = 1.0 / (1.0 + np.exp(-logits))
     zhat = (rng.random(m.K) < incl).astype(np.float64)
-    v = m.sticks.sample((), rng)
+    log_v, log_1mv = m.sticks.sample((), rng)
     return LatentDraw(
-        ztilde=ztilde, zhat=zhat, v=v,
+        ztilde=ztilde, zhat=zhat, log_v=log_v, log_1mv=log_1mv,
         logq_ztilde=gaussian_log_pdf(ztilde, mean, var),
         logp_ztilde=gaussian_log_pdf(ztilde, 0.0, 1.0),
         logq_zhat=bernoulli_log_pmf(zhat, incl),
-        logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, v).sum()),
-        logq_v=float(m.sticks.log_prob(v).sum()),
-        logp_v=float(ibp.sticks_prior_log_prob(v, m.sticks.alpha).sum()),
+        logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, log_v).sum()),
+        logq_v=float(m.sticks.log_prob(log_v, log_1mv).sum()),
+        logp_v=float(ibp.sticks_prior_log_prob(log_v, m.sticks.alpha).sum()),
     )
 
 

@@ -60,7 +60,7 @@ def test_criterion_2_normalization():
     # quadrature too, an oracle independent of the library
     for a, b in [(1.0, 1.0), (2.5, 1.3), (4.0, 6.0), (1.2, 0.9)]:
         integral, _ = scipy.integrate.quad(
-            lambda v: np.exp(dist.beta_log_prob(v, a, b)), 0.0, 1.0)
+            lambda v: np.exp(dist.beta_log_prob(np.log(v), np.log1p(-v), a, b)), 0.0, 1.0)
         assert abs(integral - 1.0) < 1e-6
 
     elapsed = time.time() - start
@@ -119,8 +119,8 @@ def test_criterion_5_stick_prior_moments():
     start = time.time()
     rng = np.random.default_rng(501)
     alpha, k, n = 2.0, 5, 100_000
-    v = dist.beta_sample_array(alpha, 1.0, (n, k), rng)
-    pi = np.cumprod(v, axis=1)
+    log_v, _ = dist.beta_sample_array(alpha, 1.0, (n, k), rng)
+    pi = np.exp(np.cumsum(log_v, axis=1))
     expected = (alpha / (alpha + 1.0)) ** np.arange(1, k + 1)
     sem = pi.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(pi.mean(axis=0) - expected) < 3 * sem)

@@ -319,7 +319,7 @@ def test_exact_log_marginal_upper_bounds_elbo():
     marginal = 0.0
     for pattern in itertools.product([0.0, 1.0], repeat=m.K):
         pattern = np.array(pattern)
-        p_z = np.exp(ibp.ibp_prior_log_prob_from_sticks(pattern, v0).sum())
+        p_z = np.exp(ibp.ibp_prior_log_prob_from_sticks(pattern, np.log(v0)).sum())
         z_rows = nodes * pattern       # prior draws are standard normal
         lik = 0.0
         for c in range(m.C):
@@ -520,7 +520,7 @@ def test_per_point_terms_match_vectorized_estimator():
     zhat = (u < incl).astype(float)
     pi = np.cumprod(v0)
     draw = LatentDraw(
-        ztilde=ztilde, zhat=zhat, v=v0,
+        ztilde=ztilde, zhat=zhat, log_v=np.log(v0), log_1mv=np.log1p(-v0),
         logq_zhat=bernoulli_log_pmf(zhat, incl),
         logp_zhat=bernoulli_log_pmf(zhat, pi),
         logq_v=0.0, logp_v=0.0)

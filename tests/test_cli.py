@@ -316,8 +316,8 @@ def test_selftest_catches_injected_sign_error(monkeypatch, capsys):
 
     original = d.beta_score_grad
 
-    def sabotaged(v, a, b):
-        da, db = original(v, a, b)
+    def sabotaged(log_v, log_1mv, a, b):
+        da, db = original(log_v, log_1mv, a, b)
         return -da, db
 
     monkeypatch.setattr(d, "beta_score_grad", sabotaged)

@@ -9,57 +9,29 @@ from oracles import enumerate_binary, fd_grad_all, sticks_log_prob_formula, \
     sticks_score_grads_formula
 
 
-def test_stick_breaking_running_product():
-    pi = ibp.stick_breaking(np.array([0.5, 0.5, 0.5]))
-    assert np.allclose(pi, [0.5, 0.25, 0.125])
-
-
-def test_stick_breaking_identity():
-    assert np.array_equal(ibp.stick_breaking(np.array([1.0, 1.0])), [1.0, 1.0])
-
-
-def test_stick_breaking_empty():
-    assert ibp.stick_breaking(np.array([])).size == 0
-
-
-def test_stick_breaking_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        ibp.stick_breaking(np.array([0.5, 0.0]))
-    with pytest.raises(ValueError):
-        ibp.stick_breaking(np.array([1.2]))
-
-
-def test_stick_breaking_monotone():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        pi = ibp.stick_breaking(rng.random(8) * 0.999 + 1e-6)
-        assert np.all(np.diff(pi) <= 0)
-        assert np.all((pi > 0) & (pi <= 1))
-
-
 def test_ibp_prior_log_prob_basic():
     # v = (0.5, 1) gives pi = (0.5, 0.5)
-    got = ibp.ibp_prior_log_prob_from_sticks(np.array([1.0, 0.0]), np.array([0.5, 1.0]))
+    got = ibp.ibp_prior_log_prob_from_sticks(np.array([1.0, 0.0]), np.log([0.5, 1.0]))
     assert np.allclose(got, [math.log(0.5), math.log(0.5)], rtol=0, atol=1e-12)
 
 
 def test_ibp_prior_log_prob_pi_one():
-    on = ibp.ibp_prior_log_prob_from_sticks(np.array([1.0]), np.array([1.0]))
+    on = ibp.ibp_prior_log_prob_from_sticks(np.array([1.0]), np.array([0.0]))
     assert on.tolist() == [0.0]
     # impossible event: guarded sentinel instead of -inf
-    got = ibp.ibp_prior_log_prob_from_sticks(np.array([0.0]), np.array([1.0]))
+    got = ibp.ibp_prior_log_prob_from_sticks(np.array([0.0]), np.array([0.0]))
     assert got.tolist() == [ibp.LOG_ZERO_SENTINEL]
 
 
 def test_ibp_prior_log_prob_length_mismatch():
     with pytest.raises(ValueError):
-        ibp.ibp_prior_log_prob_from_sticks(np.array([1.0, 0.0, 1.0]), np.array([0.5, 0.5]))
+        ibp.ibp_prior_log_prob_from_sticks(np.array([1.0, 0.0, 1.0]), np.log([0.5, 0.5]))
 
 
 def test_ibp_prior_normalizes():
     rng = np.random.default_rng(1)
-    v = rng.random(3) * 0.9 + 0.05
-    total = sum(np.exp(ibp.ibp_prior_log_prob_from_sticks(z, v).sum())
+    log_v = np.log(rng.random(3) * 0.9 + 0.05)
+    total = sum(np.exp(ibp.ibp_prior_log_prob_from_sticks(z, log_v).sum())
                 for z in enumerate_binary(3))
     assert abs(total - 1.0) < 1e-9
 
@@ -68,30 +40,30 @@ def test_ibp_prior_from_sticks_matches_direct():
     # against the Bernoulli log-pmf at pi = cumprod(v), written out
     rng = np.random.default_rng(2)
     v = rng.random(5) * 0.9 + 0.05
-    pi = ibp.stick_breaking(v)
+    pi = np.cumprod(v)
     for z in (np.zeros(5), np.ones(5), (rng.random(5) < 0.5).astype(float)):
         direct = z * np.log(pi) + (1.0 - z) * np.log1p(-pi)
-        from_sticks = ibp.ibp_prior_log_prob_from_sticks(z, v)
+        from_sticks = ibp.ibp_prior_log_prob_from_sticks(z, np.log(v))
         assert np.allclose(direct, from_sticks, rtol=0, atol=1e-10)
 
 
 def test_ibp_prior_from_sticks_no_underflow_large_k():
     # pi underflows to 0 in linear space at K=50 with tiny sticks
-    v = np.full(50, 1e-7)
+    log_v = np.full(50, np.log(1e-7))
     z = np.zeros(50)
-    got = float(ibp.ibp_prior_log_prob_from_sticks(z, v).sum())
+    got = float(ibp.ibp_prior_log_prob_from_sticks(z, log_v).sum())
     assert np.isfinite(got)
     assert abs(got) < 1e-3   # all-off under a near-zero prior is nearly free
 
 
 def test_sticks_prior_uniform_alpha_one():
     rng = np.random.default_rng(3)
-    v = rng.random(6) * 0.9 + 0.05
-    assert np.all(np.abs(ibp.sticks_prior_log_prob(v, 1.0)) < 1e-12)
+    log_v = np.log(rng.random(6) * 0.9 + 0.05)
+    assert np.all(np.abs(ibp.sticks_prior_log_prob(log_v, 1.0)) < 1e-12)
 
 
 def test_sticks_prior_value():
-    got = ibp.sticks_prior_log_prob(np.array([0.5]), 2.0)
+    got = ibp.sticks_prior_log_prob(np.log([0.5]), 2.0)
     assert got.shape == (1,) and abs(got[0] - (math.log(2) + math.log(0.5))) < 1e-12
 
 
@@ -99,21 +71,17 @@ def test_sticks_prior_matches_beta_log_prob():
     rng = np.random.default_rng(4)
     alpha = 2.7
     v = rng.random(5) * 0.9 + 0.05
-    expected = [dist.beta_log_prob(vk, alpha, 1.0) for vk in v]
-    assert np.allclose(ibp.sticks_prior_log_prob(v, alpha), expected, rtol=0, atol=1e-10)
-
-
-def test_sticks_prior_domain():
-    with pytest.raises(ValueError):
-        ibp.sticks_prior_log_prob(np.array([1.0]), 2.0)
+    expected = [dist.beta_log_prob(np.log(vk), np.log1p(-vk), alpha, 1.0) for vk in v]
+    assert np.allclose(ibp.sticks_prior_log_prob(np.log(v), alpha), expected,
+                       rtol=0, atol=1e-10)
 
 
 def test_prior_moments_match_closed_form():
     # with v_k ~ Beta(alpha, 1) i.i.d., E[pi_k] = (alpha/(alpha+1))^k
     rng = np.random.default_rng(5)
     alpha, k, n = 2.0, 5, 100_000
-    v = dist.beta_sample_array(alpha, 1.0, (n, k), rng)
-    pi = np.cumprod(v, axis=1)
+    log_v, _ = dist.beta_sample_array(alpha, 1.0, (n, k), rng)
+    pi = np.exp(np.cumsum(log_v, axis=1))
     expected = (alpha / (alpha + 1.0)) ** np.arange(1, k + 1)
     sem = pi.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(pi.mean(axis=0) - expected) < 3 * sem)
@@ -137,8 +105,10 @@ def test_global_sticks_log_prob_matches_beta():
     sticks = ibp.GlobalSticks(3, 2.0)
     sticks.params[:] = np.log([1.5, 2.0, 3.0, 1.0, 0.5, 2.0])
     v = np.array([0.3, 0.6, 0.9])
-    expected = [dist.beta_log_prob(v[i], sticks.a[i], sticks.b[i]) for i in range(3)]
-    assert np.allclose(sticks.log_prob(v), expected, rtol=0, atol=1e-10)
+    log_v, log_1mv = np.log(v), np.log1p(-v)
+    expected = [dist.beta_log_prob(log_v[i], log_1mv[i], sticks.a[i], sticks.b[i])
+                for i in range(3)]
+    assert np.allclose(sticks.log_prob(log_v, log_1mv), expected, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("shape", [(25, 32, 16), (100, 4, 50)])
@@ -148,10 +118,11 @@ def test_global_sticks_match_the_written_out_formulas_bit_for_bit(shape):
     rng = np.random.default_rng(shape[-1])
     sticks = ibp.GlobalSticks(shape[-1], 1.5)
     sticks.params[:] = rng.normal(scale=0.7, size=sticks.params.size)
-    v = sticks.sample(shape[:-1], rng)
-    v[0, 0], v[0, 1] = 1e-7, 1.0 - 1e-7
-    for got, want in ((sticks.log_prob(v), sticks_log_prob_formula(sticks, v)),
-                      (sticks.score_grads(v), sticks_score_grads_formula(sticks, v))):
+    pair = sticks.sample(shape[:-1], rng)
+    for row, v in ((0, 1e-7), (1, 1.0 - 1e-7)):
+        pair[0][0, row], pair[1][0, row] = np.log(v), np.log1p(-v)
+    for got, want in ((sticks.log_prob(*pair), sticks_log_prob_formula(sticks, *pair)),
+                      (sticks.score_grads(*pair), sticks_score_grads_formula(sticks, *pair))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -159,8 +130,9 @@ def test_global_sticks_score_grads_match_fd():
     sticks = ibp.GlobalSticks(2, 2.0)
     sticks.params[:] = np.log([1.5, 2.5, 0.7, 1.2])
     v = np.array([0.35, 0.8])
-    grads = sticks.score_grads(v)
-    fd = fd_grad_all(lambda: float(sticks.log_prob(v).sum()), sticks.params, h=1e-6)
+    pair = np.log(v), np.log1p(-v)
+    grads = sticks.score_grads(*pair)
+    fd = fd_grad_all(lambda: float(sticks.log_prob(*pair).sum()), sticks.params, h=1e-6)
     assert np.all(np.abs(grads - fd) < 1e-6)
 
 

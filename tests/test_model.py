@@ -253,9 +253,9 @@ def test_latent_draw_cached_densities_recompute():
     assert abs(draw.logq_ztilde - dist.gaussian_log_prob(draw.ztilde, mean, var)) < 1e-12
     assert abs(draw.logq_zhat - dist.bernoulli_log_prob(draw.zhat, logits).sum()) < 1e-12
     assert abs(draw.logp_zhat - float(
-        ibp.ibp_prior_log_prob_from_sticks(draw.zhat, draw.v).sum())) < 1e-12
+        ibp.ibp_prior_log_prob_from_sticks(draw.zhat, draw.log_v).sum())) < 1e-12
     assert abs(draw.logp_v - float(
-        ibp.sticks_prior_log_prob(draw.v, m.sticks.alpha).sum())) < 1e-12
+        ibp.sticks_prior_log_prob(draw.log_v, m.sticks.alpha).sum())) < 1e-12
     assert np.array_equal(draw.z, draw.ztilde * draw.zhat)
 
 
