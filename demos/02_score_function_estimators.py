@@ -28,11 +28,10 @@ weighted = np.zeros(trials)
 coeffs = np.zeros((trials, S))
 for t in range(trials):
     z = (rng.random(S) < pi).astype(float)
-    samples = bbvi.ScoreSampleSet(f=z[:, None], h=(z - pi)[:, None])
-    plain[t] = bbvi.score_function_grad(samples, 0.0)[0]
-    a = bbvi.control_variate_coeffs(samples)
-    coeffs[t] = a[:, 0]
-    weighted[t] = bbvi.score_function_grad(samples, a)[0]
+    f, h = z[:, None], (z - pi)[:, None]
+    plain[t] = np.mean(h * f, axis=0)[0]
+    coeffs[t] = bbvi.control_variate_coeffs(f, h)[:, 0]
+    weighted[t] = bbvi.score_function_grad(f, h)[0]
 
 print(f"{trials} estimates, {S} samples each:")
 print(f"  plain    : mean {plain.mean():+.5f}   var {plain.var():.2e}")
@@ -46,5 +45,5 @@ print("when signal and score are independent, every coefficient vanishes:")
 S = 10_000
 z = (rng.random(S) < 0.5).astype(float)
 f_ind = rng.standard_normal(S)
-a = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f=f_ind[:, None], h=(z - 0.5)[:, None]))
+a = bbvi.control_variate_coeffs(f_ind[:, None], (z - 0.5)[:, None])
 print(f"  max |a_s| = {np.max(np.abs(a)):.4f} at S = {S}")

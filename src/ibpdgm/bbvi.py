@@ -4,10 +4,13 @@ The Gaussian slab gets pathwise (reparameterized) gradients; the Bernoulli
 spikes and the Beta sticks get score-function gradients with weighted
 score control variates (Ranganath, Gerrish and Blei 2014), fitted per
 variational parameter.  There is one fitting rule,
-`control_variate_coeffs`: each sample's coefficient is fitted on the
-other samples only (leave-one-out, as in Kool, van Hoof and Welling
-2019), on the centred signal, with the other samples' mean signal as the
-fallback when their score is constant.  So the spike and stick gradients
+`control_variate_coeffs`, and one estimate, `score_function_grad`, which
+fits through it; both take the learning signals f and the scores h as
+plain arrays with the samples on axis 0, f broadcasting against h.  Each
+sample's coefficient is fitted on the other samples only (leave-one-out,
+as in Kool, van Hoof and Welling 2019), on the centred signal, with the
+other samples' mean signal as the fallback when their score is
+constant.  So the spike and stick gradients
 are unbiased, and adding a constant to a learning signal does not move
 them, with one exception: `distributions.beta_sample_array` clamps its
 draws to [1e-7, 1 - 1e-7], and where a stick's b falls to about 0.3 or
@@ -56,34 +59,26 @@ class NumericError(RuntimeError):
                          (f": {detail}" if detail else ""))
 
 
-@dataclass
-class ScoreSampleSet:
-    """Per-sample learning signals f_s and score vectors h_s, one signal
-    per parameter: both are (S, P)."""
-    f: np.ndarray   # (S, P)
-    h: np.ndarray   # (S, P)
+def control_variate_coeffs(f, h):
+    """Leave-one-out weighted-score coefficients, one per sample and
+    parameter: shaped like h * f.
 
-    def __post_init__(self):
-        self.f = np.asarray(self.f, dtype=np.float64)
-        self.h = np.asarray(self.h, dtype=np.float64)
-        if self.h.ndim != 2 or self.f.shape != self.h.shape:
-            raise ValueError("f and h must both be (S, P)")
-
-
-def control_variate_coeffs(samples):
-    """Leave-one-out weighted-score coefficients, one row per sample: (S, P).
-
-    Sample s's row is fitted on the other samples only (Kool, van Hoof and
-    Welling 2019), as m_s + Cov((f - m_s) h, h) / (Var(h) + CV_EPS) with
-    m_s their mean signal, and falls back to m_s where their score
-    variance is below CV_EPS (a constant score carries no information to
-    regress on).  So a_s does not depend on sample s, and since E[h] = 0
+    The samples run along axis 0 of the learning signals f and the scores
+    h, and f broadcasts against h over the other axes (one signal shared
+    by several scores is f[:, None] against h).  Sample s's coefficient is
+    fitted on the other samples only (Kool, van Hoof and Welling 2019), as
+    m_s + Cov((f - m_s) h, h) / (Var(h) + CV_EPS) with m_s their mean
+    signal, and falls back to m_s where their score variance is below
+    CV_EPS (a constant score carries no information to regress on).  So
+    a_s does not depend on sample s, and since E[h] = 0
     `score_function_grad` stays unbiased; adding a constant to f adds it
     to every a_s, so the estimate does not move.  The fit runs on the
     centred signal f - mean(f), so that large constant offsets do not
     cancel catastrophically.
     """
-    f, h = samples.f, samples.h
+    if f.ndim != h.ndim or f.shape[0] != h.shape[0]:
+        raise ValueError(f"signals {f.shape} and scores {h.shape} must hold "
+                         "the same samples on axis 0")
     s = h.shape[0]
     if s < 2:
         raise ValueError("control variates need at least 2 samples")
@@ -114,15 +109,15 @@ def control_variate_coeffs(samples):
     return a
 
 
-def score_function_grad(samples, a):
-    """(1/S) sum_s h_s * (f_s - a_s): the weighted score-function estimate.
+def score_function_grad(f, h):
+    """(1/S) sum_s h_s * (f_s - a_s), the weighted score-function estimate,
+    with a = `control_variate_coeffs(f, h)`: shaped like h * f without its
+    sample axis 0.
 
-    `a` is one row per sample (S, P), as `control_variate_coeffs` fits
-    it; it broadcasts, so a = 0.0 gives the plain estimator h * f.
-    Unbiased for the gradient of E[f] when a_s is independent of sample
-    s, because the score has zero mean.
+    Unbiased for the gradient of E[f], because the score has zero mean
+    and a_s is independent of sample s.
     """
-    return np.mean(samples.h * (samples.f - a), axis=0)
+    return np.mean(h * (f - control_variate_coeffs(f, h)), axis=0)
 
 
 @dataclass
@@ -336,11 +331,9 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
 
     # --- spike (zhat) score gradients, per-point control variates ----------
     h_zhat = dist.bernoulli_score_grad(zhat, logits_z[:, None, :])  # (B, S, K)
-    # the S samples of every (point, spike) pair: (S, B * K)
-    spikes = ScoreSampleSet(f_zhat.transpose(1, 0, 2).reshape(s, -1),
-                            h_zhat.transpose(1, 0, 2).reshape(s, -1))
-    g_logits = score_function_grad(
-        spikes, control_variate_coeffs(spikes)).reshape(batch_size, k)
+    # the S samples of every (point, spike) pair, as (S, B, K) views
+    g_logits = score_function_grad(f_zhat.transpose(1, 0, 2),
+                                   h_zhat.transpose(1, 0, 2))   # (B, K)
 
     # --- pathwise gradients for the Gaussian slab, plus those of -KL -------
     g_ztilde = g_z * zhat                              # masked by the spikes
@@ -367,12 +360,11 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
 
     # --- stick gradients, pooled over every (point, sample) draw ------------
-    h_v = m.sticks.score_grads(log_v, log_1mv).reshape(-1, 2 * k)
+    h_v = m.sticks.score_grads(log_v, log_1mv).reshape(-1, 2, k)
     _check_finite("term_v", h_v)
     # every (point, sample) draw of v is independent; stick j's signal
     # goes with both of its scores, d/d log a_j and d/d log b_j
-    draws = ScoreSampleSet(np.tile(f_v, 2), h_v)
-    stick_grads = score_function_grad(draws, control_variate_coeffs(draws))
+    stick_grads = score_function_grad(f_v[:, None, :], h_v).reshape(-1)
 
     # --- decoder weight prior ------------------------------------------------
     _, theta_prior_grad = mdl.theta_log_prior(m)

@@ -75,13 +75,6 @@ class GlobalSticks:
         return np.concatenate([a * da, b * db], axis=-1)
 
 
-def log_bernoulli_terms(zhat, log_pi, log_one_minus_pi):
-    """Elementwise zhat*log(pi) + (1-zhat)*log(1-pi) with log(0) guarded."""
-    on = np.where(np.isfinite(log_pi), log_pi, LOG_ZERO_SENTINEL)
-    off = np.where(np.isfinite(log_one_minus_pi), log_one_minus_pi, LOG_ZERO_SENTINEL)
-    return zhat * on + (1.0 - zhat) * off
-
-
 def ibp_prior_log_prob_from_sticks(zhat, log_v):
     """log Bernoulli(zhat_k | pi_k) per component, log pi = cumsum(log v):
     shape (..., K).
@@ -98,7 +91,10 @@ def ibp_prior_log_prob_from_sticks(zhat, log_v):
     one_minus_pi = -np.expm1(log_pi)
     with np.errstate(divide="ignore"):
         log_one_minus_pi = np.log(one_minus_pi)
-    return log_bernoulli_terms(zhat, log_pi, log_one_minus_pi)
+    # zhat log(pi) + (1 - zhat) log(1 - pi), with log(0) guarded
+    on = np.where(np.isfinite(log_pi), log_pi, LOG_ZERO_SENTINEL)
+    off = np.where(np.isfinite(log_one_minus_pi), log_one_minus_pi, LOG_ZERO_SENTINEL)
+    return zhat * on + (1.0 - zhat) * off
 
 
 def sticks_prior_log_prob(log_v, alpha):

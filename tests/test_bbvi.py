@@ -17,8 +17,7 @@ from oracles import LatentDraw, bernoulli_log_pmf, exact_stick_objective, \
 def test_cv_coeff_perfect_correlation():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(50, 3))
-    samples = bbvi.ScoreSampleSet(f=np.full((50, 3), 3.0), h=h)
-    a = bbvi.control_variate_coeffs(samples)
+    a = bbvi.control_variate_coeffs(np.full((50, 3), 3.0), h)
     assert np.allclose(a, 3.0, atol=1e-6)
 
 
@@ -27,30 +26,28 @@ def test_cv_coeff_independent_pair_vanishes():
     s = 10_000
     h = (rng.random(s) < 0.5).astype(float) - 0.5
     f = rng.standard_normal(s)
-    a = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f=f[:, None], h=h[:, None]))
+    a = bbvi.control_variate_coeffs(f[:, None], h[:, None])
     assert np.max(np.abs(a)) < 0.1
 
 
 def test_cv_coeff_constant_score_guard():
     # a constant score carries nothing to regress on: each sample falls
     # back to the mean signal of the others
-    samples = bbvi.ScoreSampleSet(f=np.repeat([[1.0], [2.0], [3.0]], 2, axis=1),
-                                  h=np.full((3, 2), 0.7))
-    assert np.array_equal(bbvi.control_variate_coeffs(samples),
+    f = np.repeat([[1.0], [2.0], [3.0]], 2, axis=1)
+    assert np.array_equal(bbvi.control_variate_coeffs(f, np.full((3, 2), 0.7)),
                           [[2.5, 2.5], [2.0, 2.0], [1.5, 1.5]])
 
 
 def test_cv_coeff_needs_two_samples():
     with pytest.raises(ValueError):
-        bbvi.control_variate_coeffs(
-            bbvi.ScoreSampleSet(f=np.ones((1, 2)), h=np.ones((1, 2))))
+        bbvi.control_variate_coeffs(np.ones((1, 2)), np.ones((1, 2)))
 
 
 def test_loo_coeffs_match_brute_force():
     rng = np.random.default_rng(14)
     f = 5.0 * rng.normal(size=(7, 3))
     h = rng.normal(size=(7, 3))
-    got = bbvi.control_variate_coeffs(bbvi.ScoreSampleSet(f, h))
+    got = bbvi.control_variate_coeffs(f, h)
     assert got.shape == (7, 3)
     for s in range(7):
         others = np.arange(7) != s
@@ -62,10 +59,32 @@ def test_loo_coeffs_match_brute_force():
 
 
 def test_score_sample_set_needs_one_signal_per_parameter():
+    # signals and scores hold the same samples on axis 0, and the signal
+    # broadcasts against the scores over the other axes
     h = np.ones((7, 2))
-    for f in (np.ones(7), np.ones((7, 1)), np.ones((6, 2))):
-        with pytest.raises(ValueError):
-            bbvi.ScoreSampleSet(f, h)
+    for f in (np.ones(7), np.ones((6, 2)), np.ones((6, 1))):
+        for fn in (bbvi.control_variate_coeffs, bbvi.score_function_grad):
+            with pytest.raises(ValueError):
+                fn(f, h)
+
+
+def test_score_calls_read_the_estimators_layouts_bit_for_bit():
+    # the spikes pass (S, B, K) transposed views, the sticks one (N, 1, K)
+    # signal against (N, 2, K) scores: each gives the bits of the
+    # contiguous (S, B * K) copy and of the tiled (N, 2K) signal
+    rng = np.random.default_rng(15)
+    f = 40.0 * rng.normal(size=(5, 32, 4))        # (B, S, K), as estimated
+    h = rng.normal(size=(5, 32, 4))
+    views = f.transpose(1, 0, 2), h.transpose(1, 0, 2)
+    copies = [v.reshape(32, -1) for v in views]
+    f_v = 40.0 * rng.normal(size=(160, 4))         # (N, K)
+    h_v = rng.normal(size=(160, 2, 4))
+    for fn in (bbvi.control_variate_coeffs, bbvi.score_function_grad):
+        want = fn(*copies)
+        assert np.array_equal(fn(*views).reshape(want.shape), want), fn.__name__
+        want = fn(np.tile(f_v, 2), h_v.reshape(160, -1))
+        assert np.array_equal(fn(f_v[:, None, :], h_v).reshape(want.shape),
+                              want), fn.__name__
 
 
 def test_loo_grad_constant_score_is_shift_invariant():
@@ -74,9 +93,7 @@ def test_loo_grad_constant_score_is_shift_invariant():
     f = np.repeat([[1.0], [2.0], [4.0]], 2, axis=1)
     h = np.full((3, 2), -0.3)
     for shift in (0.0, -80.0):
-        samples = bbvi.ScoreSampleSet(f + shift, h)
-        a = bbvi.control_variate_coeffs(samples)
-        assert np.allclose(bbvi.score_function_grad(samples, a), 0.0, atol=1e-13)
+        assert np.allclose(bbvi.score_function_grad(f + shift, h), 0.0, atol=1e-13)
 
 
 def test_estimator_needs_two_samples_for_gradients():
@@ -101,8 +118,7 @@ def test_score_grad_constant_signal_near_zero():
     s = 20_000
     pi = 0.3
     z = (rng.random(s) < pi).astype(float)
-    samples = bbvi.ScoreSampleSet(f=np.full((s, 1), 5.0), h=(z - pi)[:, None])
-    est = bbvi.score_function_grad(samples, 0.0)[0]
+    est = bbvi.score_function_grad(np.full((s, 1), 5.0), (z - pi)[:, None])[0]
     sem = 5.0 * np.sqrt(pi * (1 - pi) / s)
     assert abs(est) < 3 * sem
 
@@ -114,8 +130,7 @@ def test_score_grad_bernoulli_closed_form():
     logit = 0.4
     pi = float(dist.sigmoid(np.array(logit)))
     z = (rng.random(s) < pi).astype(float)
-    samples = bbvi.ScoreSampleSet(f=z[:, None], h=(z - pi)[:, None])
-    est = bbvi.score_function_grad(samples, 0.0)[0]
+    est = bbvi.score_function_grad(z[:, None], (z - pi)[:, None])[0]
     per_sample = (z - pi) * z
     sem = per_sample.std(ddof=1) / np.sqrt(s)
     assert abs(est - pi * (1 - pi)) < 3 * sem
@@ -251,8 +266,8 @@ ESTIMATOR_DENSITIES = [
         "bernoulli_log_prob", "bernoulli_score_grad", "beta_log_prob", "beta_score_grad",
         "categorical_kl_to_uniform", "categorical_kl_to_uniform_grad",
         "categorical_log_prob", "categorical_score_grad")
-] + [(ibp, "ibp_prior_log_prob_from_sticks"), (ibp, "log_bernoulli_terms"),
-     (bbvi, "_likelihood_values"), (bbvi, "_likelihood_values_and_grads")]
+] + [(ibp, "ibp_prior_log_prob_from_sticks"), (bbvi, "_likelihood_values"),
+     (bbvi, "_likelihood_values_and_grads")]
 
 
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)

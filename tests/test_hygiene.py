@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, no library
-parameter keeps a default that no caller overrides, and no CLI flag goes
-unread.
+parameter keeps a default that no caller overrides, no CLI flag goes
+unread, and README quotes no stale signature.
 
 A plain `ast` scan of every program, test and demo file.  Package
 `__init__.py` files re-export on purpose and are skipped; an import
@@ -13,17 +13,23 @@ but for `cli.main`'s argv.  The flag check scans
 `ibpdgm.cli`: every flag a subcommand accepts must be read by its
 `cmd_*` handler or by a `cli` function that the handler passes its
 arguments to (`build_run_config` reads `--config`, `--seed`, `--out` and
-`--set`).
+`--set`).  The README check reads every inline `name(args)` whose name
+is a function or class of an `ibpdgm` module, bare or as `module.name`:
+its arguments must be that callable's leading parameter names.
 """
 
 import argparse
 import ast
+import importlib
 import inspect
 import math
 import os
+import pkgutil
+import re
 
 import pytest
 
+import ibpdgm
 from ibpdgm import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -193,3 +199,46 @@ def test_every_cli_flag_is_read(command):
     read = attributes_read(ast.parse(inspect.getsource(cli)),
                            cli.COMMANDS[command].__name__)
     assert flags - read == set()
+
+
+def library_callables():
+    """{name: callable} for every function and class an `ibpdgm` module
+    defines, keyed by its bare name and by `module.name`."""
+    found = {}
+    for info in pkgutil.iter_modules(ibpdgm.__path__):
+        module = importlib.import_module(f"ibpdgm.{info.name}")
+        for name, obj in vars(module).items():
+            if ((inspect.isfunction(obj) or inspect.isclass(obj))
+                    and obj.__module__ == module.__name__):
+                found[name] = found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def stale_signatures(text, callables):
+    """(span, parameter names) for every inline `name(args)` in the
+    markdown `text` that names one of `callables` with arguments other
+    than its leading parameter names (a `key=value` argument is read as
+    its key)."""
+    stale = []
+    for match in re.finditer(r"`([A-Za-z_][\w.]*)\(([^`()]*)\)`", text):
+        name, args = match.groups()
+        if name not in callables:
+            continue
+        written = [a.split("=")[0].strip() for a in args.split(",") if a.strip()]
+        params = list(inspect.signature(callables[name]).parameters)
+        if written != params[:len(written)]:
+            stale.append((match.group(0), params))
+    return stale
+
+
+def test_scan_finds_a_stale_readme_signature():
+    text = ("`score_function_grad(samples, a)`, `bbvi.control_variate_coeffs(f,\n h)`,"
+            " `train(cfg)`, `train(config)`, `np.mean(h * f, axis=0)`, `q(y | x)`")
+    assert stale_signatures(text, library_callables()) == [
+        ("`score_function_grad(samples, a)`", ["f", "h"]),
+        ("`train(config)`", ["cfg", "train_data", "test_data", "log"])]
+
+
+def test_readme_signatures_match_the_library():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        assert stale_signatures(fh.read(), library_callables()) == []
