@@ -28,9 +28,15 @@ Per-data-point terms are averaged over the batch and multiplied by the
 dataset size, so a minibatch estimate targets the full-data objective;
 global quantities (stick terms, the decoder weight prior) enter once.
 
-The estimator has one configuration, the one training takes, and
-computes every term value before any gradient: the forward-only estimate
-of the per-epoch metrics is a prefix of a training step.
+The estimator has one configuration, the one training takes, apart from
+the decoder's precision (below), and computes every term value before any
+gradient: the forward-only estimate of the per-epoch metrics is a prefix
+of a training step at the same precision.
+
+Training passes `dtype=np.float32`, which runs the decoder blocks (their
+input, the decoder's passes and the likelihood) in float32; everything
+else, every returned value and gradient included, stays float64.  The
+finite-difference checks and the oracles call the default, float64.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +49,8 @@ from . import ibp
 from . import model as mdl
 
 # the decoder runs on blocks of whole points with at most this many rows
-# (point, sample, class) each: about 25 MB per 784-wide float64 temporary
+# (point, sample, class) each: about 12.5 MB per 784-wide float32
+# temporary in training, 25 MB in float64
 DECODER_BLOCK_ROWS = 4096
 # ridge on the score variance in `control_variate_coeffs`; a score whose
 # variance is below it counts as constant
@@ -168,7 +175,8 @@ def _check_finite(name, *arrays):
 
 
 def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
-                            alpha_sup=0.0, prior_weight=1.0, with_grads=True):
+                            alpha_sup=0.0, prior_weight=1.0, with_grads=True,
+                            dtype=np.float64):
     """Estimate the full-data ELBO and its gradients from one minibatch.
 
     x is (B, D); labels is (B,) with -1 marking unlabeled points, which
@@ -190,6 +198,11 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     The decoder runs on blocks of whole points of at most
     DECODER_BLOCK_ROWS rows, so memory is bounded by one block; a
     batch that fits in one block decodes exactly as one call would.
+    The blocks compute in `dtype` (training passes float32): the decoder
+    weights are cast once per call, and each block's input, its forward
+    and backward passes and the likelihood, which reads x cast to `dtype`,
+    run in it; each block's parameter gradient is added into the float64
+    decoder gradient, and every other term and gradient is float64.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -255,6 +268,8 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     recon = np.empty((batch_size, s))
     g_z = np.zeros((batch_size, s, k))        # weighted by scale/S already
     dec_grads = m.decoder.zero_grad_like()
+    dec_layers = nn.cast_layers(m.decoder, dtype)
+    x_dec = x.astype(dtype, copy=False)
     for idx, y_pt, w_pt in groups:
         n_cls = y_pt.shape[1]
         per_block = max(1, DECODER_BLOCK_ROWS // (s * n_cls))
@@ -262,18 +277,19 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
         for lo in range(0, idx.size, per_block):
             blk = slice(lo, lo + per_block)
             pts = idx[blk]
-            dec_in = np.empty((pts.size, s, n_cls, k + c))
+            dec_in = np.empty((pts.size, s, n_cls, k + c), dtype=dtype)
             dec_in[..., :k] = z[pts][:, :, None, :]
             dec_in[..., k:] = y_pt[blk][:, None]
-            out, tape = nn.forward(m.decoder, dec_in.reshape(-1, k + c))
+            out, tape = nn.forward(m.decoder, dec_in.reshape(-1, k + c), dtype,
+                                   layers=dec_layers)
             out = out.reshape(pts.size, s, n_cls, -1)
-            x_pts = x[pts][:, None, None, :]
+            x_pts = x_dec[pts][:, None, None, :]
             if not with_grads:
                 r[blk] = _likelihood_values(m.likelihood_kind, out, x_pts, m.D)
                 continue
             r[blk], g_out = _likelihood_values_and_grads(
                 m.likelihood_kind, out, x_pts, m.D)
-            g_out *= (w_pt[blk] * (scale / s))[:, None, :, None]
+            g_out *= (w_pt[blk] * (scale / s)).astype(dtype, copy=False)[:, None, :, None]
             g_params, g_in = nn.backward(m.decoder, tape,
                                          g_out.reshape(-1, out.shape[-1]))
             # the one-hots are constants and the weights are folded in: the

@@ -24,10 +24,17 @@ _V_CLAMP = 1e-7  # sampled Beta values are kept inside [tiny, 1 - tiny]
 # ---------------------------------------------------------------------------
 # numerically stable scalar maps
 
+def _float_array(x):
+    """x as a float32 array if it is one, else as float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 def sigmoid(x):
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from one
-    exp(-|x|), so no exp overflows."""
-    x = np.asarray(x, dtype=np.float64)
+    exp(-|x|), so no exp overflows.  A float32 array stays float32; any
+    other input is computed in float64."""
+    x = _float_array(x)
     e = np.negative(x, out=np.empty_like(x))
     np.minimum(x, e, out=e)           # -|x|; unlike -abs(x), keeps a NaN's sign
     np.exp(e, out=e)
@@ -37,8 +44,9 @@ def sigmoid(x):
 
 
 def softplus(x):
-    """log(1 + exp(x)) as log1p(exp(-|x|)) + max(x, 0), so no exp overflows."""
-    x = np.asarray(x, dtype=np.float64)
+    """log(1 + exp(x)) as log1p(exp(-|x|)) + max(x, 0), so no exp overflows.
+    Keeps a float32 array in float32, like `sigmoid`."""
+    x = _float_array(x)
     out = np.abs(x, out=np.empty_like(x))
     np.negative(out, out=out)
     np.exp(out, out=out)

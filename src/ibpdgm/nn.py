@@ -3,6 +3,13 @@
 Every network keeps its weights in one flat float64 vector; the layer
 matrices are views into that vector, so an optimizer can treat any
 network (or a bag of networks) as one parameter array.
+
+A pass computes in float64 or float32 (`forward`'s `dtype`).  A float32
+pass runs on a float32 copy of the weights (`cast_layers`, which a caller
+running several passes calls once) and keeps it on its tape, so the
+backward pass runs in float32 too; the parameter gradient `backward`
+returns is float64 either way, like the weights.  Training runs its
+decoder in float32; a float64 pass reads the float64 weights in place.
 """
 
 import numpy as np
@@ -17,7 +24,8 @@ ADAM_EPS = 1e-8
 class Tape:
     """Per-layer cache from one forward pass, consumed by backward()."""
 
-    def __init__(self, inputs, preacts):
+    def __init__(self, layers, inputs, preacts):
+        self.layers = layers      # the (W, b) pairs the pass ran with, in its dtype
         self.inputs = inputs      # list of layer inputs, shape (B, fan_in)
         self.preacts = preacts    # list of pre-activations, shape (B, fan_out)
 
@@ -96,28 +104,45 @@ def glorot_init(input_dim, hidden_dims, output_dim, rng):
     return net
 
 
-def forward(net, x):
+def cast_layers(net, dtype):
+    """The network's (W, b) pairs in `dtype`: the float64 views themselves,
+    or copies cast once, for a caller that runs several passes at the same
+    parameters."""
+    if np.dtype(dtype) == np.float64:
+        return net._views
+    return [(w.astype(dtype), b.astype(dtype)) for w, b in net._views]
+
+
+def forward(net, x, dtype=np.float64, layers=None):
     """Run the network on a batch x of shape (B, in); returns (y, tape),
     y of shape (B, out).  One point is a one-row batch.
+
+    The pass computes in `dtype` (float64 or float32): x, the output and
+    the tape are in it, with the weights cast to it.  `layers` passes
+    weights already cast by `cast_layers(net, dtype)`, so that several
+    passes cast once; by default each float32 pass casts its own.  The
+    float64 pass reads the float64 weights directly.
 
     Pure given the parameters: same params + same input give bit-identical
     output.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
             f"input of shape {x.shape}: network expects (B, {net.input_dim})")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
+    if layers is None:
+        layers = cast_layers(net, dtype)
     inputs, preacts = [], []
     h = x
-    for (w, b), act in zip(net._views, net.activations):
+    for (w, b), act in zip(layers, net.activations):
         inputs.append(h)
         z = h @ w.T
         z += b
         preacts.append(z)
         h = np.maximum(z, 0.0) if act == "relu" else z
-    return h, Tape(inputs, preacts)
+    return h, Tape(layers, inputs, preacts)
 
 
 def backward(net, tape, grad_out):
@@ -127,19 +152,25 @@ def backward(net, tape, grad_out):
     parameter gradient aligned with net.params, summed over the batch;
     gradient w.r.t. the input x, one row per batch element).  The ReLU
     subgradient at exactly 0 is taken as 0.
+
+    The pass runs in the tape's dtype, on the weights the forward pass
+    kept on the tape; the parameter gradient is returned as float64 in
+    either case (a float32 pass computes it in float32 and casts it once),
+    the input gradient in the tape's dtype.
     """
     if len(tape.inputs) != len(net._views):
         raise ValueError("tape does not match network (layer count)")
-    g = np.asarray(grad_out, dtype=np.float64)
+    dtype = tape.inputs[0].dtype
+    g = np.asarray(grad_out, dtype=dtype)
     if g.shape != tape.preacts[-1].shape:
         raise ValueError(
             f"grad_out shape {g.shape} does not match forward output "
             f"{tape.preacts[-1].shape}")
-    grads = net.zero_grad_like()
+    grads = np.zeros(net.params.size, dtype=dtype)
     off = net.params.size
     owned = False             # g is the caller's grad_out until the first g @ w
     for layer in range(len(net._views) - 1, -1, -1):
-        w, _ = net._views[layer]
+        w, _ = tape.layers[layer]
         if tape.inputs[layer].shape[1] != w.shape[1]:
             raise ValueError("tape does not match network (layer shape)")
         if net.activations[layer] == "relu":
@@ -156,7 +187,7 @@ def backward(net, tape, grad_out):
                   out=grads[off:off + fan_out * fan_in].reshape(fan_out, fan_in))
         g = g @ w
         owned = True
-    return grads, g
+    return grads.astype(np.float64, copy=False), g
 
 
 class AdamState:

@@ -28,6 +28,11 @@ Two schedules shape every run; neither has a config key:
   worth keeping first.  From then on the estimator is the unbiased
   gradient of the ELBO itself.
 
+Both of `train`'s estimator calls, the step's and the metrics', run the
+decoder blocks in float32 (DECODER_DTYPE), so the metrics ELBO stays a
+bit-for-bit prefix of a step; the parameters, the gradients, Adam's
+moments, the clip and the checkpoint are float64.
+
 Per-epoch metrics rows go to a CSV with a fixed column schema; the ELBO
 metric is re-estimated each epoch, forward only, with a fixed evaluation
 stream so the curve reflects parameter movement rather than fresh sampling
@@ -52,6 +57,9 @@ GRAD_CLIP = 10.0
 LR_DECAY_EPOCHS = 10.0
 WARMUP_FRACTION = 1.0 / 15.0
 SIGMA_THETA_GRID = (1e-3, 1e-2, 1e-1)
+# the precision of the estimator's decoder blocks, in training steps and
+# in the per-epoch metrics alike
+DECODER_DTYPE = np.float32
 
 
 @dataclass
@@ -255,7 +263,8 @@ def train(cfg, train_data=None, test_data=None, log=None):
                 breakdown = bbvi.estimate_elbo_and_grads(
                     m, feats[idx], split_train.labels[idx], cfg.mc_samples, train_rng,
                     dataset_size=n, alpha_sup=alpha_sup,
-                    prior_weight=spike_prior_weight(step, total_steps))
+                    prior_weight=spike_prior_weight(step, total_steps),
+                    dtype=DECODER_DTYPE)
                 step += 1
                 loss_grads = breakdown.grads
                 for g in loss_grads.values():
@@ -290,7 +299,7 @@ def _epoch_metrics(m, train_data, test_data, cfg, alpha_sup, epoch, eval_seed):
     idx = np.arange(n) if n <= cap else rng.permutation(n)[:cap]
     bd = bbvi.estimate_elbo_and_grads(
         m, feats[idx], train_data.labels[idx], cfg.eval_mc_samples, rng, dataset_size=n,
-        alpha_sup=alpha_sup, with_grads=False)
+        alpha_sup=alpha_sup, with_grads=False, dtype=DECODER_DTYPE)
     report = component_report(m, train_data, cfg.tau)
     train_err = error_rate(m, train_data)
     test_err = error_rate(m, test_data) if test_data is not None else float("nan")

@@ -114,12 +114,20 @@ def test_estimator_needs_two_samples_for_gradients():
 # score-function estimator
 
 def test_score_grad_constant_signal_near_zero():
+    # a signal drawn independently of the score has a constant expectation
+    # in the score's parameter: the estimate must be near 0.  (A constant
+    # signal would check nothing, since every leave-one-out coefficient
+    # then equals it and the estimate is exactly 0 whatever the score.)
     rng = np.random.default_rng(2)
     s = 20_000
     pi = 0.3
     z = (rng.random(s) < pi).astype(float)
-    est = bbvi.score_function_grad(np.full((s, 1), 5.0), (z - pi)[:, None])[0]
-    sem = 5.0 * np.sqrt(pi * (1 - pi) / s)
+    h = (z - pi)[:, None]
+    f = rng.normal(5.0, 1.0, size=(s, 1))
+    assert abs(h.mean()) < 3 * np.sqrt(pi * (1 - pi) / s)
+    est = bbvi.score_function_grad(f, h)[0]
+    per_sample = h * (f - bbvi.control_variate_coeffs(f, h))
+    sem = per_sample.std(ddof=1) / np.sqrt(s)
     assert abs(est) < 3 * sem
 
 
@@ -410,6 +418,42 @@ def test_forward_only_estimate_matches_full(kind, batch, rule, fixed):
     assert forward.diagnostics == full.diagnostics
     if fixed:
         assert full.term_v == 0.0 and np.all(full.grads["sticks"] == 0.0)
+
+
+TERMS = ("total", "recon", "kl_gauss", "term_zhat", "term_v", "term_y")
+
+
+@pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
+def test_float32_decoder_tracks_float64(kind):
+    # training runs the decoder blocks in float32, while the FD checks and
+    # the oracles call the float64 estimator: from the same draws the two
+    # must agree to float32 rounding, values and gradients alike, and the
+    # float32 forward-only values must stay a prefix of the float32 step
+    rng = np.random.default_rng(31)
+    m = mdl.build_model(20, 3, 6, 16, kind, 2.0, 0.1, rng)
+    x = rng.random((8, 20))
+    if kind == "bernoulli":
+        x = (x < 0.5).astype(float)
+    labels = np.array([0, -1, 2, -1, -1, 1, -1, 0])
+
+    def estimate(dtype, with_grads):
+        return bbvi.estimate_elbo_and_grads(
+            m, x, labels, 4, np.random.default_rng(6), dataset_size=80,
+            alpha_sup=0.7, with_grads=with_grads, dtype=dtype)
+
+    for with_grads in (True, False):
+        wide, narrow = estimate(np.float64, with_grads), estimate(np.float32, with_grads)
+        for name in TERMS:
+            want, got = getattr(wide, name), getattr(narrow, name)
+            assert abs(got - want) <= 1e-6 * abs(want), name
+        assert narrow.grads.keys() == wide.grads.keys()
+        for name, g in wide.grads.items():
+            assert narrow.grads[name].dtype == np.float64, name
+            assert (np.linalg.norm(narrow.grads[name] - g)
+                    <= 1e-5 * np.linalg.norm(g)), name
+    step, metrics = estimate(np.float32, True), estimate(np.float32, False)
+    for name in TERMS:
+        assert getattr(metrics, name).hex() == getattr(step, name).hex(), name
 
 
 def test_forward_only_numeric_error_names_term(monkeypatch):

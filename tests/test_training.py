@@ -200,6 +200,79 @@ def test_sample_counts_are_used_as_set(tmp_path, monkeypatch):
     assert seen == {(3, True), (1, False)}
 
 
+@pytest.mark.parametrize("keys", [
+    dict(dataset="synth-ibp"),
+    dict(dataset="synth-blobs", likelihood="gaussian", synth_dim=5, labeled_fraction=0.2),
+], ids=["bernoulli", "gaussian"])
+def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
+    # one training step and its metrics pass: a stray float64 operand would
+    # promote the decoder back to float64 without failing anything, so the
+    # decoder's passes must see float32 inputs, outputs and tapes, while
+    # the encoder and classifier, the returned gradients, Adam's moments and
+    # the checkpoint stay float64
+    seen = {"forward": [], "backward": [], "likelihood": []}
+    forward, backward = nn.forward, nn.backward
+    estimate, adam_step = bbvi.estimate_elbo_and_grads, nn.adam_step
+
+    def tape_dtypes(tape):
+        return {a.dtype for a in (*tape.inputs, *tape.preacts,
+                                  *(p for layer in tape.layers for p in layer))}
+
+    def spied_forward(net, x, *args, **kwargs):
+        out, tape = forward(net, x, *args, **kwargs)
+        seen["forward"].append((net, {np.asarray(x).dtype, out.dtype},
+                                tape_dtypes(tape)))
+        return out, tape
+
+    def spied_backward(net, tape, grad_out):
+        grads, g_in = backward(net, tape, grad_out)
+        assert grads.dtype == np.float64
+        seen["backward"].append((net, {grad_out.dtype, g_in.dtype},
+                                 tape_dtypes(tape)))
+        return grads, g_in
+
+    def spied_likelihood(fn):
+        def spied(kind, dec_out, x_pts, input_dim):
+            result = fn(kind, dec_out, x_pts, input_dim)
+            outputs = result if isinstance(result, tuple) else (result,)
+            seen["likelihood"].append({a.dtype for a in (dec_out, x_pts, *outputs)})
+            return result
+        return spied
+
+    def spied_estimate(*args, **kwargs):
+        bd = estimate(*args, **kwargs)
+        assert all(g.dtype == np.float64 for g in bd.grads.values())
+        return bd
+
+    def spied_adam_step(params, grads, state):
+        out = adam_step(params, grads, state)
+        assert {a.dtype for a in (params, grads, state.first_moment,
+                                  state.second_moment)} == {np.dtype(np.float64)}
+        return out
+
+    monkeypatch.setattr(nn, "forward", spied_forward)
+    monkeypatch.setattr(nn, "backward", spied_backward)
+    monkeypatch.setattr(bbvi, "estimate_elbo_and_grads", spied_estimate)
+    monkeypatch.setattr(nn, "adam_step", spied_adam_step)
+    for name in ("_likelihood_values", "_likelihood_values_and_grads"):
+        monkeypatch.setattr(bbvi, name, spied_likelihood(getattr(bbvi, name)))
+    cfg = quick_cfg(tmp_path, **dict(keys, synth_n=30, epochs=1))
+    result = training.train(cfg)
+    m = result.model
+    likelihood = seen.pop("likelihood")
+    assert likelihood and all(d == {np.dtype(np.float32)} for d in likelihood)
+    for kind, calls in seen.items():
+        assert any(net is m.decoder for net, _, _ in calls), kind
+        for net, arrays, tape in calls:
+            want = np.float32 if net is m.decoder else np.float64
+            assert arrays == tape == {np.dtype(want)}, kind
+
+    params = np.concatenate(list(m.parameter_groups().values()))
+    assert params.dtype == np.float64
+    with open(result.checkpoint_path + ".bin", "rb") as fh:
+        assert fh.read() == params.astype("<f8").tobytes()
+
+
 def test_clip_spares_ordinary_criterion_6_steps(tmp_path):
     # two epochs at the criterion-6 config, then one ordinary step: its
     # gradient must pass unclipped, while a spike of 100 times it is cut
