@@ -174,13 +174,13 @@ def _check_finite(name, *arrays):
             raise NumericError(name)
 
 
-def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
+def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
                             alpha_sup=0.0, prior_weight=1.0, with_grads=True,
                             dtype=np.float64):
     """Estimate the full-data ELBO and its gradients from one minibatch.
 
-    x is (B, D); labels is (B,) with -1 marking unlabeled points, which
-    marginalize their label under q(y | x).  For each point, `num_samples`
+    x is (B, D); labels is a (B,) array with -1 marking unlabeled points,
+    which marginalize their label under q(y | x).  For each point, `num_samples`
     (S) joint samples (noise -> ztilde, zhat, v) are drawn, the sticks v
     from `m.sticks` (`sample`, `log_prob` and `score_grads`) as the pair
     (log v, log(1 - v)) that every stick term reads; all
@@ -212,10 +212,9 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
     if num_samples < (2 if with_grads else 1):
         raise ValueError(f"num_samples = {num_samples}: the leave-one-out control "
                          "variates need 2 or more, a forward-only estimate 1")
-    labels = (np.full(x.shape[0], -1, dtype=np.int64) if labels is None
-              else np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
     batch_size, s = x.shape[0], num_samples
-    n_data = int(dataset_size) if dataset_size is not None else batch_size
+    n_data = int(dataset_size)
     scale = n_data / batch_size
     k, c = m.K, m.C
 
@@ -280,7 +279,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size=None,
             dec_in = np.empty((pts.size, s, n_cls, k + c), dtype=dtype)
             dec_in[..., :k] = z[pts][:, :, None, :]
             dec_in[..., k:] = y_pt[blk][:, None]
-            out, tape = nn.forward(m.decoder, dec_in.reshape(-1, k + c), dtype,
+            out, tape = nn.forward(m.decoder, dec_in.reshape(-1, k + c),
                                    layers=dec_layers)
             out = out.reshape(pts.size, s, n_cls, -1)
             x_pts = x_dec[pts][:, None, None, :]

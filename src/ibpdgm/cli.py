@@ -139,12 +139,17 @@ def make_parser():
     return parser
 
 
-def _load_eval_dataset(args, cfg):
+def _load_eval_dataset(args, cfg, m):
     if args.amat:
-        return dio.load_amat(args.amat, kind=cfg.likelihood)
-    if args.images and args.labels:
-        return dio.load_idx(args.images, args.labels)
-    raise UsageError("provide --amat or both --images and --labels")
+        dataset = dio.load_amat(args.amat, kind=cfg.likelihood)
+    elif args.images and args.labels:
+        dataset = dio.load_idx(args.images, args.labels)
+    else:
+        raise UsageError("provide --amat or both --images and --labels")
+    if dataset.dim != m.D:
+        raise UsageError(
+            f"dataset has {dataset.dim} features, checkpoint expects {m.D}")
+    return dataset
 
 
 def cmd_train(args):
@@ -158,10 +163,7 @@ def cmd_train(args):
 def cmd_eval(args):
     cfg = build_run_config(args)
     m = mdl.load_checkpoint(args.checkpoint)
-    dataset = _load_eval_dataset(args, cfg)
-    if dataset.dim != m.D:
-        raise UsageError(
-            f"dataset has {dataset.dim} features, checkpoint expects {m.D}")
+    dataset = _load_eval_dataset(args, cfg, m)
     top = int(dataset.labels.max(initial=-1))
     if top >= m.C:
         raise UsageError(
@@ -174,7 +176,7 @@ def cmd_eval(args):
 def cmd_report(args):
     cfg = build_run_config(args)
     m = mdl.load_checkpoint(args.checkpoint)
-    dataset = _load_eval_dataset(args, cfg)
+    dataset = _load_eval_dataset(args, cfg, m)
     report = training.component_report(m, dataset, cfg.tau)
     print(f"tau: {report.tau}")
     print(f"active_count: {report.count}")

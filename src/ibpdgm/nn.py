@@ -4,12 +4,13 @@ Every network keeps its weights in one flat float64 vector; the layer
 matrices are views into that vector, so an optimizer can treat any
 network (or a bag of networks) as one parameter array.
 
-A pass computes in float64 or float32 (`forward`'s `dtype`).  A float32
-pass runs on a float32 copy of the weights (`cast_layers`, which a caller
-running several passes calls once) and keeps it on its tape, so the
-backward pass runs in float32 too; the parameter gradient `backward`
-returns is float64 either way, like the weights.  Training runs its
-decoder in float32; a float64 pass reads the float64 weights in place.
+A pass computes in the precision of the weights it is given: by default
+the network's own float64 views, or the float32 copy that
+`cast_layers(net, np.float32)` makes once for a caller that runs several
+passes at the same parameters.  The pass keeps those weights on its tape,
+so the backward pass runs in their precision too; the parameter gradient
+`backward` returns is float64 either way, like the weights.  Training runs
+its decoder in float32.
 """
 
 import numpy as np
@@ -92,9 +93,6 @@ def glorot_init(input_dim, hidden_dims, output_dim, rng):
     layer is linear.
     """
     dims = [input_dim, *hidden_dims, output_dim]
-    for d in dims:
-        if int(d) < 1:
-            raise ValueError(f"dimensions must be >= 1, got {d}")
     acts = ["relu"] * len(hidden_dims) + ["identity"]
     net = DenseNet(dims, acts)
     for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -105,35 +103,33 @@ def glorot_init(input_dim, hidden_dims, output_dim, rng):
 
 
 def cast_layers(net, dtype):
-    """The network's (W, b) pairs in `dtype`: the float64 views themselves,
-    or copies cast once, for a caller that runs several passes at the same
-    parameters."""
-    if np.dtype(dtype) == np.float64:
-        return net._views
-    return [(w.astype(dtype), b.astype(dtype)) for w, b in net._views]
+    """The network's (W, b) pairs in `dtype`, for `forward`'s `layers`: the
+    float64 views themselves, or copies cast once, for a caller that runs
+    several passes at the same parameters."""
+    return [(w.astype(dtype, copy=False), b.astype(dtype, copy=False))
+            for w, b in net._views]
 
 
-def forward(net, x, dtype=np.float64, layers=None):
+def forward(net, x, layers=None):
     """Run the network on a batch x of shape (B, in); returns (y, tape),
     y of shape (B, out).  One point is a one-row batch.
 
-    The pass computes in `dtype` (float64 or float32): x, the output and
-    the tape are in it, with the weights cast to it.  `layers` passes
-    weights already cast by `cast_layers(net, dtype)`, so that several
-    passes cast once; by default each float32 pass casts its own.  The
-    float64 pass reads the float64 weights directly.
+    The pass computes in the precision of its weights: `layers`, as
+    `cast_layers` returns them, or by default the network's own float64
+    views.  x is cast to that precision, and the output and the tape are
+    in it.
 
     Pure given the parameters: same params + same input give bit-identical
     output.
     """
-    x = np.asarray(x, dtype=dtype)
+    if layers is None:
+        layers = net._views
+    x = np.asarray(x, dtype=layers[0][0].dtype)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
             f"input of shape {x.shape}: network expects (B, {net.input_dim})")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    if layers is None:
-        layers = cast_layers(net, dtype)
     inputs, preacts = [], []
     h = x
     for (w, b), act in zip(layers, net.activations):

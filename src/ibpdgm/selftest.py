@@ -374,8 +374,8 @@ def _exact_toy_values(toy_seed, v0):
 
 def toy_estimates(toy_seed, v0, reps, seed0):
     """Run the estimator `reps` times, S = 8, with seeds seed0 + j, on one
-    unlabeled point of the enumerable toy with the sticks held at v0
-    (`FixedSticks`).
+    unlabeled point of the enumerable toy, a dataset of its own, with the
+    sticks held at v0 (`FixedSticks`).
 
     Returns a ToyStat for "elbo" and for the "encoder", "classifier" and
     "decoder" gradients; the exact values are `exact_toy_elbo` and its
@@ -385,7 +385,8 @@ def toy_estimates(toy_seed, v0, reps, seed0):
     m.sticks = FixedSticks(v0, m.sticks.alpha)
     exact = _exact_toy_values(toy_seed, tuple(m.sticks.v0.tolist()))
     runs = [bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), 8,
-                                         np.random.default_rng(seed0 + j))
+                                         np.random.default_rng(seed0 + j),
+                                         dataset_size=1)
             for j in range(reps)]
     values = {"elbo": np.array([bd.total for bd in runs])}
     values.update({name: np.array([bd.grads[name] for bd in runs])

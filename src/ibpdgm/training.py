@@ -56,7 +56,6 @@ METRICS_COLUMNS = ("epoch", "elbo", "recon", "kl_gauss", "term_zhat",
 GRAD_CLIP = 10.0
 LR_DECAY_EPOCHS = 10.0
 WARMUP_FRACTION = 1.0 / 15.0
-SIGMA_THETA_GRID = (1e-3, 1e-2, 1e-1)
 # the precision of the estimator's decoder blocks, in training steps and
 # in the per-epoch metrics alike
 DECODER_DTYPE = np.float32

@@ -102,11 +102,14 @@ def test_estimator_needs_two_samples_for_gradients():
     rng = np.random.default_rng(7)
     m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((3, 4)) < 0.5).astype(float)
+    labels = np.full(3, -1)
     with pytest.raises(ValueError, match="num_samples = 1"):
-        bbvi.estimate_elbo_and_grads(m, x, None, 1, rng)
+        bbvi.estimate_elbo_and_grads(m, x, labels, 1, rng, dataset_size=3)
     with pytest.raises(ValueError, match="num_samples = 0"):
-        bbvi.estimate_elbo_and_grads(m, x, None, 0, rng, with_grads=False)
-    bd = bbvi.estimate_elbo_and_grads(m, x, None, 1, rng, with_grads=False)
+        bbvi.estimate_elbo_and_grads(m, x, labels, 0, rng, dataset_size=3,
+                                     with_grads=False)
+    bd = bbvi.estimate_elbo_and_grads(m, x, labels, 1, rng, dataset_size=3,
+                                      with_grads=False)
     assert np.isfinite(bd.total) and bd.grads == {}
 
 
@@ -157,7 +160,8 @@ def test_elbo_breakdown_parts_sum():
     m = mdl.build_model(6, 3, 4, 8, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((7, 6)) < 0.5).astype(float)
     labels = np.array([0, 1, 2, -1, -1, -1, -1])
-    bd = bbvi.estimate_elbo_and_grads(m, x, labels, 4, rng, alpha_sup=0.7)
+    bd = bbvi.estimate_elbo_and_grads(m, x, labels, 4, rng, dataset_size=7,
+                                      alpha_sup=0.7)
     assert abs(bd.total - (bd.recon + bd.kl_gauss + bd.term_zhat
                            + bd.term_v + bd.term_y)) < 1e-9
 
@@ -167,8 +171,10 @@ def test_estimator_deterministic_under_seed():
     m = mdl.build_model(5, 2, 3, 8, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((4, 5)) < 0.5).astype(float)
     labels = np.array([0, -1, 1, -1])
-    a = bbvi.estimate_elbo_and_grads(m, x, labels, 4, np.random.default_rng(42))
-    b = bbvi.estimate_elbo_and_grads(m, x, labels, 4, np.random.default_rng(42))
+    a = bbvi.estimate_elbo_and_grads(m, x, labels, 4, np.random.default_rng(42),
+                                     dataset_size=4)
+    b = bbvi.estimate_elbo_and_grads(m, x, labels, 4, np.random.default_rng(42),
+                                     dataset_size=4)
     assert a.total == b.total
     for name in a.grads:
         assert np.array_equal(a.grads[name], b.grads[name])
@@ -178,7 +184,8 @@ def test_estimator_rejects_empty_batch():
     rng = np.random.default_rng(7)
     m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
     with pytest.raises(ValueError):
-        bbvi.estimate_elbo_and_grads(m, np.empty((0, 4)), None, 2, rng)
+        bbvi.estimate_elbo_and_grads(m, np.empty((0, 4)), np.full(0, -1), 2, rng,
+                                     dataset_size=1)
 
 
 def test_single_class_labeled_equals_unlabeled():
@@ -187,9 +194,11 @@ def test_single_class_labeled_equals_unlabeled():
     m = mdl.build_model(5, 1, 3, 8, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((6, 5)) < 0.5).astype(float)
     lab = bbvi.estimate_elbo_and_grads(m, x, np.zeros(6, dtype=int), 4,
-                                       np.random.default_rng(9), alpha_sup=1.0)
+                                       np.random.default_rng(9), dataset_size=6,
+                                       alpha_sup=1.0)
     unl = bbvi.estimate_elbo_and_grads(m, x, np.full(6, -1), 4,
-                                       np.random.default_rng(9), alpha_sup=1.0)
+                                       np.random.default_rng(9), dataset_size=6,
+                                       alpha_sup=1.0)
     assert abs(lab.total - unl.total) < 1e-9
 
 
@@ -232,7 +241,7 @@ def test_stick_gradient_unbiased(cv, points, monkeypatch):
         monkeypatch.setattr(bbvi, "control_variate_coeffs", zero_control_variates)
     reps = 400
     grads = np.array([
-        bbvi.estimate_elbo_and_grads(m, batch, None, 8,
+        bbvi.estimate_elbo_and_grads(m, batch, np.full(points, -1), 8,
                                      np.random.default_rng(11_000 + j),
                                      dataset_size=10).grads["sticks"]
         for j in range(reps)])
@@ -255,8 +264,8 @@ def test_estimator_shift_invariant(monkeypatch):
             return r + shift, g
 
         monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", shifted)
-        bd = bbvi.estimate_elbo_and_grads(m, x, None, 8, np.random.default_rng(1),
-                                          dataset_size=100)
+        bd = bbvi.estimate_elbo_and_grads(m, x, np.full(5, -1), 8,
+                                          np.random.default_rng(1), dataset_size=100)
         monkeypatch.undo()
         return bd.grads
 
@@ -379,30 +388,28 @@ def test_numeric_error_names_term(monkeypatch):
 
     monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", poisoned_likelihood)
     with pytest.raises(bbvi.NumericError) as err:
-        bbvi.estimate_elbo_and_grads(m, x, None, 2, rng)
+        bbvi.estimate_elbo_and_grads(m, x, np.full(2, -1), 2, rng, dataset_size=2)
     assert err.value.term == "recon"
 
 
-# Each batch with the rule its unlabeled points take for their label: they
-# marginalize it under q(y | x). A fully labeled batch takes no rule, so it is
-# also checked under "unconditional", the zero-label rule that
-# RunConfig.validate rejects; the rule changes nothing there.
-BATCH_RULES = [("labeled", "marginalize"), ("labeled", "unconditional"),
-               ("unlabeled", "marginalize"), ("mixed", "marginalize")]
+# The labels of each batch of six points.  Unlabeled points marginalize
+# their label under q(y | x), and the case ids name that rule next to the
+# batch.
+BATCH_LABELS = {"labeled": np.array([0, 1, 2, 0, 1, 2]),
+                "unlabeled": np.full(6, -1),
+                "mixed": np.array([0, -1, 2, -1, -1, 1])}
 
 
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
-@pytest.mark.parametrize("rule, batch", [r[::-1] for r in BATCH_RULES])
+@pytest.mark.parametrize("batch", list(BATCH_LABELS), ids="marginalize-{}".format)
 @pytest.mark.parametrize("fixed", [False, True])
-def test_forward_only_estimate_matches_full(kind, batch, rule, fixed):
+def test_forward_only_estimate_matches_full(kind, batch, fixed):
     rng = np.random.default_rng(21)
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
     x = rng.random((6, 5))
     if kind == "bernoulli":
         x = (x < 0.5).astype(float)
-    labels = {"labeled": np.array([0, 1, 2, 0, 1, 2]),
-              "unlabeled": np.full(6, -1),
-              "mixed": np.array([0, -1, 2, -1, -1, 1])}[batch]
+    labels = BATCH_LABELS[batch]
     if fixed:   # the sticks the enumeration oracles condition on
         m.sticks = selftest.FixedSticks([0.9, 0.6, 0.3], m.sticks.alpha)
 
@@ -466,7 +473,8 @@ def test_forward_only_numeric_error_names_term(monkeypatch):
 
     monkeypatch.setattr(bbvi, "_likelihood_values", poisoned_likelihood)
     with pytest.raises(bbvi.NumericError) as err:
-        bbvi.estimate_elbo_and_grads(m, x, None, 2, rng, with_grads=False)
+        bbvi.estimate_elbo_and_grads(m, x, np.full(2, -1), 2, rng, dataset_size=2,
+                                     with_grads=False)
     assert err.value.term == "recon"
 
 
@@ -475,18 +483,16 @@ def test_forward_only_numeric_error_names_term(monkeypatch):
 
 @pytest.mark.parametrize("with_grads", [True, False])
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
-@pytest.mark.parametrize("batch, rule", BATCH_RULES)
+@pytest.mark.parametrize("batch", list(BATCH_LABELS), ids="{}-marginalize".format)
 @pytest.mark.parametrize("block_rows", [1, 7, 64])
-def test_blocked_estimate_matches_one_block(block_rows, batch, rule, kind, with_grads,
+def test_blocked_estimate_matches_one_block(block_rows, batch, kind, with_grads,
                                             monkeypatch):
     rng = np.random.default_rng(22)
     m = mdl.build_model(5, 3, 3, 8, kind, 2.0, 1.0, rng)
     x = rng.random((6, 5))
     if kind == "bernoulli":
         x = (x < 0.5).astype(float)
-    labels = {"labeled": np.array([0, 1, 2, 0, 1, 2]),
-              "unlabeled": np.full(6, -1),
-              "mixed": np.array([0, -1, 2, -1, -1, 1])}[batch]
+    labels = BATCH_LABELS[batch]
     s = 4
 
     def estimate():
@@ -535,7 +541,8 @@ def test_forward_only_memory_bounded_in_points():
     def traced_peak(n):
         tracemalloc.start()
         try:
-            bbvi.estimate_elbo_and_grads(m, x[:n], None, 2, np.random.default_rng(1),
+            bbvi.estimate_elbo_and_grads(m, x[:n], np.full(n, -1), 2,
+                                         np.random.default_rng(1), dataset_size=n,
                                          with_grads=False)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -568,7 +575,8 @@ def test_per_point_terms_match_vectorized_estimator():
 
     seed = 31337
     bd = bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), 1,
-                                      np.random.default_rng(seed), with_grads=False)
+                                      np.random.default_rng(seed), dataset_size=1,
+                                      with_grads=False)
     # replay the same draws
     r = np.random.default_rng(seed)
     mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))

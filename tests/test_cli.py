@@ -223,6 +223,20 @@ def test_eval_dimension_mismatch_is_usage_error(tmp_path):
                      "--config", cfgp]) == 1
 
 
+def test_report_dimension_mismatch_is_usage_error(tmp_path, capsys):
+    # report checks the dataset's width as eval does, before any network
+    # sees it
+    ckpt = _make_checkpoint(tmp_path, input_dim=4)
+    amat = tmp_path / "data.amat"
+    amat.write_text("0.1 0.2 1\n0.3 0.4 0\n")
+    cfgp = write_cfg(tmp_path, likelihood="gaussian")
+    assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat),
+                     "--config", cfgp]) == 1
+    captured = capsys.readouterr()
+    assert "active_count" not in captured.out
+    assert "dataset has 2 features, checkpoint expects 4" in captured.err
+
+
 def test_eval_labels_beyond_checkpoint_classes_is_usage_error(tmp_path, capsys):
     ckpt = _make_checkpoint(tmp_path, input_dim=2, num_classes=2)
     amat = tmp_path / "data.amat"
@@ -334,7 +348,7 @@ def test_selftest_bernoulli_score_row_guards_training(monkeypatch, capsys):
         m = mdl.build_model(5, 2, 3, 8, "bernoulli", 2.0, 1.0, rng)
         x = (rng.random((4, 5)) < 0.5).astype(float)
         return bbvi.estimate_elbo_and_grads(
-            m, x, None, 4, np.random.default_rng(42),
+            m, x, np.full(4, -1), 4, np.random.default_rng(42),
             dataset_size=40).grads["encoder"]
 
     before = encoder_grad()

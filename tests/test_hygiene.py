@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no library
 parameter keeps a default that no caller overrides, no CLI flag goes
-unread, and README quotes no stale signature.
+unread, no test is parametrized over an argument its body never reads,
+and README quotes no stale signature.
 
 A plain `ast` scan of every program, test and demo file.  Package
 `__init__.py` files re-export on purpose and are skipped; an import
@@ -242,3 +243,43 @@ def test_scan_finds_a_stale_readme_signature():
 def test_readme_signatures_match_the_library():
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         assert stale_signatures(fh.read(), library_callables()) == []
+
+
+def unread_parametrized_arguments(source):
+    """(test, name) for every `pytest.mark.parametrize` argument name that
+    its test's body never reads."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        for dec in node.decorator_list:
+            if not (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Attribute)
+                    and dec.func.attr == "parametrize"):
+                continue
+            arg = (dec.args[0] if dec.args else
+                   next(k.value for k in dec.keywords if k.arg == "argnames"))
+            names = (arg.value.split(",") if isinstance(arg, ast.Constant)
+                     else [e.value for e in arg.elts])
+            found += [(node.name, n.strip()) for n in names if n.strip() not in read]
+    return found
+
+
+def test_scan_finds_an_unread_parametrized_argument():
+    source = ("import pytest\n"
+              "@pytest.mark.parametrize('a, b', [(1, 2)])\n"
+              "@pytest.mark.parametrize(('c',), [(3,)])\n"
+              "def test_one(a, b, c):\n    assert a == c\n"
+              "@pytest.mark.parametrize(argnames='d', argvalues=[4])\n"
+              "def test_two(d):\n    pass\n")
+    assert unread_parametrized_arguments(source) == [("test_one", "b"), ("test_two", "d")]
+
+
+def test_every_parametrized_argument_is_read():
+    # a case dimension that no test body reads multiplies the cases without
+    # checking anything more
+    unread = [(os.path.relpath(path, ROOT), *found)
+              for path in python_files(("tests", "perfbench"))
+              for found in unread_parametrized_arguments(source_of(path))]
+    assert unread == []

@@ -174,11 +174,6 @@ def test_theta_prior_single_weight_value():
     assert abs(grad[0] + 1.0) < 1e-12
 
 
-def test_sigma_theta_grid_is_documented():
-    from ibpdgm.training import SIGMA_THETA_GRID
-    assert SIGMA_THETA_GRID == (1e-3, 1e-2, 1e-1)
-
-
 # ---------------------------------------------------------------------------
 # classifier
 

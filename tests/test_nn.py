@@ -150,6 +150,30 @@ def test_backward_leaves_grad_out_and_tape_unchanged(out_act, batched):
     assert np.array_equal(first, again)
 
 
+def test_pass_runs_in_the_precision_of_its_weights():
+    # a pass on float32 copies of the weights keeps them on its tape and
+    # runs forward and backward in float32, up to a float64 parameter
+    # gradient; the default pass keeps the network's own float64 views
+    rng = np.random.default_rng(19)
+    net = nn.glorot_init(6, [9, 7], 4, rng)
+    x = rng.normal(size=(5, 6))
+    grad_out = rng.normal(size=(5, 4))
+    y, tape = nn.forward(net, x)
+    views = [(net.weights(layer), net.biases(layer)) for layer in range(3)]
+    for layers in (tape.layers, nn.cast_layers(net, np.float64)):
+        assert all(w is v and b is c for (w, b), (v, c) in zip(layers, views))
+    grads, grad_in = nn.backward(net, tape, grad_out)
+
+    y32, tape32 = nn.forward(net, x, nn.cast_layers(net, np.float32))
+    assert {a.dtype for a in (y32, *tape32.inputs, *tape32.preacts,
+                              *(p for layer in tape32.layers for p in layer))} \
+        == {np.dtype(np.float32)}
+    grads32, grad_in32 = nn.backward(net, tape32, grad_out)
+    assert grads32.dtype == np.float64 and grad_in32.dtype == np.float32
+    for got, want in ((y32, y), (grads32, grads), (grad_in32, grad_in)):
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
 def test_backward_rejects_mismatched_tape():
     rng = np.random.default_rng(0)
     a = nn.glorot_init(3, [4], 2, rng)

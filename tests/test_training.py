@@ -80,7 +80,7 @@ def test_run_config_paper_defaults():
     assert nn.ADAM_BETA1 == 0.9 and nn.ADAM_BETA2 == 0.999
     assert cfg.labeled_fraction == 0.01
     assert cfg.hidden == 500
-    assert cfg.sigma_theta_sq in training.SIGMA_THETA_GRID
+    assert cfg.sigma_theta_sq == 1e-2
     assert cfg.mc_samples == 8
     assert cfg.alpha == 2.0
     assert cfg.unlabeled_mode == "marginalize"
@@ -287,7 +287,7 @@ def test_clip_spares_ordinary_criterion_6_steps(tmp_path):
     rng = np.random.default_rng(3)
     idx = rng.choice(data.n, cfg.batch_size, replace=False)
     bd = bbvi.estimate_elbo_and_grads(
-        m, data.features[idx], None, cfg.mc_samples,
+        m, data.features[idx], np.full(cfg.batch_size, -1), cfg.mc_samples,
         rng, dataset_size=data.n)
 
     ordinary = {k: g.copy() for k, g in bd.grads.items()}
