@@ -22,11 +22,11 @@ cfg = training.RunConfig(
 print(f"ground-truth features: {cfg.synth_features}, "
       f"truncation budget: {cfg.truncation}")
 print("training (progress every 30 epochs)...")
+train_data, test_data = training.load_datasets(cfg, np.random.default_rng(cfg.seed))
 result = training.train(
-    cfg, log=lambda s: print("  " + s) if int(s.split()[1]) % 30 == 0 else None)
+    cfg, train_data, test_data,
+    log=lambda s: print("  " + s) if int(s.split()[1]) % 30 == 0 else None)
 
-train_data, _ = training.load_datasets(
-    cfg, np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(5)[0]))
 report = training.component_report(result.model, train_data, cfg.tau)
 
 print()

@@ -212,7 +212,11 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     if num_samples < (2 if with_grads else 1):
         raise ValueError(f"num_samples = {num_samples}: the leave-one-out control "
                          "variates need 2 or more, a forward-only estimate 1")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
+    if (labels.shape != x.shape[:1] or not np.issubdtype(labels.dtype, np.integer)
+            or np.any(labels < -1) or np.any(labels >= m.C)):
+        raise ValueError(f"labels must be {x.shape[0]} integers in [-1, {m.C})")
+    labels = labels.astype(np.int64, copy=False)
     batch_size, s = x.shape[0], num_samples
     n_data = int(dataset_size)
     scale = n_data / batch_size

@@ -1,9 +1,12 @@
 """Command-line entry points: train, eval, report, selftest, gen.
 
-Configuration comes from a key=value text file (`--config`), environment
-variables IBPDGM_<KEY> (only those naming a `RunConfig` field are read,
-so other IBPDGM_ variables such as IBPDGM_MNIST_DIR pass through), and
-flag overrides, in that precedence order.
+`train` reads and validates the whole `RunConfig`, `report` reads its
+`tau`, and `gen` its `seed` and `out`; each folds it from a
+key=value text file (`--config`), environment variables IBPDGM_<KEY> (only
+those naming a `RunConfig` field are read, so other IBPDGM_ variables such
+as IBPDGM_MNIST_DIR pass through), and flag overrides, in that precedence
+order.  `eval` and `selftest` read no configuration; `eval` and `report`
+load `--amat` files under the checkpoint's likelihood.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.
 """
@@ -90,16 +93,11 @@ def build_run_config(args):
         cfg.seed = args.seed
     if args.out:
         cfg.out = args.out
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     return cfg
 
 
-def _add_common(p):
+def _add_config(p):
     p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="output directory")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override one config key (repeatable)")
@@ -110,16 +108,17 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write metrics + checkpoint")
-    _add_common(p)
+    _add_config(p)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("eval", help="classification error (%) of a checkpoint")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images"), p.add_argument("--labels")
     p.add_argument("--amat")
 
     p = sub.add_parser("report", help="active-component report for a checkpoint")
-    _add_common(p)
+    _add_config(p)
+    p.set_defaults(seed=None)   # report draws nothing at random
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images"), p.add_argument("--labels")
     p.add_argument("--amat")
@@ -129,7 +128,8 @@ def make_parser():
                    help="repetitions for the unbiasedness suite")
 
     p = sub.add_parser("gen", help="draw observations from a trained model")
-    _add_common(p)
+    _add_config(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--label", type=int, default=None)
@@ -139,9 +139,9 @@ def make_parser():
     return parser
 
 
-def _load_eval_dataset(args, cfg, m):
+def _load_eval_dataset(args, m):
     if args.amat:
-        dataset = dio.load_amat(args.amat, kind=cfg.likelihood)
+        dataset = dio.load_amat(args.amat, kind=m.likelihood_kind)
     elif args.images and args.labels:
         dataset = dio.load_idx(args.images, args.labels)
     else:
@@ -161,9 +161,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    cfg = build_run_config(args)
     m = mdl.load_checkpoint(args.checkpoint)
-    dataset = _load_eval_dataset(args, cfg, m)
+    dataset = _load_eval_dataset(args, m)
     top = int(dataset.labels.max(initial=-1))
     if top >= m.C:
         raise UsageError(
@@ -176,7 +175,7 @@ def cmd_eval(args):
 def cmd_report(args):
     cfg = build_run_config(args)
     m = mdl.load_checkpoint(args.checkpoint)
-    dataset = _load_eval_dataset(args, cfg, m)
+    dataset = _load_eval_dataset(args, m)
     report = training.component_report(m, dataset, cfg.tau)
     print(f"tau: {report.tau}")
     print(f"active_count: {report.count}")

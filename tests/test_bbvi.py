@@ -188,6 +188,22 @@ def test_estimator_rejects_empty_batch():
                                      dataset_size=1)
 
 
+def test_estimator_rejects_malformed_labels():
+    # a short array would read uninitialized reconstruction rows, a long one
+    # or a class of C would index past the classes, -2 would pass for
+    # unlabeled and a fraction would be truncated to a class
+    rng = np.random.default_rng(7)
+    m = mdl.build_model(5, 3, 3, 4, "bernoulli", 2.0, 1.0, rng)
+    x = (rng.random((6, 5)) < 0.5).astype(float)
+    good = np.array([0, 1, 2, -1, -1, 0])
+    for labels in (good[:3], np.r_[good, 0, 1], np.r_[good[:5], 3],
+                   np.r_[good[:5], -2], np.r_[good[:5], 0.7], np.r_[good[:5], 2.9]):
+        with pytest.raises(ValueError, match="labels"):
+            bbvi.estimate_elbo_and_grads(m, x, labels, 4, rng, dataset_size=6)
+    bd = bbvi.estimate_elbo_and_grads(m, x, good, 4, rng, dataset_size=6)
+    assert np.isfinite(bd.total)
+
+
 def test_single_class_labeled_equals_unlabeled():
     # C=1 collapses the marginalized and labeled reconstruction paths
     rng = np.random.default_rng(8)

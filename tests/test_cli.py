@@ -152,7 +152,9 @@ def test_out_of_range_file_contents_exit_two(tmp_path, capsys, case, command):
         for pair in sets:
             argv += ["--set", pair]
     else:
-        argv = ["eval", "--checkpoint", _make_checkpoint(tmp_path), *eval_flags]
+        # a pixel of 2 is out of range for the Bernoulli model only
+        ckpt = _make_checkpoint(tmp_path, kind="bernoulli")
+        argv = ["eval", "--checkpoint", ckpt, *eval_flags]
     assert cli.main(argv) == 2
     assert named in capsys.readouterr().err
 
@@ -184,9 +186,10 @@ def test_corrupt_checkpoint_exits_two(tmp_path, capsys, corrupt):
     assert ckpt in capsys.readouterr().err
 
 
-def _make_checkpoint(tmp_path, input_dim=4, num_classes=2, rig_perfect=False):
+def _make_checkpoint(tmp_path, input_dim=4, num_classes=2, rig_perfect=False,
+                     kind="gaussian"):
     rng = np.random.default_rng(0)
-    m = mdl.build_model(input_dim, num_classes, 3, 4, "gaussian", 2.0, 1e-2, rng)
+    m = mdl.build_model(input_dim, num_classes, 3, 4, kind, 2.0, 1e-2, rng)
     if rig_perfect:
         m.classifier.params[:] = 0.0
         m.classifier.weights(0)[0, 0] = 5.0
@@ -207,20 +210,74 @@ def test_eval_perfect_classifier_reports_zero(tmp_path, capsys):
     amat.write_text("\n".join(
         " ".join(f"{v:.6f}" for v in row) + f" {lab}"
         for row, lab in zip(x, labels)) + "\n")
-    cfgp = write_cfg(tmp_path, likelihood="gaussian")
-    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat),
-                     "--config", cfgp]) == 0
+    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat)]) == 0
     out = capsys.readouterr().out
     assert "error_rate_percent: 0.0000" in out
+
+
+def _normal_amat(tmp_path):
+    """An amat file of 20 points with 4 N(0, 1) features and 2 classes,
+    which only the Gaussian model reads."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "normal.amat"
+    path.write_text("".join(" ".join(f"{v:.6f}" for v in rng.normal(size=4))
+                            + f" {i % 2}\n" for i in range(20)))
+    return str(path)
+
+
+def test_eval_reads_the_likelihood_from_the_checkpoint(tmp_path, capsys):
+    amat = _normal_amat(tmp_path)
+    gauss = _make_checkpoint(tmp_path)
+    assert cli.main(["eval", "--checkpoint", gauss, "--amat", amat]) == 0
+    assert "error_rate_percent" in capsys.readouterr().out
+    bern = _make_checkpoint(tmp_path, kind="bernoulli")
+    assert cli.main(["eval", "--checkpoint", bern, "--amat", amat]) == 2
+    err = capsys.readouterr().err
+    assert amat in err and "bernoulli features must lie in [0, 1]" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", ["--config", "run.cfg"]), ("eval", ["--seed", "1"]),
+    ("eval", ["--out", "runs"]), ("eval", ["--set", "likelihood=gaussian"]),
+    ("report", ["--seed", "1"])],
+    ids=["eval-config", "eval-seed", "eval-out", "eval-set", "report-seed"])
+def test_eval_takes_only_checkpoint_and_data_flags(tmp_path, capsys, command, flag):
+    # eval reads no configuration, and report draws nothing at random
+    argv = [command, "--checkpoint", _make_checkpoint(tmp_path),
+            "--amat", _normal_amat(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert cli.main([*argv, *flag]) == 1
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("mc_samples", "1", "mc_samples = 1: must be >= 2"),
+    ("epochs", "-1", "truncation, hidden, epochs must be positive"),
+    ("labeled_fraction", "0", "labeled_fraction must lie in (0, 1)")],
+    ids=["mc_samples", "epochs", "labeled_fraction"])
+def test_commands_ignore_training_only_settings(tmp_path, monkeypatch, capsys,
+                                                key, value, message):
+    # only train validates the run configuration; the other commands read
+    # none of these keys
+    monkeypatch.setenv(f"IBPDGM_{key.upper()}", value)
+    ckpt, amat = _make_checkpoint(tmp_path), _normal_amat(tmp_path)
+    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", amat]) == 0
+    assert cli.main(["report", "--checkpoint", ckpt, "--amat", amat]) == 0
+    assert cli.main(["gen", "--checkpoint", ckpt, "--n", "2",
+                     "--out", str(tmp_path / "gen")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main(["train", "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_dimension_mismatch_is_usage_error(tmp_path):
     ckpt = _make_checkpoint(tmp_path, input_dim=4)
     amat = tmp_path / "data.amat"
     amat.write_text("0.1 0.2 1\n")
-    cfgp = write_cfg(tmp_path, likelihood="gaussian")
-    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat),
-                     "--config", cfgp]) == 1
+    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat)]) == 1
 
 
 def test_report_dimension_mismatch_is_usage_error(tmp_path, capsys):
@@ -229,9 +286,7 @@ def test_report_dimension_mismatch_is_usage_error(tmp_path, capsys):
     ckpt = _make_checkpoint(tmp_path, input_dim=4)
     amat = tmp_path / "data.amat"
     amat.write_text("0.1 0.2 1\n0.3 0.4 0\n")
-    cfgp = write_cfg(tmp_path, likelihood="gaussian")
-    assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat),
-                     "--config", cfgp]) == 1
+    assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat)]) == 1
     captured = capsys.readouterr()
     assert "active_count" not in captured.out
     assert "dataset has 2 features, checkpoint expects 4" in captured.err
@@ -241,9 +296,7 @@ def test_eval_labels_beyond_checkpoint_classes_is_usage_error(tmp_path, capsys):
     ckpt = _make_checkpoint(tmp_path, input_dim=2, num_classes=2)
     amat = tmp_path / "data.amat"
     amat.write_text("0.1 0.2 5\n0.3 0.4 7\n0.5 0.6 1\n")
-    cfgp = write_cfg(tmp_path, likelihood="gaussian")
-    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat),
-                     "--config", cfgp]) == 1
+    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat)]) == 1
     captured = capsys.readouterr()
     assert "error_rate_percent" not in captured.out
     assert "8 classes" in captured.err and "checkpoint has 2" in captured.err

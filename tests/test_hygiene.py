@@ -14,9 +14,11 @@ but for `cli.main`'s argv.  The flag check scans
 `ibpdgm.cli`: every flag a subcommand accepts must be read by its
 `cmd_*` handler or by a `cli` function that the handler passes its
 arguments to (`build_run_config` reads `--config`, `--seed`, `--out` and
-`--set`).  The README check reads every inline `name(args)` whose name
-is a function or class of an `ibpdgm` module, bare or as `module.name`:
-its arguments must be that callable's leading parameter names.
+`--set`), and README's CLI block must write out exactly the flags that
+each subcommand accepts.  The README signature check reads every inline
+`name(args)` whose name is a function or class of an `ibpdgm` module,
+bare or as `module.name`: its arguments must be that callable's leading
+parameter names.
 """
 
 import argparse
@@ -200,6 +202,25 @@ def test_every_cli_flag_is_read(command):
     read = attributes_read(ast.parse(inspect.getsource(cli)),
                            cli.COMMANDS[command].__name__)
     assert flags - read == set()
+
+
+def readme_cli_flags(text):
+    """{command: set of --flags} for each `ibpdgm <command>` line of the
+    code block under README's CLI heading."""
+    block = text.split("\n## CLI\n", 1)[1].split("```")[1]
+    return {line.split()[1]: set(re.findall(r"--[\w-]+", line))
+            for line in block.splitlines() if line.startswith("ibpdgm ")}
+
+
+def test_readme_cli_lines_match_the_parser():
+    # the flag check above takes a flag as read when `build_run_config`
+    # reads it; the README shows which flags each command really takes
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        written = readme_cli_flags(fh.read())
+    assert written == {command: {flag for action in parser._actions
+                                 if not isinstance(action, argparse._HelpAction)
+                                 for flag in action.option_strings}
+                       for command, parser in SUBCOMMANDS.items()}
 
 
 def library_callables():
