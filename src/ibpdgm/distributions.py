@@ -164,9 +164,11 @@ def beta_log_prob(log_v, log_1mv, a, b):
 def beta_score_grad(log_v, log_1mv, a, b):
     """Gradient (da, db) of log Beta(v; a, b) w.r.t. (a, b), from ln v and
     ln(1-v); broadcasts like `beta_log_prob`."""
-    psi_ab = digamma(a + b)
-    da = log_v - digamma(a) + psi_ab
-    db = log_1mv - digamma(b) + psi_ab
+    # one digamma call over the stacked (a, b, a + b): it is elementwise,
+    # so the bits are those of three calls
+    psi_a, psi_b, psi_ab = digamma(np.stack(np.broadcast_arrays(a, b, a + b)))
+    da = log_v - psi_a + psi_ab
+    db = log_1mv - psi_b + psi_ab
     return da, db
 
 

@@ -99,8 +99,12 @@ def classify(m, x):
 
 
 def predict_batch(m, x):
-    """The most probable label of each row of x, (B,)."""
-    out, _ = nn.forward(m.classifier, x)
+    """The most probable label of each row of x, (B,).
+
+    Unlike `classify`, the classifier runs in nn.FAST_DTYPE (float32), on
+    weights cast once per call: only the argmax of the logits is read.
+    """
+    out, _ = nn.forward(m.classifier, x, nn.cast_layers(m.classifier, nn.FAST_DTYPE))
     return np.argmax(out, axis=1)
 
 

@@ -9,8 +9,10 @@ the network's own float64 views, or the float32 copy that
 `cast_layers(net, np.float32)` makes once for a caller that runs several
 passes at the same parameters.  The pass keeps those weights on its tape,
 so the backward pass runs in their precision too; the parameter gradient
-`backward` returns is float64 either way, like the weights.  Training runs
-its decoder in float32.
+`backward` returns is float64 either way, like the weights.  The passes
+that need no float64 run in FAST_DTYPE (float32): the estimator's decoder
+blocks in training, and the evaluation passes behind `error_rate` and
+`component_report`.
 """
 
 import numpy as np
@@ -20,6 +22,8 @@ ACTIVATIONS = ("relu", "identity")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the precision of training's decoder blocks and of the evaluation passes
+FAST_DTYPE = np.float32
 
 
 class Tape:

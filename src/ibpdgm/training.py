@@ -29,9 +29,13 @@ Two schedules shape every run; neither has a config key:
   gradient of the ELBO itself.
 
 Both of `train`'s estimator calls, the step's and the metrics', run the
-decoder blocks in float32 (DECODER_DTYPE), so the metrics ELBO stays a
+decoder blocks in float32 (`nn.FAST_DTYPE`), so the metrics ELBO stays a
 bit-for-bit prefix of a step; the parameters, the gradients, Adam's
-moments, the clip and the checkpoint are float64.
+moments, the clip and the checkpoint are float64.  The evaluation passes
+run in float32 too: `error_rate`'s classifier (`model.predict_batch`) and
+`component_report`'s encoder (`inclusion_probs`), each on weights cast
+once per call.  They read no random draws and feed nothing back into
+training.
 
 Per-epoch metrics rows go to a CSV with a fixed column schema; the ELBO
 metric is re-estimated each epoch, forward only, with a fixed evaluation
@@ -56,9 +60,6 @@ METRICS_COLUMNS = ("epoch", "elbo", "recon", "kl_gauss", "term_zhat",
 GRAD_CLIP = 10.0
 LR_DECAY_EPOCHS = 10.0
 WARMUP_FRACTION = 1.0 / 15.0
-# the precision of the estimator's decoder blocks, in training steps and
-# in the per-epoch metrics alike
-DECODER_DTYPE = np.float32
 
 
 @dataclass
@@ -108,11 +109,10 @@ class RunConfig:
         if self.unlabeled_mode != "marginalize":
             raise ValueError(f"unlabeled_mode {self.unlabeled_mode!r}: unlabeled "
                              "points always marginalize their label")
-        if self.truncation < 1 or self.hidden < 1 or self.epochs < 0:
-            raise ValueError("truncation, hidden, epochs must be positive")
         # mc_samples: the leave-one-out control variates need 2 draws per
         # point; a synthetic run needs a training point, and may have no test
-        for key, least in (("batch_size", 1), ("mc_samples", 2), ("eval_mc_samples", 1),
+        for key, least in (("truncation", 1), ("hidden", 1), ("epochs", 0),
+                           ("batch_size", 1), ("mc_samples", 2), ("eval_mc_samples", 1),
                            ("synth_n", 1), ("synth_test_n", 0), ("limit_train", 0)):
             if getattr(self, key) < least:
                 raise ValueError(f"{key} = {getattr(self, key)}: must be >= {least}")
@@ -174,12 +174,20 @@ def error_rate(m, dataset):
 
 
 def inclusion_probs(m, features):
-    """q(zhat_ik = 1) for every point: sigmoid of the encoder logit head."""
+    """q(zhat_ik = 1) for every point, (N, K) float64: sigmoid of the
+    encoder logit head.
+
+    The encoder runs in nn.FAST_DTYPE (float32) on weights cast once per
+    call, and its last layer computes only the logit rows [2K:3K]; the
+    sigmoid is taken in float64.
+    """
+    layers = nn.cast_layers(m.encoder, nn.FAST_DTYPE)
+    w, b = layers[-1]
+    layers[-1] = (w[2 * m.K:], b[2 * m.K:])
     rows = []
     for start in range(0, features.shape[0], 2048):
-        out, _ = nn.forward(m.encoder, features[start:start + 2048])
-        _, _, logits = mdl.split_encoder_out(out, m.K)
-        rows.append(dist.sigmoid(logits))
+        logits, _ = nn.forward(m.encoder, features[start:start + 2048], layers)
+        rows.append(dist.sigmoid(logits.astype(np.float64)))
     return np.concatenate(rows, axis=0)
 
 
@@ -263,7 +271,7 @@ def train(cfg, train_data=None, test_data=None, log=None):
                     m, feats[idx], split_train.labels[idx], cfg.mc_samples, train_rng,
                     dataset_size=n, alpha_sup=alpha_sup,
                     prior_weight=spike_prior_weight(step, total_steps),
-                    dtype=DECODER_DTYPE)
+                    dtype=nn.FAST_DTYPE)
                 step += 1
                 loss_grads = breakdown.grads
                 for g in loss_grads.values():
@@ -298,7 +306,7 @@ def _epoch_metrics(m, train_data, test_data, cfg, alpha_sup, epoch, eval_seed):
     idx = np.arange(n) if n <= cap else rng.permutation(n)[:cap]
     bd = bbvi.estimate_elbo_and_grads(
         m, feats[idx], train_data.labels[idx], cfg.eval_mc_samples, rng, dataset_size=n,
-        alpha_sup=alpha_sup, with_grads=False, dtype=DECODER_DTYPE)
+        alpha_sup=alpha_sup, with_grads=False, dtype=nn.FAST_DTYPE)
     report = component_report(m, train_data, cfg.tau)
     train_err = error_rate(m, train_data)
     test_err = error_rate(m, test_data) if test_data is not None else float("nan")

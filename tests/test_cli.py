@@ -253,7 +253,7 @@ def test_eval_takes_only_checkpoint_and_data_flags(tmp_path, capsys, command, fl
 
 @pytest.mark.parametrize("key, value, message", [
     ("mc_samples", "1", "mc_samples = 1: must be >= 2"),
-    ("epochs", "-1", "truncation, hidden, epochs must be positive"),
+    ("epochs", "-1", "epochs = -1: must be >= 0"),
     ("labeled_fraction", "0", "labeled_fraction must lie in (0, 1)")],
     ids=["mc_samples", "epochs", "labeled_fraction"])
 def test_commands_ignore_training_only_settings(tmp_path, monkeypatch, capsys,

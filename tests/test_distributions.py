@@ -243,6 +243,26 @@ def test_beta_score_grad_matches_fd():
         assert np.all(np.abs(np.array(grad) - fd) < 1e-6)
 
 
+K16 = np.geomspace(0.01, 40.0, 16)     # stick parameters on both sides of 10
+
+
+@pytest.mark.parametrize("a, b, v", [
+    (2.5, 0.3, 0.4), (12.0, 0.05, 0.9),
+    (K16, K16[::-1], np.linspace(0.02, 0.98, 16)),
+    (K16, 1.0, np.linspace(0.02, 0.98, 48).reshape(3, 16)),
+    (0.7, K16, np.linspace(0.02, 0.98, 48).reshape(3, 16))],
+    ids=["scalars", "scalars-above-10", "arrays", "array-scalar", "scalar-array"])
+def test_beta_score_grad_digamma_call_is_bit_identical(a, b, v):
+    # one digamma call over the stacked (a, b, a + b) gives the bits of
+    # three separate calls: digamma is elementwise
+    log_v, log_1mv = logs(v)
+    psi_ab = dist.digamma(a + b)
+    want = (log_v - dist.digamma(a) + psi_ab, log_1mv - dist.digamma(b) + psi_ab)
+    got = dist.beta_score_grad(log_v, log_1mv, a, b)
+    for g, w in zip(got, want):
+        assert same_bits(np.asarray(g, dtype=np.float64), np.asarray(w, dtype=np.float64))
+
+
 # ---------------------------------------------------------------------------
 # digamma
 

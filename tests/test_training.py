@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ibpdgm import bbvi, data as dio, model as mdl, nn, training
+from ibpdgm import bbvi, data as dio, distributions as dist, ibp, model as mdl, nn, training
 
 
 def quick_cfg(tmp_path, **kw):
@@ -130,6 +130,41 @@ def test_component_report_untrained_is_all_active():
     assert report_strict.count == 0
 
 
+def test_float32_evaluation_agrees_with_float64():
+    # error_rate and component_report run their passes in float32; on a
+    # model with non-zero weights and biases they agree with the float64
+    # encode and classify.  2500 rows span two of inclusion_probs' chunks
+    rng = np.random.default_rng(21)
+    k, c = 12, 5
+    m = mdl.build_model(40, c, k, 64, "bernoulli", 2.0, 1e-2, rng)
+    for net in (m.encoder, m.classifier):
+        net.params += 0.3 * rng.standard_normal(net.params.size)
+    x = (rng.random((2500, 40)) < 0.4).astype(np.float64)
+
+    probs = training.inclusion_probs(m, x)
+    want = dist.sigmoid(mdl.encode(m, x)[2])
+    assert probs.dtype == np.float64 and probs.shape == want.shape
+    assert np.max(np.abs(probs - want)) < 1e-5
+
+    # tau halfway between two component means, so some are active and
+    # some are not, and no mean lies near the threshold
+    means = np.sort(want.mean(axis=0))
+    gap = np.argmax(np.diff(means[2:-2])) + 2
+    tau = 0.5 * (means[gap] + means[gap + 1])
+    ds = dio.Dataset(x, rng.integers(0, c, x.shape[0]), c, "bernoulli")
+    report = training.component_report(m, ds, tau)
+    assert report.count == ibp.active_components(want, tau).count
+    assert 2 < report.count < k - 2
+
+    pred = mdl.predict_batch(m, x)
+    assert np.issubdtype(pred.dtype, np.integer)
+    p64 = mdl.classify(m, x)
+    top2 = np.sort(p64, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 1e-4
+    assert clear.mean() > 0.9
+    assert np.array_equal(pred[clear], np.argmax(p64, axis=1)[clear])
+
+
 def test_format_metrics_row_roundtrip():
     row = [3, -1234.56789012345678, float("nan"), 7]
     text = training.format_metrics_row(row)
@@ -205,12 +240,15 @@ def test_sample_counts_are_used_as_set(tmp_path, monkeypatch):
     dict(dataset="synth-blobs", likelihood="gaussian", synth_dim=5, labeled_fraction=0.2),
 ], ids=["bernoulli", "gaussian"])
 def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
-    # one training step and its metrics pass: a stray float64 operand would
-    # promote the decoder back to float64 without failing anything, so the
-    # decoder's passes must see float32 inputs, outputs and tapes, while
-    # the encoder and classifier, the returned gradients, Adam's moments and
-    # the checkpoint stay float64
-    seen = {"forward": [], "backward": [], "likelihood": []}
+    # the precision contract of one training step and its metrics pass.  A
+    # stray float64 operand would promote a float32 pass back to float64
+    # without failing anything, so every pass is checked: inside estimator
+    # calls the decoder sees float32 inputs, outputs and tapes while the
+    # encoder and classifier stay float64; outside them, the passes of
+    # error_rate and component_report run in float32; the returned
+    # gradients, Adam's moments and the checkpoint stay float64
+    seen = {"forward": [], "backward": [], "likelihood": [], "eval": []}
+    context = []
     forward, backward = nn.forward, nn.backward
     estimate, adam_step = bbvi.estimate_elbo_and_grads, nn.adam_step
 
@@ -220,11 +258,13 @@ def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
 
     def spied_forward(net, x, *args, **kwargs):
         out, tape = forward(net, x, *args, **kwargs)
-        seen["forward"].append((net, {np.asarray(x).dtype, out.dtype},
-                                tape_dtypes(tape)))
+        key = "forward" if context == ["estimate"] else "eval"
+        assert context in (["estimate"], ["error_rate"], ["component_report"])
+        seen[key].append((net, {np.asarray(x).dtype, out.dtype}, tape_dtypes(tape)))
         return out, tape
 
     def spied_backward(net, tape, grad_out):
+        assert context == ["estimate"]
         grads, g_in = backward(net, tape, grad_out)
         assert grads.dtype == np.float64
         seen["backward"].append((net, {grad_out.dtype, g_in.dtype},
@@ -237,6 +277,15 @@ def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
             outputs = result if isinstance(result, tuple) else (result,)
             seen["likelihood"].append({a.dtype for a in (dec_out, x_pts, *outputs)})
             return result
+        return spied
+
+    def within(name, fn):
+        def spied(*args, **kwargs):
+            context.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                context.pop()
         return spied
 
     def spied_estimate(*args, **kwargs):
@@ -252,8 +301,11 @@ def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
 
     monkeypatch.setattr(nn, "forward", spied_forward)
     monkeypatch.setattr(nn, "backward", spied_backward)
-    monkeypatch.setattr(bbvi, "estimate_elbo_and_grads", spied_estimate)
+    monkeypatch.setattr(bbvi, "estimate_elbo_and_grads",
+                        within("estimate", spied_estimate))
     monkeypatch.setattr(nn, "adam_step", spied_adam_step)
+    for name in ("error_rate", "component_report"):
+        monkeypatch.setattr(training, name, within(name, getattr(training, name)))
     for name in ("_likelihood_values", "_likelihood_values_and_grads"):
         monkeypatch.setattr(bbvi, name, spied_likelihood(getattr(bbvi, name)))
     cfg = quick_cfg(tmp_path, **dict(keys, synth_n=30, epochs=1))
@@ -261,8 +313,17 @@ def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
     m = result.model
     likelihood = seen.pop("likelihood")
     assert likelihood and all(d == {np.dtype(np.float32)} for d in likelihood)
+    evaluation = seen.pop("eval")
+    # synth-ibp is unlabeled, so error_rate runs no pass there
+    labeled = keys["dataset"] == "synth-blobs"
+    assert ({net for net, _, _ in evaluation}
+            == ({m.encoder, m.classifier} if labeled else {m.encoder}))
+    # they take the dataset's float64 features and cast them once
+    for _, _, tape in evaluation:
+        assert tape == {np.dtype(np.float32)}
     for kind, calls in seen.items():
         assert any(net is m.decoder for net, _, _ in calls), kind
+        assert any(net is m.encoder for net, _, _ in calls), kind
         for net, arrays, tape in calls:
             want = np.float32 if net is m.decoder else np.float64
             assert arrays == tape == {np.dtype(want)}, kind
