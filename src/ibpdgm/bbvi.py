@@ -37,6 +37,12 @@ Training passes `dtype=np.float32`, which runs the decoder blocks (their
 input, the decoder's passes and the likelihood) in float32; everything
 else, every returned value and gradient included, stays float64.  The
 finite-difference checks and the oracles call the default, float64.
+
+The Bernoulli likelihood runs on chunks of whole points that fit in a
+core's L2 cache, each chunk's values and gradient from one exp of its
+logits (`distributions`' private helpers behind `sigmoid` and
+`softplus`), with the bits of whole-block `bernoulli_log_prob` and
+`bernoulli_score_grad`.
 """
 
 from dataclasses import dataclass, field
@@ -52,6 +58,10 @@ from . import model as mdl
 # (point, sample, class) each: about 12.5 MB per 784-wide float32
 # temporary in training, 25 MB in float64
 DECODER_BLOCK_ROWS = 4096
+# the Bernoulli likelihood of a block runs on chunks of whole points of
+# about this many logits (256 KB in float32), so each of its passes over a
+# chunk stays in a core's L2 cache
+LIKELIHOOD_CHUNK = 2 ** 16
 # ridge on the score variance in `control_variate_coeffs`; a score whose
 # variance is below it counts as constant
 CV_EPS = 1e-8
@@ -147,21 +157,48 @@ def _softmax_jacobian_vec(probs, g):
     return probs * (g - inner)
 
 
+def _bernoulli_by_chunks(dec_out, x_pts, chunk_fn):
+    """Run chunk_fn(x rows, logits, values) on chunks of whole points
+    (axis 0) of dec_out, of about LIKELIHOOD_CHUNK logits each (one point
+    when a point alone is more); returns the values it wrote, one per row
+    of dec_out, in dec_out's dtype."""
+    x_rows = np.broadcast_to(x_pts, dec_out.shape)
+    values = np.empty(dec_out.shape[:-1], dtype=dec_out.dtype)
+    per_chunk = max(1, LIKELIHOOD_CHUNK // max(1, dec_out[:1].size))
+    for lo in range(0, dec_out.shape[0], per_chunk):
+        c = slice(lo, lo + per_chunk)
+        chunk_fn(x_rows[c], dec_out[c], values[c])
+    return values
+
+
 def _likelihood_values(kind, dec_out, x_pts, input_dim):
     """Log-likelihood of each row of the raw decoder output (the last axis
     is the output width).  x_pts broadcasts against those rows: each point's
-    data once, for every row decoded for it."""
+    data once, for every row decoded for it.  The Bernoulli values are
+    taken by chunks of whole points, in dec_out's dtype; a row's value does
+    not depend on the chunking."""
     if kind == "bernoulli":
-        return dist.bernoulli_log_prob(x_pts, dec_out).sum(axis=-1)
+        return _bernoulli_by_chunks(
+            dec_out, x_pts,
+            lambda z, logits, values: dist.bernoulli_log_prob(z, logits).sum(
+                axis=-1, out=values))
     return dist.gaussian_log_prob(x_pts, *mdl.split_decoder_out(dec_out, input_dim))
 
 
 def _likelihood_values_and_grads(kind, dec_out, x_pts, input_dim):
     """`_likelihood_values` and its gradient w.r.t. the raw decoder output,
-    shaped like dec_out."""
+    shaped like dec_out.
+
+    The Bernoulli gradient is written over dec_out, chunk by chunk, each
+    chunk's values and gradient from one exp of its logits; dec_out is in
+    x_pts's dtype.  The model's decoder output layer is linear, so the
+    block is not read again by its backward pass.  The Gaussian gradient is
+    a new array.
+    """
     if kind == "bernoulli":
-        return (_likelihood_values(kind, dec_out, x_pts, input_dim),
-                dist.bernoulli_score_grad(x_pts, dec_out))
+        return (_bernoulli_by_chunks(dec_out, x_pts,
+                                     dist._bernoulli_row_log_probs_and_scores),
+                dec_out)
     mean, var = mdl.split_decoder_out(dec_out, input_dim)
     g_mean, g_var = dist.gaussian_score_grad(x_pts, mean, var)
     return dist.gaussian_log_prob(x_pts, mean, var), np.concatenate(
@@ -202,7 +239,12 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     weights are cast once per call, and each block's input, its forward
     and backward passes and the likelihood, which reads x cast to `dtype`,
     run in it; each block's parameter gradient is added into the float64
-    decoder gradient, and every other term and gradient is float64.
+    decoder gradient, and every other term and gradient is float64.  The
+    Bernoulli likelihood takes a block in chunks of whole points of about
+    LIKELIHOOD_CHUNK logits and writes its gradient over the block's
+    decoder output; the decoder's backward pass returns the gradient
+    w.r.t. its first pre-activation, and the z-gradient is that times the
+    first layer's weights.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -293,8 +335,9 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
             r[blk], g_out = _likelihood_values_and_grads(
                 m.likelihood_kind, out, x_pts, m.D)
             g_out *= (w_pt[blk] * (scale / s)).astype(dtype, copy=False)[:, None, :, None]
-            g_params, g_in = nn.backward(m.decoder, tape,
-                                         g_out.reshape(-1, out.shape[-1]))
+            g_params, g_pre = nn.backward(m.decoder, tape,
+                                          g_out.reshape(-1, out.shape[-1]))
+            g_in = g_pre @ tape.layers[0][0]
             # the one-hots are constants and the weights are folded in: the
             # z-gradient sums the class rows
             g_z[pts] = g_in[:, :k].reshape(-1, s, n_cls, k).sum(axis=2)

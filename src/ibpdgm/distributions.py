@@ -30,29 +30,46 @@ def _float_array(x):
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
+def _exp_neg_abs(x, out):
+    """exp(-|x|) into `out`, shaped and typed like x: the one exp from which
+    `sigmoid` takes sigmoid(x), and the Bernoulli likelihood both sigmoid(x)
+    and softplus(x)."""
+    np.negative(x, out=out)
+    np.minimum(x, out, out=out)       # -|x|; unlike -abs(x), keeps a NaN's sign
+    return np.exp(out, out=out)
+
+
+def _sigmoid_from_exp(x, e):
+    """sigmoid(x) from e = exp(-|x|), written over e."""
+    num = np.maximum(e, x >= 0)       # 1 where x >= 0, since e <= 1 there
+    e += 1.0
+    return np.divide(num, e, out=e)
+
+
+def _softplus_from_exp(x, e, out):
+    """softplus(x) from e = exp(-|x|), into `out` (which may be e)."""
+    np.log1p(e, out=out)
+    out += np.maximum(x, 0.0)
+    return out
+
+
 def sigmoid(x):
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, from one
     exp(-|x|), so no exp overflows.  A float32 array stays float32; any
     other input is computed in float64."""
     x = _float_array(x)
-    e = np.negative(x, out=np.empty_like(x))
-    np.minimum(x, e, out=e)           # -|x|; unlike -abs(x), keeps a NaN's sign
-    np.exp(e, out=e)
-    num = np.maximum(e, x >= 0)       # 1 where x >= 0, since e <= 1 there
-    e += 1.0
-    return np.divide(num, e, out=e)
+    return _sigmoid_from_exp(x, _exp_neg_abs(x, np.empty_like(x)))
 
 
 def softplus(x):
     """log(1 + exp(x)) as log1p(exp(-|x|)) + max(x, 0), so no exp overflows.
     Keeps a float32 array in float32, like `sigmoid`."""
     x = _float_array(x)
-    out = np.abs(x, out=np.empty_like(x))
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    np.log1p(out, out=out)
-    out += np.maximum(x, 0.0)
-    return out
+    # -abs(x) here, not `_exp_neg_abs`'s form: a NaN comes out negative, as
+    # it always has; the two forms differ only in that sign
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    return _softplus_from_exp(x, np.exp(e, out=e), out=e)
 
 
 def softmax(logits):
@@ -134,19 +151,35 @@ def bernoulli_score_grad(z, logits):
     return z - p
 
 
+def _bernoulli_row_log_probs_and_scores(z, logits, values):
+    """Both Bernoulli terms of a block of logit rows from one exp(-|logits|):
+    the sums over the last axis of `bernoulli_log_prob(z, logits)` into
+    `values`, and `bernoulli_score_grad(z, logits)` written over `logits`.
+    Bit for bit the two public functions' results, for every logit but a
+    NaN, whose sign may differ.  z broadcasts against logits, and both are
+    in one dtype."""
+    e = _exp_neg_abs(logits, np.empty_like(logits))
+    out = z * logits
+    out -= _softplus_from_exp(logits, e, out=np.empty_like(logits))
+    out.sum(axis=-1, out=values)
+    np.subtract(z, _sigmoid_from_exp(logits, e), out=logits)
+
+
 # ---------------------------------------------------------------------------
 # Beta
 
 def beta_sample_array(a, b, size, rng):
     """Beta(a, b) draws v of the given shape, as the pair (log v, log(1 - v)).
 
-    numpy's Generator.gamma implements the Marsaglia-Tsang rejection
-    sampler; the ratio x/(x+y) of two Gamma(a,1), Gamma(b,1) draws is an
-    exact Beta(a, b) variate.  The ratio is clamped to [1e-7, 1 - 1e-7]
-    before its logs are taken, so both stay finite.
+    numpy's Generator.standard_gamma implements the Marsaglia-Tsang
+    rejection sampler; the ratio x/(x+y) of two Gamma(a,1), Gamma(b,1)
+    draws is an exact Beta(a, b) variate.  (`rng.gamma(shape, 1.0)` is the
+    same draw times the scale 1.0, so the same bits, at more cost.)  The
+    ratio is clamped to [1e-7, 1 - 1e-7] before its logs are taken, so both
+    stay finite.
     """
-    x = rng.gamma(np.broadcast_to(a, size), 1.0)
-    y = rng.gamma(np.broadcast_to(b, size), 1.0)
+    x = rng.standard_gamma(np.broadcast_to(a, size))
+    y = rng.standard_gamma(np.broadcast_to(b, size))
     v = np.clip(x / (x + y), _V_CLAMP, 1.0 - _V_CLAMP)
     return np.log(v), np.log1p(-v)
 

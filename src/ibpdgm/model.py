@@ -39,6 +39,11 @@ class IbpDgm:
         want = input_dim if likelihood_kind == "bernoulli" else 2 * input_dim
         if decoder.output_dim != want:
             raise ValueError("decoder output dim does not match the likelihood kind")
+        if decoder.activations[-1] != "identity":
+            # the output is raw logits or [mean | raw var]; the estimator
+            # also writes the likelihood gradient over it, which only a
+            # linear output layer's backward pass does not read
+            raise ValueError("decoder output activation must be 'identity'")
         if classifier.output_dim != num_classes:
             raise ValueError("classifier must emit C logits")
         self.encoder = encoder

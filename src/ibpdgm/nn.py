@@ -13,6 +13,10 @@ so the backward pass runs in their precision too; the parameter gradient
 that need no float64 run in FAST_DTYPE (float32): the estimator's decoder
 blocks in training, and the evaluation passes behind `error_rate` and
 `component_report`.
+
+`backward` stops at the first layer's pre-activation gradient: the
+encoder and classifier never read their input gradient, and the decoder's
+caller, which does, multiplies by the first layer's weights itself.
 """
 
 import numpy as np
@@ -22,6 +26,8 @@ ACTIVATIONS = ("relu", "identity")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# `adam_step` updates slices of this many float64 elements (256 KB each)
+ADAM_CHUNK = 32768
 # the precision of training's decoder blocks and of the evaluation passes
 FAST_DTYPE = np.float32
 
@@ -150,13 +156,15 @@ def backward(net, tape, grad_out):
 
     grad_out is (B, out), like the forward output.  Returns (flat
     parameter gradient aligned with net.params, summed over the batch;
-    gradient w.r.t. the input x, one row per batch element).  The ReLU
+    gradient w.r.t. the first layer's pre-activation, (B, fan_out of the
+    first layer)).  The pass stops there: a caller that wants the gradient
+    w.r.t. the input x takes `g_pre @ tape.layers[0][0]`.  The ReLU
     subgradient at exactly 0 is taken as 0.
 
     The pass runs in the tape's dtype, on the weights the forward pass
     kept on the tape; the parameter gradient is returned as float64 in
     either case (a float32 pass computes it in float32 and casts it once),
-    the input gradient in the tape's dtype.
+    the pre-activation gradient in the tape's dtype.
     """
     if len(tape.inputs) != len(net._views):
         raise ValueError("tape does not match network (layer count)")
@@ -166,7 +174,7 @@ def backward(net, tape, grad_out):
         raise ValueError(
             f"grad_out shape {g.shape} does not match forward output "
             f"{tape.preacts[-1].shape}")
-    grads = np.zeros(net.params.size, dtype=dtype)
+    grads = np.empty(net.params.size, dtype=dtype)      # every slot is written
     off = net.params.size
     owned = False             # g is the caller's grad_out until the first g @ w
     for layer in range(len(net._views) - 1, -1, -1):
@@ -185,8 +193,9 @@ def backward(net, tape, grad_out):
         off -= fan_out * fan_in
         np.matmul(g.T, tape.inputs[layer],
                   out=grads[off:off + fan_out * fan_in].reshape(fan_out, fan_in))
-        g = g @ w
-        owned = True
+        if layer:
+            g = g @ w
+            owned = True
     return grads.astype(np.float64, copy=False), g
 
 
@@ -205,27 +214,42 @@ class AdamState:
 def adam_step(params, grads, state):
     """One AdaM update (descent on `grads`), in place; returns (params, state).
 
+    params, grads and the moments are flat arrays.  The update runs on
+    slices of ADAM_CHUNK elements, so each of its passes stays in a core's
+    L2 cache; a group of at most ADAM_CHUNK runs as one slice.  Every
+    element sees the same operations in the same order whatever the
+    slicing, so the bits do not depend on it.
+
     Single-writer: parameter mutation must not run concurrently.
     """
     if params.shape != grads.shape or params.shape != state.first_moment.shape:
         raise ValueError("parameter/gradient/state shape mismatch")
     state.step_count += 1
     t = state.step_count
-    m, v = state.first_moment, state.second_moment
-    # m <- b1 m + (1 - b1) g,  v <- b2 v + (1 - b2) g g,
-    # params -= lr m_hat / (sqrt(v_hat) + eps), in that order of operations
-    tmp = np.multiply(grads, 1.0 - ADAM_BETA1)
-    m *= ADAM_BETA1
-    m += tmp
-    np.multiply(grads, 1.0 - ADAM_BETA2, out=tmp)
-    tmp *= grads
-    v *= ADAM_BETA2
-    v += tmp
-    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=tmp)        # v_hat
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPS
-    step = np.divide(m, 1.0 - ADAM_BETA1 ** t)           # m_hat
-    step *= state.lr
-    step /= tmp
-    params -= step
+    n = params.shape[0]
+    # two temporaries, reused by every slice: one holds the moment
+    # increments, then the denominator; the other the step
+    tmp_buf = np.empty(min(n, ADAM_CHUNK))
+    step_buf = np.empty_like(tmp_buf)
+    for lo in range(0, n, ADAM_CHUNK):
+        sl = slice(lo, lo + ADAM_CHUNK)
+        p, g = params[sl], grads[sl]
+        m, v = state.first_moment[sl], state.second_moment[sl]
+        tmp, step = tmp_buf[:p.shape[0]], step_buf[:p.shape[0]]
+        # m <- b1 m + (1 - b1) g,  v <- b2 v + (1 - b2) g g,
+        # params -= lr m_hat / (sqrt(v_hat) + eps), in that order of operations
+        np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m *= ADAM_BETA1
+        m += tmp
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v *= ADAM_BETA2
+        v += tmp
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=tmp)        # v_hat
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)        # m_hat
+        step *= state.lr
+        step /= tmp
+        p -= step
     return params, state

@@ -25,15 +25,26 @@ from ibpdgm.selftest import (exact_toy_elbo, fd_grad_all,  # noqa: F401
                              make_enumerable_toy, reference_log_lik, rel_err)
 
 
+def same_bits(a, b):
+    """The same dtype, shape and bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def enumerate_binary(k):
     for bits in itertools.product([0.0, 1.0], repeat=k):
         yield np.array(bits)
 
 
+def _float_array(x):
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64)
+
+
 def sigmoid_masked(x):
     """The logistic function by boolean masks: 1 / (1 + exp(-x)) where
-    x >= 0 and exp(x) / (1 + exp(x)) elsewhere."""
-    x = np.asarray(x, dtype=np.float64)
+    x >= 0 and exp(x) / (1 + exp(x)) elsewhere, in float32 for a float32
+    array and in float64 otherwise."""
+    x = _float_array(x)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -43,8 +54,9 @@ def sigmoid_masked(x):
 
 
 def softplus_unfused(x):
-    """log(1 + exp(-|x|)) + max(x, 0), one temporary per operation."""
-    x = np.asarray(x, dtype=np.float64)
+    """log(1 + exp(-|x|)) + max(x, 0), one temporary per operation, in the
+    precision `sigmoid_masked` takes."""
+    x = _float_array(x)
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 

@@ -8,7 +8,7 @@ from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, nn, selftest
 
 from oracles import LatentDraw, bernoulli_log_pmf, exact_stick_objective, \
     exact_toy_elbo, fd_grad_all, make_enumerable_toy, per_point_elbo_terms, \
-    weighted_score_coeff, zero_control_variates
+    same_bits, weighted_score_coeff, zero_control_variates
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +566,63 @@ def test_forward_only_memory_bounded_in_points():
 
     small, large = traced_peak(500), traced_peak(2000)
     assert large <= 1.5 * small, (small / 2 ** 20, large / 2 ** 20)
+
+
+# ---------------------------------------------------------------------------
+# the Bernoulli likelihood runs on chunks of whole points
+
+def _check_chunked_bernoulli(points, s, n_cls, d, dtype, seed):
+    # the chunked values and gradient against the public functions on the
+    # whole block; the gradient is written over the block
+    rng = np.random.default_rng(seed)
+    logits = (8.0 * rng.standard_normal((points, s, n_cls, d))).astype(dtype)
+    logits.flat[:4] = [0.0, -0.0, 100.0, -100.0]
+    x_pts = (rng.random((points, 1, 1, d)) < 0.5).astype(dtype)
+    want_values = dist.bernoulli_log_prob(x_pts, logits).sum(axis=-1)
+    want_grads = dist.bernoulli_score_grad(x_pts, logits)
+    assert same_bits(bbvi._likelihood_values("bernoulli", logits, x_pts, d),
+                      want_values)
+    values, grads = bbvi._likelihood_values_and_grads("bernoulli", logits, x_pts, d)
+    assert grads is logits
+    assert same_bits(values, want_values) and same_bits(grads, want_grads)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_cls", [1, 4])
+@pytest.mark.parametrize("points", [1, 2, 3, 4, 8],
+                         ids=["one_point", "below_chunk", "at_chunk", "above_chunk",
+                              "ragged"])
+def test_chunked_bernoulli_likelihood_matches_public_functions(points, n_cls, dtype,
+                                                               monkeypatch):
+    # three points to a chunk: blocks of one point, of one point less, as
+    # many and one more than a chunk, and of two chunks and a ragged third;
+    # n_cls is 1 for labeled points and C for unlabeled ones
+    s, d = 3, 5
+    monkeypatch.setattr(bbvi, "LIKELIHOOD_CHUNK", 3 * s * n_cls * d)
+    _check_chunked_bernoulli(points, s, n_cls, d, dtype, seed=10 * points + n_cls)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_chunked_bernoulli_likelihood_at_the_mnist_shape(dtype):
+    # the module's own chunk at S = 4, C = 10, D = 784 (two unlabeled points
+    # to a chunk), on a block that ends in a ragged chunk
+    per_chunk = max(1, bbvi.LIKELIHOOD_CHUNK // (4 * 10 * 784))
+    _check_chunked_bernoulli(2 * per_chunk + 1, 4, 10, 784, dtype, seed=3)
+
+
+@pytest.mark.parametrize("with_grads", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nan_logit_raises_numeric_error_in_recon(dtype, with_grads):
+    # a NaN decoder output of either sign survives the shared exp
+    rng = np.random.default_rng(12)
+    m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
+    m.decoder.biases(1)[[1, 3]] = [np.nan, -np.nan]
+    x = (rng.random((3, 4)) < 0.5).astype(float)
+    with pytest.raises(bbvi.NumericError) as err:
+        bbvi.estimate_elbo_and_grads(m, x, np.array([0, -1, -1]), 2, rng,
+                                     dataset_size=3, with_grads=with_grads,
+                                     dtype=dtype)
+    assert err.value.term == "recon"
 
 
 def test_clip_global_norm():

@@ -174,9 +174,17 @@ def _corrupt_manifest_not_json(ckpt):
     Path(ckpt).write_text("{not json")
 
 
+def _corrupt_relu_decoder_output(ckpt):
+    manifest = json.loads(Path(ckpt).read_text())
+    manifest["decoder_activations"][-1] = "relu"
+    Path(ckpt).write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_short_blob, _corrupt_manifest_without_blob,
-                                     _corrupt_manifest_not_json],
-                         ids=["short_blob", "no_blob_key", "not_json"])
+                                     _corrupt_manifest_not_json,
+                                     _corrupt_relu_decoder_output],
+                         ids=["short_blob", "no_blob_key", "not_json",
+                              "relu_decoder_output"])
 def test_corrupt_checkpoint_exits_two(tmp_path, capsys, corrupt):
     ckpt = _make_checkpoint(tmp_path)
     corrupt(ckpt)

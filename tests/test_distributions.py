@@ -8,16 +8,12 @@ import scipy.stats
 
 from ibpdgm import distributions as dist
 
-from oracles import (enumerate_binary, fd_grad_all, rel_err, sigmoid_masked,
-                     softplus_unfused)
+from oracles import (enumerate_binary, fd_grad_all, rel_err, same_bits,
+                     sigmoid_masked, softplus_unfused)
 
 
 # ---------------------------------------------------------------------------
 # elementwise maps: each against its formula written out, bit for bit
-
-def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
 
 MAPS = {"sigmoid": (dist.sigmoid, sigmoid_masked),
         "softplus": (dist.softplus, softplus_unfused)}
@@ -49,6 +45,18 @@ def test_sigmoid_edge_values_bit_for_bit():
     sig, soft = dist.sigmoid(x), dist.softplus(x)
     assert sig[2] == 1.0 and sig[3] == 0.0 and sig[7] > 0.0
     assert soft[2] == np.inf and soft[3] == 0.0 and soft[0] == math.log(2.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elementwise_maps_keep_their_bits_at_the_edges(dtype):
+    # signed zeros, infinities, the smallest subnormals, and |x| past 88,
+    # where exp(-|x|) underflows in float32, in each precision the maps keep
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 87.0, -87.0,
+                  88.5, -88.5, 89.0, -89.0, 104.0, -104.0, 745.0, -745.0],
+                 dtype=dtype)
+    for fn, formula in MAPS.values():
+        assert same_bits(fn(x), formula(x))
 
 
 # (z, logits) shapes of the estimator's kinds: the spikes' (B, S, K) draws
@@ -183,6 +191,24 @@ def test_beta_sample_array_returns_the_logs_of_the_clamped_ratio():
     assert np.any(v == 1e-7) and np.any(v == 1.0 - 1e-7)
     assert log_v.tobytes() == np.log(v).tobytes()
     assert log_1mv.tobytes() == np.log1p(-v).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(0.3, 2.5), (np.array([0.05, 0.7, 1.0, 4.0]),
+                                                np.array([3.0, 0.2, 1.0, 0.9]))],
+                         ids=["scalar", "array"])
+def test_beta_sample_array_draws_the_bits_of_unit_scale_gammas(a, b):
+    # standard_gamma(shape) is numpy's gamma(shape, 1.0) without the product
+    # with the scale 1.0: the same draws, bit for bit, from the same stream,
+    # for shapes below and above 1
+    size = (300, 4)
+    mine, ref = np.random.default_rng(21), np.random.default_rng(21)
+    log_v, log_1mv = dist.beta_sample_array(a, b, size, mine)
+    x = ref.gamma(np.broadcast_to(a, size), 1.0)
+    y = ref.gamma(np.broadcast_to(b, size), 1.0)
+    v = np.clip(x / (x + y), 1e-7, 1.0 - 1e-7)
+    assert log_v.tobytes() == np.log(v).tobytes()
+    assert log_1mv.tobytes() == np.log1p(-v).tobytes()
+    assert mine.bit_generator.state == ref.bit_generator.state
 
 
 def test_beta_uniform_ks():

@@ -86,7 +86,9 @@ def test_masked_coordinates_get_zero_recon_gradient():
         m.decoder, np.concatenate([z, np.zeros((1, m.C))], axis=1))
     _, g_out = bbvi._likelihood_values_and_grads(m.likelihood_kind, dec_out,
                                                  x[None, :], m.D)
-    _, g_in = nn.backward(m.decoder, dec_tape, g_out)
+    _, g_pre = nn.backward(m.decoder, dec_tape, g_out)
+    g_in = g_pre @ dec_tape.layers[0][0]
+    assert g_in.shape == (1, k + m.C)
     g_mu_recon = g_in[:, :k] * zhat0[None, :]
     assert g_mu_recon[0, 1] == 0.0
 
@@ -115,6 +117,17 @@ def test_decode_zero_everything_gives_half():
     m.decoder.params[:] = 0.0
     out = mdl.decode(m, np.zeros((1, 3)), np.zeros((1, 2)))
     assert np.allclose(dist.sigmoid(out), 0.5)
+
+
+def test_model_rejects_nonlinear_decoder_output():
+    # the decoder output is raw logits or [mean | raw var], and the
+    # estimator writes the likelihood gradient over it, which only a linear
+    # output layer's backward pass leaves unread
+    m = tiny_model()
+    relu_out = nn.DenseNet(m.decoder.dims, ["relu", "relu"])
+    with pytest.raises(ValueError, match="decoder output activation"):
+        mdl.IbpDgm(m.encoder, m.classifier, relu_out, m.sticks, "bernoulli",
+                   1e-2, m.C, m.D)
 
 
 def test_decode_dim_mismatch():

@@ -99,7 +99,11 @@ def test_backward_matches_finite_differences():
     x = rng.normal(size=4)
     direction = rng.normal(size=3)
     _, tape = nn.forward(net, x[None])
-    grads, grad_in = nn.backward(net, tape, direction[None])
+    grads, g_pre = nn.backward(net, tape, direction[None])
+    # backward stops at the first layer's pre-activation gradient; the input
+    # gradient is that times the first layer's weights
+    assert g_pre.shape == (1, 6)
+    grad_in = g_pre @ tape.layers[0][0]
 
     def objective():
         return float(direction @ nn.forward(net, x[None])[0][0])
@@ -118,14 +122,16 @@ def test_backward_batch_matches_sum_of_singles():
     xs = rng.normal(size=(5, 3))
     gs = rng.normal(size=(5, 2))
     _, tape = nn.forward(net, xs)
-    batch_grads, batch_in = nn.backward(net, tape, gs)
+    batch_grads, batch_pre = nn.backward(net, tape, gs)
+    batch_in = batch_pre @ tape.layers[0][0]
     acc = net.zero_grad_like()
-    for x, g in zip(xs, gs):
+    for row, (x, g) in enumerate(zip(xs, gs)):
         _, t = nn.forward(net, x[None])
-        gr, gi = nn.backward(net, t, g[None])
+        gr, gp = nn.backward(net, t, g[None])
         acc += gr
+        assert np.allclose(batch_in[row], (gp @ t.layers[0][0])[0], atol=1e-12)
     assert np.allclose(batch_grads, acc, atol=1e-12)
-    assert batch_in.shape == (5, 3)
+    assert batch_pre.shape == (5, 4) and batch_in.shape == (5, 3)
 
 
 @pytest.mark.parametrize("out_act", nn.ACTIVATIONS)
@@ -216,21 +222,25 @@ def test_adam_step_count_increments():
 
 
 def test_adam_step_matches_textbook_update_bit_for_bit():
-    # Kingma and Ba's update written out, one temporary per operation
+    # Kingma and Ba's update written out, one temporary per operation, over
+    # a small group and groups one below, at and above one slice
+    # (ADAM_CHUNK), and three slices and a ragged fourth
     rng = np.random.default_rng(17)
     b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
-    params = rng.normal(size=40)
-    state = nn.AdamState(40, lr=3e-3)
-    want, m, v = params.copy(), np.zeros(40), np.zeros(40)
-    for t in range(1, 7):
-        g = rng.normal(size=40) * 10.0 ** rng.uniform(-4, 4, size=40)
-        state.lr = 3e-3 / t
-        nn.adam_step(params, g, state)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        want = want - state.lr * m_hat / (np.sqrt(v_hat) + eps)
-        for got, ref in ((params, want), (state.first_moment, m),
-                         (state.second_moment, v)):
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    chunk = nn.ADAM_CHUNK
+    for n in (40, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        params = rng.normal(size=n)
+        state = nn.AdamState(n, lr=3e-3)
+        want, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 7):
+            g = rng.normal(size=n) * 10.0 ** rng.uniform(-4, 4, size=n)
+            state.lr = 3e-3 / t
+            nn.adam_step(params, g, state)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            want = want - state.lr * m_hat / (np.sqrt(v_hat) + eps)
+            for got, ref in ((params, want), (state.first_moment, m),
+                             (state.second_moment, v)):
+                assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), n
