@@ -1,5 +1,16 @@
 """Deep generative model with a truncated Indian Buffet Process prior,
-trained by black-box variational inference with control variates."""
+trained by black-box variational inference with control variates.
+
+Importing the package sets one process-wide malloc policy (`_heap`):
+under glibc, freed heap memory is kept for reuse instead of being handed
+back to the kernel, so repeated training steps, metrics passes and
+evaluation calls do not fault their temporaries in afresh.  The process
+holds its largest working set until it exits.
+"""
+
+from . import _heap
+
+_heap.keep_freed_heap(_heap.process_libc())
 
 from .bbvi import (ElboBreakdown, NumericError, control_variate_coeffs,
                    estimate_elbo_and_grads, score_function_grad)

@@ -230,8 +230,11 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     direction and include the decoder weight-decay prior; the score
     gradients always carry the control variates, which need S >= 2.  The
     draws come first, then every term value and its finiteness check,
-    then the gradients.  With `with_grads=False` (S >= 1) it returns
-    after the values, with `grads` = {}: the same values, bit for bit.
+    then the learning signals and the gradients.  With
+    `with_grads=False` (S >= 1) it returns after the values, with
+    `grads` = {}: the same values, bit for bit, and none of what only
+    the gradients read (the spike prior's expectation over q(zhat), the
+    learning signals).
     The decoder runs on blocks of whole points of at most
     DECODER_BLOCK_ROWS rows, so memory is bounded by one block; a
     batch that fits in one block decodes exactly as one call would.
@@ -281,10 +284,16 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
 
     log_v, log_1mv = m.sticks.sample((batch_size, s), rng)
 
-    # the spike prior terms of the drawn spikes and, for the sticks' signal,
-    # their expectation over q(zhat) (the terms are linear in zhat)
-    logp_zhat_k, expected_logp_zhat_k = ibp.ibp_prior_log_prob_from_sticks(
-        np.stack([zhat, np.broadcast_to(pi_hat[:, None, :], zhat.shape)]), log_v)  # (B, S, K)
+    # the spike prior terms of the drawn spikes and, for a step's stick
+    # signal, their expectation over q(zhat) (the terms are linear in zhat),
+    # in one call; the terms are elementwise, so either half has the bits
+    # of a call on it alone
+    if with_grads:
+        logp_zhat_k, expected_logp_zhat_k = ibp.ibp_prior_log_prob_from_sticks(
+            np.stack([zhat, np.broadcast_to(pi_hat[:, None, :], zhat.shape)]),
+            log_v)                                                       # (B, S, K)
+    else:
+        logp_zhat_k = ibp.ibp_prior_log_prob_from_sticks(zhat, log_v)
     logq_zhat_k = dist.bernoulli_log_prob(zhat, logits_z[:, None, :])
     logp_zhat = logp_zhat_k.sum(axis=2)                                  # (B, S)
     logq_zhat = logq_zhat_k.sum(axis=2)
@@ -348,11 +357,6 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     _check_finite("recon", recon)
 
     # --- the other term values ----------------------------------------------
-    # spike k's signal keeps the reconstruction and its own prior and
-    # entropy terms; the other spikes' terms are independent of its score
-    f_zhat = recon[:, :, None] + prior_weight * (logp_zhat_k - logq_zhat_k)  # (B, S, K)
-    _check_finite("term_zhat", f_zhat)
-
     # analytic -KL(q(ztilde) || N(0, I))
     kl_gauss_points = dist.gaussian_kl_to_standard(mean, var)
 
@@ -365,12 +369,6 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
 
     logp_v_k = ibp.sticks_prior_log_prob(log_v, m.sticks.alpha)   # (B, S, K)
     logq_v_k = m.sticks.log_prob(log_v, log_1mv)
-    # Markov blanket of v_j: the spike priors of components k >= j, in
-    # expectation over q(zhat) and batch-scaled to the dataset, plus the
-    # stick's own prior and entropy
-    tails = np.cumsum(expected_logp_zhat_k[..., ::-1], axis=2)[..., ::-1]
-    f_v = (n_data * tails + logp_v_k - logq_v_k).reshape(-1, k)
-    _check_finite("term_v", f_v)
 
     breakdown = ElboBreakdown(
         total=0.0,
@@ -390,6 +388,18 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
             raise NumericError(name)
     if not with_grads:
         return breakdown
+
+    # --- the learning signals -------------------------------------------------
+    # spike k's signal keeps the reconstruction and its own prior and
+    # entropy terms; the other spikes' terms are independent of its score
+    f_zhat = recon[:, :, None] + prior_weight * (logp_zhat_k - logq_zhat_k)  # (B, S, K)
+    _check_finite("term_zhat", f_zhat)
+    # Markov blanket of v_j: the spike priors of components k >= j, in
+    # expectation over q(zhat) and batch-scaled to the dataset, plus the
+    # stick's own prior and entropy
+    tails = np.cumsum(expected_logp_zhat_k[..., ::-1], axis=2)[..., ::-1]
+    f_v = (n_data * tails + logp_v_k - logq_v_k).reshape(-1, k)
+    _check_finite("term_v", f_v)
 
     # --- spike (zhat) score gradients, per-point control variates ----------
     h_zhat = dist.bernoulli_score_grad(zhat, logits_z[:, None, :])  # (B, S, K)

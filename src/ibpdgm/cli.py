@@ -1,12 +1,13 @@
 """Command-line entry points: train, eval, report, selftest, gen.
 
 `train` reads and validates the whole `RunConfig`, `report` reads its
-`tau`, and `gen` its `seed` and `out`; each folds it from a
+`tau` and `out`, and `gen` its `seed` and `out`; each folds it from a
 key=value text file (`--config`), environment variables IBPDGM_<KEY> (only
 those naming a `RunConfig` field are read, so other IBPDGM_ variables such
 as IBPDGM_MNIST_DIR pass through), and flag overrides, in that precedence
-order.  `eval` and `selftest` read no configuration; `eval` and `report`
-load `--amat` files under the checkpoint's likelihood.
+order.  `report` writes `report.json` only when some source sets `out`.
+`eval` and `selftest` read no configuration; `eval` and `report` load
+`--amat` files under the checkpoint's likelihood.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.
 """
@@ -67,9 +68,10 @@ def parse_config_file(path):
     return pairs
 
 
-def build_run_config(args):
-    """Fold defaults < config file < environment < --set flags."""
-    cfg = training.RunConfig()
+def build_run_config(args, out=training.RunConfig.out):
+    """Fold defaults < config file < environment < --set flags; `out` is
+    the default of the `out` key (`report` passes "": no source, no file)."""
+    cfg = training.RunConfig(out=out)
     field_types = {name: type(getattr(cfg, name)) for name in vars(cfg)}
 
     def apply(pairs, source):
@@ -173,7 +175,7 @@ def cmd_eval(args):
 
 
 def cmd_report(args):
-    cfg = build_run_config(args)
+    cfg = build_run_config(args, out="")
     m = mdl.load_checkpoint(args.checkpoint)
     dataset = _load_eval_dataset(args, m)
     report = training.component_report(m, dataset, cfg.tau)
@@ -183,8 +185,8 @@ def cmd_report(args):
     for k in range(m.K):
         print(f"{k},{report.mean[k]:.6f},{report.std[k]:.6f},"
               f"{int(k in set(report.active.tolist()))}")
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
+    if cfg.out:
+        os.makedirs(cfg.out, exist_ok=True)
         payload = {
             "tau": report.tau,
             "active": [int(i) for i in report.active],
@@ -192,7 +194,7 @@ def cmd_report(args):
             "mean": report.mean.tolist(),
             "std": report.std.tolist(),
         }
-        path = os.path.join(args.out, "report.json")
+        path = os.path.join(cfg.out, "report.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         print(f"written: {path}")

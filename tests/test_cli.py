@@ -347,6 +347,34 @@ def test_report_reads_tau_from_environment(tmp_path, monkeypatch, capsys):
     assert "tau: 1.0" in text and "active_count: 0" in text
 
 
+@pytest.mark.parametrize("source", ["config", "environment", "set"])
+def test_report_writes_under_out_from_every_source(tmp_path, monkeypatch,
+                                                   capsys, source):
+    # out folds like every other key, as for gen; the --out flag is
+    # covered above
+    ckpt, amat = _untrained_report_inputs(tmp_path)
+    out_dir = tmp_path / "rep"
+    argv = ["report", "--checkpoint", ckpt, "--amat", str(amat)]
+    if source == "config":
+        argv += ["--config", write_cfg(tmp_path, out=out_dir)]
+    elif source == "environment":
+        monkeypatch.setenv("IBPDGM_OUT", str(out_dir))
+    else:
+        argv += ["--set", f"out={out_dir}"]
+    assert cli.main(argv) == 0
+    assert f"written: {out_dir / 'report.json'}" in capsys.readouterr().out
+    assert json.load(open(out_dir / "report.json"))["count"] == 3
+
+
+def test_report_without_out_writes_nothing(tmp_path, monkeypatch, capsys):
+    ckpt, amat = _untrained_report_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat)]) == 0
+    assert "written" not in capsys.readouterr().out
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_gen_writes_csv(tmp_path):
     ckpt = _make_checkpoint(tmp_path)
     out_dir = str(tmp_path / "gen")
