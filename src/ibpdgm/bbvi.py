@@ -234,7 +234,10 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     `with_grads=False` (S >= 1) it returns after the values, with
     `grads` = {}: the same values, bit for bit, and none of what only
     the gradients read (the spike prior's expectation over q(zhat), the
-    learning signals).
+    learning signals), nor does it keep it: the encoder and classifier
+    tapes are dropped once the heads are computed, and each decoder
+    block's tape before its likelihood values and its output before the
+    next block's pass.
     The decoder runs on blocks of whole points of at most
     DECODER_BLOCK_ROWS rows, so memory is bounded by one block; a
     batch that fits in one block decodes exactly as one call would.
@@ -275,6 +278,9 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
 
     cls_out, cls_tape = nn.forward(m.classifier, x)
     probs_y = dist.softmax(cls_out)                       # (B, C)
+    if not with_grads:
+        # only the gradients read the tapes: free their hidden layers now
+        enc_tape = cls_tape = None
 
     # --- joint samples ------------------------------------------------------
     eps = rng.standard_normal((batch_size, s, k))
@@ -339,7 +345,11 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
             out = out.reshape(pts.size, s, n_cls, -1)
             x_pts = x_dec[pts][:, None, None, :]
             if not with_grads:
+                # only the gradients read the tape, and the block's output is
+                # freed before the next block's pass allocates its own
+                del tape
                 r[blk] = _likelihood_values(m.likelihood_kind, out, x_pts, m.D)
+                del out
                 continue
             r[blk], g_out = _likelihood_values_and_grads(
                 m.likelihood_kind, out, x_pts, m.D)

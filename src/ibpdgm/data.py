@@ -18,6 +18,8 @@ import numpy as np
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# `binarize_epoch` draws its uniforms in row chunks of about this many values
+BINARIZE_CHUNK = 2 ** 16
 
 
 class DataFormatError(ValueError):
@@ -38,6 +40,8 @@ class Dataset:
             raise ValueError("features must be (N, D) with one label per row")
         if np.any(self.labels < -1) or np.any(self.labels >= self.num_classes):
             raise ValueError("labels must lie in {-1, 0..C-1}")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("features must be finite (found nan or inf)")
         if self.kind == "bernoulli" and (
                 np.any(self.features < 0) or np.any(self.features > 1)):
             raise ValueError("bernoulli features must lie in [0, 1]")
@@ -138,11 +142,24 @@ def load_amat(path, kind="bernoulli"):
 
 
 def binarize_epoch(features, rng):
-    """Fresh Bernoulli draw per pixel with its value as the on-probability."""
+    """Fresh Bernoulli draw per pixel with its value as the on-probability;
+    returns a bool array shaped like features.
+
+    Pixel (i, j) is on where u < features[i, j], u the uniforms of one
+    `rng.random(features.shape)` call, which are drawn in row chunks of
+    about BINARIZE_CHUNK values: the same stream, bit for bit, and the
+    generator is left where that one call would leave it, without an
+    n x D float64 draw array.  NaN fails the [0, 1] check.
+    """
     features = np.asarray(features, dtype=np.float64)
-    if np.any(features < 0) or np.any(features > 1):
+    if features.size and not (features.min() >= 0.0 and features.max() <= 1.0):
         raise ValueError("features must lie in [0, 1] to binarize")
-    return (rng.random(features.shape) < features).astype(np.float64)
+    out = np.empty(features.shape, dtype=bool)
+    rows = max(1, BINARIZE_CHUNK // max(1, features[:1].size))
+    for lo in range(0, features.shape[0], rows):
+        np.less(rng.random(features[lo:lo + rows].shape), features[lo:lo + rows],
+                out=out[lo:lo + rows])
+    return out
 
 
 def stratified_label_split(labels, fraction, rng):

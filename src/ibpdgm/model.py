@@ -22,6 +22,9 @@ from . import ibp
 CHECKPOINT_FORMAT = "IBPDGM-1"
 VAR_FLOOR = 1e-6
 LIKELIHOODS = ("bernoulli", "gaussian")
+# the evaluation passes (`predict_batch`, `training.inclusion_probs`) run on
+# chunks of this many rows, so their temporaries do not grow with N
+EVAL_CHUNK = 2048
 
 
 class IbpDgm:
@@ -107,10 +110,16 @@ def predict_batch(m, x):
     """The most probable label of each row of x, (B,).
 
     Unlike `classify`, the classifier runs in nn.FAST_DTYPE (float32), on
-    weights cast once per call: only the argmax of the logits is read.
+    weights cast once per call and on chunks of EVAL_CHUNK rows: only the
+    argmax of the logits is read.
     """
-    out, _ = nn.forward(m.classifier, x, nn.cast_layers(m.classifier, nn.FAST_DTYPE))
-    return np.argmax(out, axis=1)
+    layers = nn.cast_layers(m.classifier, nn.FAST_DTYPE)
+    pred = np.empty(len(x), dtype=np.intp)
+    for lo in range(0, len(x), EVAL_CHUNK):
+        chunk = slice(lo, lo + EVAL_CHUNK)
+        out, _ = nn.forward(m.classifier, x[chunk], layers)
+        np.argmax(out, axis=1, out=pred[chunk])
+    return pred
 
 
 def decode(m, z, y_embed):

@@ -17,6 +17,13 @@ blocks in training, and the evaluation passes behind `error_rate` and
 `backward` stops at the first layer's pre-activation gradient: the
 encoder and classifier never read their input gradient, and the decoder's
 caller, which does, multiplies by the first layer's weights itself.
+
+Each array of a pass is held once: `forward` applies a ReLU in place on
+its layer's pre-activation, so a ReLU output is both the tape's record of
+that layer and the next layer's input, and `backward` takes the ReLU mask
+from the output (output > 0 exactly where pre-activation > 0, NaN
+included).  So a ReLU output must not be overwritten before `backward`
+has run on its tape.
 """
 
 import numpy as np
@@ -33,12 +40,19 @@ FAST_DTYPE = np.float32
 
 
 class Tape:
-    """Per-layer cache from one forward pass, consumed by backward()."""
+    """Per-layer cache from one forward pass, consumed by backward().
 
-    def __init__(self, layers, inputs, preacts):
+    A layer's output is the next layer's input, the same array; the last
+    output is the array `forward` returned.  `backward` reads each ReLU
+    mask from its output, so a caller overwrites no ReLU output before
+    `backward`; a linear output, which it does not read, may be (the
+    estimator writes the likelihood gradient over the decoder's).
+    """
+
+    def __init__(self, layers, inputs, outputs):
         self.layers = layers      # the (W, b) pairs the pass ran with, in its dtype
         self.inputs = inputs      # list of layer inputs, shape (B, fan_in)
-        self.preacts = preacts    # list of pre-activations, shape (B, fan_out)
+        self.outputs = outputs    # list of post-activation outputs, (B, fan_out)
 
 
 class DenseNet:
@@ -127,7 +141,8 @@ def forward(net, x, layers=None):
     The pass computes in the precision of its weights: `layers`, as
     `cast_layers` returns them, or by default the network's own float64
     views.  x is cast to that precision, and the output and the tape are
-    in it.
+    in it.  A ReLU is applied in place on its layer's pre-activation, so
+    each layer allocates one array, its output, which the tape keeps.
 
     Pure given the parameters: same params + same input give bit-identical
     output.
@@ -140,15 +155,16 @@ def forward(net, x, layers=None):
             f"input of shape {x.shape}: network expects (B, {net.input_dim})")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite input")
-    inputs, preacts = [], []
+    inputs, outputs = [], []
     h = x
     for (w, b), act in zip(layers, net.activations):
         inputs.append(h)
-        z = h @ w.T
-        z += b
-        preacts.append(z)
-        h = np.maximum(z, 0.0) if act == "relu" else z
-    return h, Tape(layers, inputs, preacts)
+        h = h @ w.T
+        h += b
+        if act == "relu":
+            np.maximum(h, 0.0, out=h)
+        outputs.append(h)
+    return h, Tape(layers, inputs, outputs)
 
 
 def backward(net, tape, grad_out):
@@ -159,7 +175,10 @@ def backward(net, tape, grad_out):
     gradient w.r.t. the first layer's pre-activation, (B, fan_out of the
     first layer)).  The pass stops there: a caller that wants the gradient
     w.r.t. the input x takes `g_pre @ tape.layers[0][0]`.  The ReLU
-    subgradient at exactly 0 is taken as 0.
+    subgradient at exactly 0 is taken as 0.  Each ReLU mask is read from
+    the layer's output on the tape, as output > 0, which equals
+    pre-activation > 0 for every value: a ReLU output overwritten since
+    `forward` would give a wrong gradient.
 
     The pass runs in the tape's dtype, on the weights the forward pass
     kept on the tape; the parameter gradient is returned as float64 in
@@ -170,10 +189,10 @@ def backward(net, tape, grad_out):
         raise ValueError("tape does not match network (layer count)")
     dtype = tape.inputs[0].dtype
     g = np.asarray(grad_out, dtype=dtype)
-    if g.shape != tape.preacts[-1].shape:
+    if g.shape != tape.outputs[-1].shape:
         raise ValueError(
             f"grad_out shape {g.shape} does not match forward output "
-            f"{tape.preacts[-1].shape}")
+            f"{tape.outputs[-1].shape}")
     grads = np.empty(net.params.size, dtype=dtype)      # every slot is written
     off = net.params.size
     owned = False             # g is the caller's grad_out until the first g @ w
@@ -182,7 +201,7 @@ def backward(net, tape, grad_out):
         if tape.inputs[layer].shape[1] != w.shape[1]:
             raise ValueError("tape does not match network (layer shape)")
         if net.activations[layer] == "relu":
-            mask = tape.preacts[layer] > 0.0
+            mask = tape.outputs[layer] > 0.0
             if owned:
                 g *= mask
             else:

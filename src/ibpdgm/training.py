@@ -169,8 +169,10 @@ def error_rate(m, dataset):
     mask = dataset.labels >= 0
     if not np.any(mask):
         return float("nan")
-    pred = mdl.predict_batch(m, dataset.features[mask])
-    return 100.0 * float(np.mean(pred != dataset.labels[mask]))
+    x, labels = dataset.features, dataset.labels
+    if not np.all(mask):      # copy the features only when some are skipped
+        x, labels = x[mask], labels[mask]
+    return 100.0 * float(np.mean(mdl.predict_batch(m, x) != labels))
 
 
 def inclusion_probs(m, features):
@@ -178,17 +180,19 @@ def inclusion_probs(m, features):
     encoder logit head.
 
     The encoder runs in nn.FAST_DTYPE (float32) on weights cast once per
-    call, and its last layer computes only the logit rows [2K:3K]; the
-    sigmoid is taken in float64.
+    call, on chunks of mdl.EVAL_CHUNK rows, and its last layer computes
+    only the logit rows [2K:3K]; the sigmoid is taken in float64 and
+    written into the one (N, K) result.
     """
     layers = nn.cast_layers(m.encoder, nn.FAST_DTYPE)
     w, b = layers[-1]
     layers[-1] = (w[2 * m.K:], b[2 * m.K:])
-    rows = []
-    for start in range(0, features.shape[0], 2048):
-        logits, _ = nn.forward(m.encoder, features[start:start + 2048], layers)
-        rows.append(dist.sigmoid(logits.astype(np.float64)))
-    return np.concatenate(rows, axis=0)
+    probs = np.empty((features.shape[0], m.K))
+    for lo in range(0, features.shape[0], mdl.EVAL_CHUNK):
+        chunk = slice(lo, lo + mdl.EVAL_CHUNK)
+        logits, _ = nn.forward(m.encoder, features[chunk], layers)
+        probs[chunk] = dist.sigmoid(logits.astype(np.float64))
+    return probs
 
 
 def component_report(m, dataset, tau):
@@ -267,19 +271,10 @@ def train(cfg, train_data=None, test_data=None, log=None):
             order = train_rng.permutation(n)
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                breakdown = bbvi.estimate_elbo_and_grads(
-                    m, feats[idx], split_train.labels[idx], cfg.mc_samples, train_rng,
-                    dataset_size=n, alpha_sup=alpha_sup,
-                    prior_weight=spike_prior_weight(step, total_steps),
-                    dtype=nn.FAST_DTYPE)
+                _train_step(m, states, feats[idx], split_train.labels[idx],
+                            cfg.mc_samples, train_rng, n, alpha_sup,
+                            spike_prior_weight(step, total_steps))
                 step += 1
-                loss_grads = breakdown.grads
-                for g in loss_grads.values():
-                    np.negative(g, out=g)
-                bbvi.clip_global_norm(loss_grads, GRAD_CLIP * n)
-                groups = m.parameter_groups()
-                for name, g in loss_grads.items():
-                    nn.adam_step(groups[name], g, states[name])
 
             row = _epoch_metrics(m, split_train, test_data, cfg, alpha_sup,
                                  epoch, eval_seed)
@@ -295,17 +290,37 @@ def train(cfg, train_data=None, test_data=None, log=None):
                        checkpoint_path=checkpoint_path, history=history)
 
 
+def _train_step(m, states, x, labels, num_samples, rng, n, alpha_sup, prior_weight):
+    """One estimate, clip and Adam update on the batch (x, labels).
+
+    The step's breakdown and gradients are local, so they are freed when
+    it returns, before the next step's estimate allocates its own.
+    """
+    loss_grads = bbvi.estimate_elbo_and_grads(
+        m, x, labels, num_samples, rng, dataset_size=n, alpha_sup=alpha_sup,
+        prior_weight=prior_weight, dtype=nn.FAST_DTYPE).grads
+    for g in loss_grads.values():
+        np.negative(g, out=g)
+    bbvi.clip_global_norm(loss_grads, GRAD_CLIP * n)
+    groups = m.parameter_groups()
+    for name, g in loss_grads.items():
+        nn.adam_step(groups[name], g, states[name])
+
+
 def _epoch_metrics(m, train_data, test_data, cfg, alpha_sup, epoch, eval_seed):
     """One metrics row; the ELBO estimate reuses a fixed evaluation stream."""
     rng = np.random.default_rng(eval_seed)
     feats = train_data.features
     if train_data.kind == "bernoulli":
         feats = dio.binarize_epoch(feats, rng)
+    labels = train_data.labels
     n = train_data.n
-    cap = min(n, 4000)  # bound per-epoch metric cost on big datasets
-    idx = np.arange(n) if n <= cap else rng.permutation(n)[:cap]
+    cap = 4000  # bound per-epoch metric cost on big datasets
+    if n > cap:
+        idx = rng.permutation(n)[:cap]
+        feats, labels = feats[idx], labels[idx]
     bd = bbvi.estimate_elbo_and_grads(
-        m, feats[idx], train_data.labels[idx], cfg.eval_mc_samples, rng, dataset_size=n,
+        m, feats, labels, cfg.eval_mc_samples, rng, dataset_size=n,
         alpha_sup=alpha_sup, with_grads=False, dtype=nn.FAST_DTYPE)
     report = component_report(m, train_data, cfg.tau)
     train_err = error_rate(m, train_data)

@@ -60,6 +60,33 @@ def softplus_unfused(x):
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
+def net_pass_masking_preacts(net, x, grad_out, dtype=np.float64):
+    """A network's forward and backward pass that keeps every
+    pre-activation apart from its ReLU output and takes each ReLU mask from
+    the pre-activation, with the operations of `nn.forward` and
+    `nn.backward` otherwise, on the weights cast to `dtype`.  Returns
+    (output, flat float64 parameter gradient, gradient w.r.t. the first
+    layer's pre-activation)."""
+    weights = [(net.weights(layer).astype(dtype), net.biases(layer).astype(dtype))
+               for layer in range(len(net.activations))]
+    inputs, preacts = [], []
+    h = np.asarray(x, dtype=dtype)
+    for (w, b), act in zip(weights, net.activations):
+        inputs.append(h)
+        z = h @ w.T + b
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if act == "relu" else z
+    g = np.asarray(grad_out, dtype=dtype)
+    parts = []
+    for layer in range(len(weights) - 1, -1, -1):
+        if net.activations[layer] == "relu":
+            g = g * (preacts[layer] > 0.0)
+        parts.append(np.concatenate([(g.T @ inputs[layer]).ravel(), g.sum(axis=0)]))
+        if layer:
+            g = g @ weights[layer][0]
+    return h, np.concatenate(parts[::-1]).astype(np.float64), g
+
+
 def _expect_sticks(fun, a, b, nodes=200):
     """E[fun(v1, v2)] under independent Beta(a[0], b[0]) x Beta(a[1], b[1]),
     by tensor Gauss-Jacobi quadrature (scipy.special.roots_jacobi); fun

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -104,6 +105,20 @@ def test_load_amat_float_label_column(tmp_path):
     assert ds.labels[0] == 7
 
 
+@pytest.mark.parametrize("kind, token", [
+    ("bernoulli", "nan"), ("bernoulli", "inf"), ("gaussian", "nan"),
+    ("gaussian", "inf"), ("gaussian", "-inf")])
+def test_load_amat_rejects_non_finite_features(tmp_path, kind, token):
+    # float() parses these tokens: a nan pixel would load as Bernoulli data
+    # and be drawn as 0 every epoch, and a Gaussian nan or inf would fail
+    # only later, in the first network pass
+    path = tmp_path / "rows.amat"
+    path.write_text(f"0.5 0.5 1\n0.25 {token} 0\n")
+    with pytest.raises(dio.DataFormatError,
+                       match=re.escape(str(path)) + ".*finite"):
+        dio.load_amat(str(path), kind=kind)
+
+
 # ---------------------------------------------------------------------------
 # binarization
 
@@ -139,6 +154,28 @@ def test_binarize_output_is_binary():
 def test_binarize_rejects_out_of_range():
     with pytest.raises(ValueError):
         dio.binarize_epoch(np.array([[1.5]]), np.random.default_rng(0))
+
+
+def test_binarize_rejects_nan():
+    # a nan compares false both ways, so a range check by comparisons alone
+    # let it through, and it was drawn as 0 every epoch
+    with pytest.raises(ValueError):
+        dio.binarize_epoch(np.array([[0.5, np.nan]]), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5000, 30), (300, 784),
+                                   (5, 40000), (2, 70000)])
+def test_binarize_matches_one_draw_bit_for_bit(shape):
+    # the uniforms are drawn in row chunks (1 to 83 rows of these widths, or
+    # one row wider than a chunk), which is the stream of one
+    # rng.random(shape) call: the same pixels, as bool, and the generator
+    # left where that call leaves it
+    feats = np.random.default_rng(7).random(shape)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    out = dio.binarize_epoch(feats, rng)
+    assert out.dtype == np.bool_ and out.shape == shape
+    assert np.array_equal(out, ref.random(shape) < feats)
+    assert rng.random(4).tobytes() == ref.random(4).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -237,3 +274,12 @@ def test_dataset_validates_bernoulli_range():
     with pytest.raises(ValueError):
         dio.Dataset(np.full((2, 2), 1.7), np.zeros(2, dtype=int), 1, "bernoulli")
     dio.Dataset(np.full((2, 2), 1.7), np.zeros(2, dtype=int), 1, "gaussian")
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(kind, bad):
+    feats = np.full((2, 3), 0.5)
+    feats[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dio.Dataset(feats, np.zeros(2, dtype=int), 1, kind)

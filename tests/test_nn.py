@@ -3,7 +3,7 @@ import pytest
 
 from ibpdgm import nn
 
-from oracles import fd_grad_all, rel_err
+from oracles import fd_grad_all, net_pass_masking_preacts, rel_err, same_bits
 
 
 def test_glorot_bound_forced_to_one():
@@ -147,13 +147,59 @@ def test_backward_leaves_grad_out_and_tape_unchanged(out_act, batched):
     _, tape = nn.forward(net, x)
     grad_out = rng.normal(size=(rows, 4))
     saved = [grad_out.copy(), [a.copy() for a in tape.inputs],
-             [a.copy() for a in tape.preacts]]
+             [a.copy() for a in tape.outputs]]
     first, _ = nn.backward(net, tape, grad_out)
     assert np.array_equal(grad_out, saved[0])
-    for now, before in zip(tape.inputs + tape.preacts, saved[1] + saved[2]):
+    for now, before in zip(tape.inputs + tape.outputs, saved[1] + saved[2]):
         assert np.array_equal(now, before)
     again, _ = nn.backward(net, tape, grad_out)
     assert np.array_equal(first, again)
+
+
+def test_relu_output_is_held_once():
+    # a ReLU layer's output is the next layer's input, the same array, and
+    # the last output is the array forward returns: no second copy
+    rng = np.random.default_rng(17)
+    net = nn.DenseNet([3, 6, 5, 4], ["relu", "relu", "identity"])
+    net.params[:] = rng.normal(size=net.num_params)
+    y, tape = nn.forward(net, rng.normal(size=(7, 3)))
+    assert len(tape.outputs) == len(tape.inputs) == 3
+    for layer in range(2):
+        assert tape.outputs[layer] is tape.inputs[layer + 1]
+        assert np.all(tape.outputs[layer] >= 0.0)
+    assert tape.outputs[-1] is y
+
+
+def test_relu_mask_from_output_equals_mask_from_preactivation():
+    z = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  1.0, -1.0])
+    for dtype in (np.float32, np.float64):
+        pre = z.astype(dtype)
+        out = np.maximum(pre, 0.0)
+        assert np.array_equal(out > 0.0, pre > 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("acts", [["relu", "identity"], ["relu", "relu", "identity"],
+                                  ["relu", "relu", "relu"], ["identity", "relu"]])
+def test_pass_matches_the_preactivation_mask_oracle_bit_for_bit(acts, dtype):
+    # masking on the ReLU output instead of the pre-activation changes no
+    # bit of the output or of either gradient
+    rng = np.random.default_rng(len(acts))
+    dims = [5, 8, 6, 4][:len(acts) + 1]
+    net = nn.DenseNet(dims, acts)
+    net.params[:] = rng.normal(size=net.num_params)
+    x = rng.normal(size=(9, dims[0]))
+    grad_out = rng.normal(size=(9, dims[-1]))
+    y, tape = nn.forward(net, x, nn.cast_layers(net, dtype))
+    grads, g_pre = nn.backward(net, tape, grad_out)
+    want_y, want_grads, want_pre = net_pass_masking_preacts(net, x, grad_out, dtype)
+    assert same_bits(y, want_y)
+    assert same_bits(grads, want_grads)
+    assert same_bits(g_pre, want_pre)
+    # every ReLU layer masks some units
+    assert all(np.any(out == 0.0) for out, act in zip(tape.outputs, acts)
+               if act == "relu")
 
 
 def test_pass_runs_in_the_precision_of_its_weights():
@@ -171,7 +217,7 @@ def test_pass_runs_in_the_precision_of_its_weights():
     grads, grad_in = nn.backward(net, tape, grad_out)
 
     y32, tape32 = nn.forward(net, x, nn.cast_layers(net, np.float32))
-    assert {a.dtype for a in (y32, *tape32.inputs, *tape32.preacts,
+    assert {a.dtype for a in (y32, *tape32.inputs, *tape32.outputs,
                               *(p for layer in tape32.layers for p in layer))} \
         == {np.dtype(np.float32)}
     grads32, grad_in32 = nn.backward(net, tape32, grad_out)

@@ -117,6 +117,43 @@ def test_error_rate_skips_unlabeled():
     assert np.isnan(training.error_rate(m, ds))
 
 
+@pytest.mark.parametrize("labeled", [20, 12])
+def test_error_rate_copies_the_features_only_for_unlabeled_points(monkeypatch, labeled):
+    # an all-labeled set is classified as it is, with no copy; otherwise
+    # the labeled rows are
+    rng = np.random.default_rng(2)
+    m = mdl.build_model(3, 2, 2, 4, "gaussian", 2.0, 1e-2, rng)
+    labels = np.full(20, -1)
+    labels[:labeled] = rng.integers(0, 2, labeled)
+    ds = dio.Dataset(rng.normal(size=(20, 3)), labels, 2, "gaussian")
+    seen = []
+    predict = mdl.predict_batch
+
+    def spied(m, x):
+        seen.append(x)
+        return predict(m, x)
+
+    monkeypatch.setattr(mdl, "predict_batch", spied)
+    err = training.error_rate(m, ds)
+    (x,) = seen
+    assert (x is ds.features) == (labeled == 20)
+    assert np.array_equal(x, ds.features[:labeled])
+    assert err == 100.0 * np.mean(predict(m, x) != labels[:labeled])
+
+
+def test_predict_batch_chunks_keep_the_argmax_of_one_pass():
+    # 5000 rows run as chunks of 2048, 2048 and 904 rows
+    rng = np.random.default_rng(23)
+    m = mdl.build_model(100, 7, 4, 200, "bernoulli", 2.0, 1e-2, rng)
+    m.classifier.params += 0.3 * rng.standard_normal(m.classifier.params.size)
+    x = rng.random((5000, 100))
+    logits, _ = nn.forward(m.classifier, x,
+                           nn.cast_layers(m.classifier, nn.FAST_DTYPE))
+    pred = mdl.predict_batch(m, x)
+    want = np.argmax(logits, axis=1)
+    assert pred.dtype == want.dtype and np.array_equal(pred, want)
+
+
 def test_component_report_untrained_is_all_active():
     rng = np.random.default_rng(2)
     m = mdl.build_model(4, 2, 3, 4, "bernoulli", 2.0, 1e-2, rng)
@@ -253,7 +290,7 @@ def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
     estimate, adam_step = bbvi.estimate_elbo_and_grads, nn.adam_step
 
     def tape_dtypes(tape):
-        return {a.dtype for a in (*tape.inputs, *tape.preacts,
+        return {a.dtype for a in (*tape.inputs, *tape.outputs,
                                   *(p for layer in tape.layers for p in layer))}
 
     def spied_forward(net, x, *args, **kwargs):
