@@ -1,9 +1,12 @@
 """Inferring how many latent features the data actually needs.
 
 Synthetic binary data is generated from 4 ground-truth features; the model
-gets a truncation budget of 16.  Training should commit a handful of
-components and push the rest of the inclusion posteriors toward zero; the
-component report counts what survived.  Takes a few minutes on one core.
+gets a truncation budget of 16 and a small IBP concentration, alpha = 0.1.
+Training commits a few components and pushes the rest of the inclusion
+posteriors toward zero; the component report counts what survived.  At
+this config and seed all 16 are active after the first epoch, 5 by epoch
+30, and 2 at the end (mean inclusion about 1.00 and 0.64): the count comes
+out small, but below the 4 true features.  Takes a few minutes on one core.
 Run:  python demos/03_latent_dimensionality.py
 """
 
@@ -30,7 +33,8 @@ result = training.train(
 report = training.component_report(result.model, train_data, cfg.tau)
 
 print()
-print(f"active components at tau={cfg.tau}: {report.count} of {cfg.truncation}")
+print(f"active components at tau={cfg.tau}: {report.count} of {cfg.truncation} "
+      f"(ground-truth features: {cfg.synth_features})")
 print("k   mean q(zhat_k=1)   std across points   active")
 for k in range(cfg.truncation):
     flag = "*" if k in set(report.active.tolist()) else ""

@@ -238,9 +238,11 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     tapes are dropped once the heads are computed, and each decoder
     block's tape before its likelihood values and its output before the
     next block's pass.
-    The decoder runs on blocks of whole points of at most
-    DECODER_BLOCK_ROWS rows, so memory is bounded by one block; a
-    batch that fits in one block decodes exactly as one call would.
+    Every point decodes C rows per sample, one per class, weighted by its
+    label's one-hot or, unlabeled, by q(y | x).  The decoder runs on
+    contiguous blocks of whole points of at most DECODER_BLOCK_ROWS rows,
+    so memory is bounded by one block; a batch that fits in one block
+    decodes exactly as one call would.
     The blocks compute in `dtype` (training passes float32): the decoder
     weights are cast once per call, and each block's input, its forward
     and backward passes and the likelihood, which reads x cast to `dtype`,
@@ -305,65 +307,51 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     logq_zhat = logq_zhat_k.sum(axis=2)
 
     # --- reconstruction, with the decoder's gradients ----------------------
-    # Point i decodes one row per (sample, class) with the class one-hots
-    # y_pt[i] (n_cls, C) and weights w_pt[i] * scale/S, rows ordered
-    # (point, sample, class); n_cls is 1 for a labeled point and C for an
-    # unlabeled one, which marginalizes its label: its reconstruction sums
-    # the class rows with weights q(y | x).  Labeled and unlabeled points are
-    # decoded apart, each in blocks of whole points of at most
+    # Every point decodes one row per (sample, class), rows ordered (point,
+    # sample, class), and sums its class rows with weights w: its label's
+    # one-hot, or q(y | x) for an unlabeled point, which marginalizes its
+    # label.  The points are decoded in contiguous blocks of at most
     # DECODER_BLOCK_ROWS rows (one point when a point alone is more), so
     # memory does not grow with the batch; the draws are all made already.
     # A block's backward pass runs while its output is at hand.
-    labeled = labels >= 0
-    idx_lab = np.flatnonzero(labeled)
-    idx_unl = np.flatnonzero(~labeled)
+    idx_lab = np.flatnonzero(labels >= 0)
+    idx_unl = np.flatnonzero(labels < 0)
     eye = np.eye(c)
-    groups = []                                   # (idx, y_pt, w_pt)
-    if idx_lab.size:
-        groups.append((idx_lab, eye[labels[idx_lab]][:, None, :],
-                       np.ones((idx_lab.size, 1))))
-    if idx_unl.size:
-        groups.append((idx_unl, np.broadcast_to(eye, (idx_unl.size, c, c)),
-                       probs_y[idx_unl]))
-    recon = np.empty((batch_size, s))
-    g_z = np.zeros((batch_size, s, k))        # weighted by scale/S already
+    w = probs_y.copy()                                    # (B, C)
+    w[idx_lab] = eye[labels[idx_lab]]
+    r = np.empty((batch_size, s, c))          # log p(x | z, y = c)
+    g_z = np.empty((batch_size, s, k))        # weighted by scale/S already
     dec_grads = m.decoder.zero_grad_like()
     dec_layers = nn.cast_layers(m.decoder, dtype)
-    x_dec = x.astype(dtype, copy=False)
-    for idx, y_pt, w_pt in groups:
-        n_cls = y_pt.shape[1]
-        per_block = max(1, DECODER_BLOCK_ROWS // (s * n_cls))
-        r = np.empty((idx.size, s, n_cls))
-        for lo in range(0, idx.size, per_block):
-            blk = slice(lo, lo + per_block)
-            pts = idx[blk]
-            dec_in = np.empty((pts.size, s, n_cls, k + c), dtype=dtype)
-            dec_in[..., :k] = z[pts][:, :, None, :]
-            dec_in[..., k:] = y_pt[blk][:, None]
-            out, tape = nn.forward(m.decoder, dec_in.reshape(-1, k + c),
-                                   layers=dec_layers)
-            out = out.reshape(pts.size, s, n_cls, -1)
-            x_pts = x_dec[pts][:, None, None, :]
-            if not with_grads:
-                # only the gradients read the tape, and the block's output is
-                # freed before the next block's pass allocates its own
-                del tape
-                r[blk] = _likelihood_values(m.likelihood_kind, out, x_pts, m.D)
-                del out
-                continue
-            r[blk], g_out = _likelihood_values_and_grads(
-                m.likelihood_kind, out, x_pts, m.D)
-            g_out *= (w_pt[blk] * (scale / s)).astype(dtype, copy=False)[:, None, :, None]
-            g_params, g_pre = nn.backward(m.decoder, tape,
-                                          g_out.reshape(-1, out.shape[-1]))
-            g_in = g_pre @ tape.layers[0][0]
-            # the one-hots are constants and the weights are folded in: the
-            # z-gradient sums the class rows
-            g_z[pts] = g_in[:, :k].reshape(-1, s, n_cls, k).sum(axis=2)
-            dec_grads += g_params
-        recon[idx] = np.sum(w_pt[:, None, :] * r, axis=2)
-        if idx is idx_unl:
-            r_unl = r                 # the unlabeled points' (B_u, S, C) values
+    per_block = max(1, DECODER_BLOCK_ROWS // (s * c))
+    for lo in range(0, batch_size, per_block):
+        pts = slice(lo, min(lo + per_block, batch_size))
+        n_pts = pts.stop - lo
+        dec_in = np.empty((n_pts, s, c, k + c), dtype=dtype)
+        dec_in[..., :k] = z[pts, :, None, :]
+        dec_in[..., k:] = eye
+        out, tape = nn.forward(m.decoder, dec_in.reshape(-1, k + c),
+                               layers=dec_layers)
+        out = out.reshape(n_pts, s, c, -1)
+        x_pts = x[pts].astype(dtype, copy=False)[:, None, None, :]
+        if not with_grads:
+            # only the gradients read the tape, and the block's output is
+            # freed before the next block's pass allocates its own
+            del tape
+            r[pts] = _likelihood_values(m.likelihood_kind, out, x_pts, m.D)
+            del out
+            continue
+        r[pts], g_out = _likelihood_values_and_grads(
+            m.likelihood_kind, out, x_pts, m.D)
+        g_out *= (w[pts] * (scale / s)).astype(dtype, copy=False)[:, None, :, None]
+        g_params, g_pre = nn.backward(m.decoder, tape,
+                                      g_out.reshape(-1, out.shape[-1]))
+        g_in = g_pre @ tape.layers[0][0]
+        # the one-hots are constants and the weights are folded in: the
+        # z-gradient sums the class rows
+        g_z[pts] = g_in[:, :k].reshape(n_pts, s, c, k).sum(axis=2)
+        dec_grads += g_params
+    recon = np.sum(w[:, None, :] * r, axis=2)                      # (B, S)
     _check_finite("recon", recon)
 
     # --- the other term values ----------------------------------------------
@@ -434,7 +422,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     if idx_unl.size:
         p_u = probs_y[idx_unl]
         g_probs = (-dist.categorical_kl_to_uniform_grad(p_u) * scale
-                   + r_unl.mean(axis=1) * scale)
+                   + r[idx_unl].mean(axis=1) * scale)
         g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
     if idx_lab.size and alpha_sup != 0.0:
         g_cls_logits[idx_lab] = scale * alpha_sup * dist.categorical_score_grad(

@@ -145,10 +145,7 @@ def bernoulli_log_prob(z, logits):
 
 def bernoulli_score_grad(z, logits):
     """d/d logits of `bernoulli_log_prob`: z - sigmoid(logits)."""
-    p = sigmoid(logits)
-    if np.broadcast_shapes(np.shape(z), p.shape) == p.shape:
-        return np.subtract(z, p, out=p)
-    return z - p
+    return z - sigmoid(logits)
 
 
 def _bernoulli_row_log_probs_and_scores(z, logits, values):

@@ -23,7 +23,10 @@ class GlobalSticks:
     One (a_k, b_k) pair is shared by all data points (the stick variables
     are global latents).  Parameters are stored as log-values in one flat
     array [log_a | log_b] so an unconstrained optimizer keeps them
-    positive; initialized at the prior, a_k = alpha, b_k = 1.
+    positive; initialized at a_k = b_k = 1, the uniform, for every alpha.
+    Starting at the prior Beta(alpha, 1) instead traps small alpha: at
+    alpha = 0.1 the first inclusion probability is about 0.09, and the
+    spikes switch off within the first epoch and never recover.
     """
 
     def __init__(self, truncation, alpha):
@@ -33,10 +36,7 @@ class GlobalSticks:
             raise ValueError("alpha must be positive")
         self.K = int(truncation)
         self.alpha = float(alpha)
-        self.params = np.concatenate([
-            np.full(self.K, np.log(self.alpha)),
-            np.zeros(self.K),
-        ])
+        self.params = np.zeros(2 * self.K)
 
     @property
     def log_a(self):

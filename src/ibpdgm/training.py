@@ -310,15 +310,14 @@ def _train_step(m, states, x, labels, num_samples, rng, n, alpha_sup, prior_weig
 def _epoch_metrics(m, train_data, test_data, cfg, alpha_sup, epoch, eval_seed):
     """One metrics row; the ELBO estimate reuses a fixed evaluation stream."""
     rng = np.random.default_rng(eval_seed)
-    feats = train_data.features
-    if train_data.kind == "bernoulli":
-        feats = dio.binarize_epoch(feats, rng)
-    labels = train_data.labels
+    feats, labels = train_data.features, train_data.labels
     n = train_data.n
     cap = 4000  # bound per-epoch metric cost on big datasets
     if n > cap:
         idx = rng.permutation(n)[:cap]
         feats, labels = feats[idx], labels[idx]
+    if train_data.kind == "bernoulli":     # only the rows kept
+        feats = dio.binarize_epoch(feats, rng)
     bd = bbvi.estimate_elbo_and_grads(
         m, feats, labels, cfg.eval_mc_samples, rng, dataset_size=n,
         alpha_sup=alpha_sup, with_grads=False, dtype=nn.FAST_DTYPE)

@@ -519,10 +519,8 @@ def test_blocked_estimate_matches_one_block(block_rows, batch, kind, with_grads,
     one_block = estimate()
     monkeypatch.setattr(bbvi, "DECODER_BLOCK_ROWS", block_rows)
     blocked = estimate()
-    # rows of the labeled and the unlabeled points, each decoded on its own;
-    # an unlabeled point decodes one row per class
-    n_lab = int(np.sum(labels >= 0))
-    fits = max(n_lab * s, (labels.size - n_lab) * s * m.C) <= block_rows
+    # every point decodes one row per (sample, class)
+    fits = labels.size * s * m.C <= block_rows
     names = ("total", "recon", "kl_gauss", "term_zhat", "term_v", "term_y")
     for name in names:
         a, b = getattr(blocked, name), getattr(one_block, name)

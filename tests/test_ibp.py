@@ -87,11 +87,12 @@ def test_prior_moments_match_closed_form():
     assert np.all(np.abs(pi.mean(axis=0) - expected) < 3 * sem)
 
 
-def test_global_sticks_init_at_prior():
-    sticks = ibp.GlobalSticks(4, 2.0)
-    assert np.allclose(sticks.a, 2.0)
-    assert np.allclose(sticks.b, 1.0)
-    assert sticks.K == 4
+def test_global_sticks_init_uniform_for_every_alpha():
+    for alpha in (0.1, 1.0, 2.0):
+        sticks = ibp.GlobalSticks(4, alpha)
+        assert np.array_equal(sticks.a, np.ones(4)), alpha
+        assert np.array_equal(sticks.b, np.ones(4)), alpha
+        assert sticks.K == 4 and sticks.alpha == alpha
 
 
 def test_global_sticks_validation():

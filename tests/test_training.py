@@ -257,6 +257,26 @@ def test_epoch_metrics_run_no_gradient_code(tmp_path, monkeypatch):
     assert calls["backward"] > 0 and calls["cv"] > 0     # training steps ran
 
 
+def test_epoch_metrics_binarize_only_the_rows_they_keep(tmp_path, monkeypatch):
+    # above the 4000-point cap the metrics pass draws its rows first, so
+    # the uniforms of the points it drops are never drawn
+    cfg = quick_cfg(tmp_path, synth_n=4100, synth_test_n=0)
+    train_data, _ = training.load_datasets(cfg, np.random.default_rng(0))
+    m = mdl.build_model(train_data.dim, train_data.num_classes, cfg.truncation,
+                        cfg.hidden, train_data.kind, cfg.alpha,
+                        cfg.sigma_theta_sq, np.random.default_rng(1))
+    shapes = []
+    binarize = dio.binarize_epoch
+
+    def recording(features, rng):
+        shapes.append(np.shape(features))
+        return binarize(features, rng)
+
+    monkeypatch.setattr(dio, "binarize_epoch", recording)
+    training._epoch_metrics(m, train_data, None, cfg, 0.0, 0, 5)
+    assert shapes == [(4000, cfg.synth_dim)]
+
+
 def test_sample_counts_are_used_as_set(tmp_path, monkeypatch):
     # training draws mc_samples per point and the metrics pass
     # eval_mc_samples, 1 included: it fits no control variate
@@ -399,3 +419,14 @@ def test_clip_spares_ordinary_criterion_6_steps(tmp_path):
             > training.GRAD_CLIP)
     after = np.sqrt(sum(float(g @ g) for g in spiked.values())) / data.n
     assert abs(after - training.GRAD_CLIP) < 1e-9
+
+
+def test_small_alpha_keeps_components_active(tmp_path):
+    # q(v) starts at a = b = 1 whatever alpha is; from the prior Beta(0.1, 1)
+    # every spike switched off within the first epoch and stayed off
+    from test_acceptance import CRITERION_6_CONFIG
+
+    cfg = training.RunConfig(out=str(tmp_path / "c6"),
+                             **dict(CRITERION_6_CONFIG, alpha=0.1, epochs=3))
+    n_active = [int(row[-1]) for row in training.train(cfg).history]
+    assert min(n_active) > 0, n_active
