@@ -43,6 +43,14 @@ core's L2 cache, each chunk's values and gradient from one exp of its
 logits (`distributions`' private helpers behind `sigmoid` and
 `softplus`), with the bits of whole-block `bernoulli_log_prob` and
 `bernoulli_score_grad`.
+
+The score-function path (`control_variate_coeffs`, `score_function_grad`,
+the Beta functions and digamma in `distributions`, the priors and stick
+scores in `ibp`) computes in place, over buffers each function owns and
+never over an argument, with the operands and order of operations of the
+whole-array expressions that `tests/oracles.py` keeps and the tests pin
+bit for bit.  The spike fit takes its signals and scores as contiguous
+(S, B, K) arrays.
 """
 
 from dataclasses import dataclass, field
@@ -101,29 +109,31 @@ def control_variate_coeffs(f, h):
         raise ValueError("control variates need at least 2 samples")
     scale = 1.0 / (s - 1.0)
 
-    def others(x):
-        # mean over the other samples, one row per left-out sample
-        out = x.sum(axis=0) - x
+    def others(x, out=None):
+        # mean over the other samples, one row per left-out sample, written
+        # over x, a temporary of this function, unless out is given
+        out = np.subtract(x.sum(axis=0), x, out=x if out is None else out)
         out *= scale
         return out
 
     f_mean = f.mean(axis=0)
     fc = f - f_mean
     fch = fc * h
-    mean_h = others(h)
+    mean_h = others(h, out=np.empty(h.shape))
     var_h = others(h * h)
     var_h -= mean_h * mean_h
     cov = others(fch * h)
-    cov -= others(fch) * mean_h              # Cov(fc h, h) over the others
+    cov -= np.multiply(others(fch), mean_h, out=fch)   # Cov(fc h, h) over the others
     # m = -fc * scale is the others' mean of fc (fc sums to 0), and
     # m + Cov((fc - m) h, h) / (Var(h) + CV_EPS) = (cov + CV_EPS m) / (Var(h) + CV_EPS)
-    m = fc * -scale
+    m = np.multiply(fc, -scale, out=fc)
     small = var_h < CV_EPS
-    cov += CV_EPS * m
-    cov /= var_h + CV_EPS
-    a = np.where(small, m, cov)
-    a += f_mean
-    return a
+    cov += np.multiply(m, CV_EPS, out=fch)   # fch is free again
+    var_h += CV_EPS
+    cov /= var_h
+    np.copyto(cov, m, where=small)
+    cov += f_mean
+    return cov
 
 
 def score_function_grad(f, h):
@@ -134,7 +144,10 @@ def score_function_grad(f, h):
     Unbiased for the gradient of E[f], because the score has zero mean
     and a_s is independent of sample s.
     """
-    return np.mean(h * (f - control_variate_coeffs(f, h)), axis=0)
+    terms = control_variate_coeffs(f, h)
+    np.subtract(f, terms, out=terms)
+    terms *= h
+    return np.add.reduce(terms, axis=0) / h.shape[0]
 
 
 @dataclass
@@ -207,7 +220,7 @@ def _likelihood_values_and_grads(kind, dec_out, x_pts, input_dim):
 
 def _check_finite(name, *arrays):
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError(name)
 
 
@@ -254,7 +267,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     w.r.t. its first pre-activation, and the z-gradient is that times the
     first layer's weights.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a nonempty (B, D) matrix")
     if x.shape[1] != m.D:
@@ -264,7 +277,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
                          "variates need 2 or more, a forward-only estimate 1")
     labels = np.asarray(labels)
     if (labels.shape != x.shape[:1] or not np.issubdtype(labels.dtype, np.integer)
-            or np.any(labels < -1) or np.any(labels >= m.C)):
+            or (labels < -1).any() or (labels >= m.C).any()):
         raise ValueError(f"labels must be {x.shape[0]} integers in [-1, {m.C})")
     labels = labels.astype(np.int64, copy=False)
     batch_size, s = x.shape[0], num_samples
@@ -273,22 +286,34 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     k, c = m.K, m.C
 
     # --- amortized posterior heads -----------------------------------------
-    enc_out, enc_tape = nn.forward(m.encoder, x)
+    # the heads read the batch in float64; the decoder blocks cast their
+    # rows from the caller's array (bool and float64 pixels cast to the
+    # same values)
+    x64 = x.astype(np.float64, copy=False)
+    enc_out, enc_tape = nn.forward(m.encoder, x64)
     mean, var, logits_z = mdl.split_encoder_out(enc_out, k)
     sigma = np.sqrt(var)
     pi_hat = dist.sigmoid(logits_z)
 
-    cls_out, cls_tape = nn.forward(m.classifier, x)
+    cls_out, cls_tape = nn.forward(m.classifier, x64)
     probs_y = dist.softmax(cls_out)                       # (B, C)
     if not with_grads:
-        # only the gradients read the tapes: free their hidden layers now
+        # only the gradients read the tapes: free them, and with them a
+        # float64 copy of the batch, now
         enc_tape = cls_tape = None
+    del x64
 
     # --- joint samples ------------------------------------------------------
     eps = rng.standard_normal((batch_size, s, k))
-    ztilde = mean[:, None, :] + sigma[:, None, :] * eps
-    zhat = (rng.random((batch_size, s, k)) < pi_hat[:, None, :]).astype(np.float64)
-    z = ztilde * zhat
+    # the drawn spikes and, for a step's stick signal, q(zhat = 1) beside
+    # them, as the one array that the spike prior takes below
+    spikes = np.empty((2 if with_grads else 1, batch_size, s, k))
+    zhat = rng.random(out=spikes[0])
+    np.less(zhat, pi_hat[:, None, :], out=zhat)         # 1.0 or 0.0 over the draws
+    spikes[1:] = pi_hat[:, None, :]
+    z = sigma[:, None, :] * eps
+    z += mean[:, None, :]                                # ztilde
+    z *= zhat
 
     log_v, log_1mv = m.sticks.sample((batch_size, s), rng)
 
@@ -296,12 +321,8 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     # signal, their expectation over q(zhat) (the terms are linear in zhat),
     # in one call; the terms are elementwise, so either half has the bits
     # of a call on it alone
-    if with_grads:
-        logp_zhat_k, expected_logp_zhat_k = ibp.ibp_prior_log_prob_from_sticks(
-            np.stack([zhat, np.broadcast_to(pi_hat[:, None, :], zhat.shape)]),
-            log_v)                                                       # (B, S, K)
-    else:
-        logp_zhat_k = ibp.ibp_prior_log_prob_from_sticks(zhat, log_v)
+    spike_priors = ibp.ibp_prior_log_prob_from_sticks(spikes, log_v)
+    logp_zhat_k = spike_priors[0]                                        # (B, S, K)
     logq_zhat_k = dist.bernoulli_log_prob(zhat, logits_z[:, None, :])
     logp_zhat = logp_zhat_k.sum(axis=2)                                  # (B, S)
     logq_zhat = logq_zhat_k.sum(axis=2)
@@ -390,25 +411,36 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     # --- the learning signals -------------------------------------------------
     # spike k's signal keeps the reconstruction and its own prior and
     # entropy terms; the other spikes' terms are independent of its score
-    f_zhat = recon[:, :, None] + prior_weight * (logp_zhat_k - logq_zhat_k)  # (B, S, K)
+    # f_zhat is laid out (S, B, K), the spike fit's layout; f_zhat_bsk is
+    # the same array as (B, S, K)
+    f_zhat = np.empty((s, batch_size, k))
+    f_zhat_bsk = f_zhat.transpose(1, 0, 2)
+    np.subtract(logp_zhat_k, logq_zhat_k, out=f_zhat_bsk)
+    f_zhat_bsk *= prior_weight
+    f_zhat_bsk += recon[:, :, None]
     _check_finite("term_zhat", f_zhat)
     # Markov blanket of v_j: the spike priors of components k >= j, in
     # expectation over q(zhat) and batch-scaled to the dataset, plus the
     # stick's own prior and entropy
-    tails = np.cumsum(expected_logp_zhat_k[..., ::-1], axis=2)[..., ::-1]
-    f_v = (n_data * tails + logp_v_k - logq_v_k).reshape(-1, k)
+    f_v = np.empty((batch_size, s, k))
+    np.cumsum(spike_priors[1, ..., ::-1], axis=2, out=f_v[..., ::-1])  # tails
+    f_v *= n_data
+    f_v += logp_v_k
+    f_v -= logq_v_k
+    f_v = f_v.reshape(-1, k)
     _check_finite("term_v", f_v)
 
     # --- spike (zhat) score gradients, per-point control variates ----------
     h_zhat = dist.bernoulli_score_grad(zhat, logits_z[:, None, :])  # (B, S, K)
-    # the S samples of every (point, spike) pair, as (S, B, K) views
-    g_logits = score_function_grad(f_zhat.transpose(1, 0, 2),
-                                   h_zhat.transpose(1, 0, 2))   # (B, K)
+    # the S samples of every (point, spike) pair, in contiguous (S, B, K)
+    g_logits = score_function_grad(
+        f_zhat, np.ascontiguousarray(h_zhat.transpose(1, 0, 2)))   # (B, K)
 
     # --- pathwise gradients for the Gaussian slab, plus those of -KL -------
-    g_ztilde = g_z * zhat                              # masked by the spikes
+    g_ztilde = np.multiply(g_z, zhat, out=g_z)        # masked by the spikes
     g_mean = g_ztilde.sum(axis=1)                      # scale/S folded in
-    g_var = np.sum(g_ztilde * eps, axis=1) / (2.0 * sigma)
+    g_var = np.multiply(g_ztilde, eps, out=g_ztilde).sum(axis=1)
+    g_var /= 2.0 * sigma
     g_mean += scale * (-mean)
     g_var += scale * (-0.5 * (1.0 - 1.0 / var))
 
@@ -443,7 +475,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     breakdown.grads = {"encoder": enc_grads, "classifier": cls_grads,
                        "decoder": dec_grads, "sticks": stick_grads}
     for name, g in breakdown.grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"grad_{name}")
     return breakdown
 

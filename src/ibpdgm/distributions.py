@@ -90,25 +90,33 @@ def digamma(x):
     """Digamma psi(x) for x > 0.
 
     Uses the recurrence psi(x) = psi(x+1) - 1/x to push the argument above
-    10, then de Moivre's asymptotic series, elementwise.
+    10, then de Moivre's asymptotic series, elementwise.  Each step of the
+    recurrence is a masked whole-array step over the arguments still below
+    10, and the series runs in place on its own buffers, with the bits of
+    the expressions written out.
     """
     x = np.array(x, dtype=np.float64, copy=True)
-    if np.any(x <= 0):
+    if (x <= 0).any():
         raise ValueError("digamma requires x > 0")
     value = np.zeros_like(x)
-    while True:
-        small = x < 10.0
-        if not np.any(small):
-            break
-        value[small] -= 1.0 / x[small]
-        x[small] += 1.0
-    r = 1.0 / (x * x)
-    series = r * (1.0 / 12.0
-                  - r * (1.0 / 120.0
-                         - r * (1.0 / 252.0
-                                - r * (1.0 / 240.0
-                                       - r * (1.0 / 132.0)))))
-    value += np.log(x) - 0.5 / x - series
+    tmp = np.empty_like(x)                  # 1/x, then 1/x^2, then log x
+    small = np.empty(x.shape, dtype=bool)
+    while np.less(x, 10.0, out=small).any():
+        np.divide(1.0, x, out=tmp, where=small)
+        np.subtract(value, tmp, out=value, where=small)
+        np.add(x, 1.0, out=x, where=small)
+    # r (1/12 - r (1/120 - r (1/252 - r (1/240 - r/132)))) with r = 1/x^2
+    r = np.multiply(x, x, out=tmp)
+    np.divide(1.0, r, out=r)
+    series = np.multiply(r, 1.0 / 132.0, out=np.empty_like(x))
+    for c in (1.0 / 240.0, 1.0 / 252.0, 1.0 / 120.0, 1.0 / 12.0):
+        np.subtract(c, series, out=series)
+        series *= r
+    # value += log(x) - 0.5 / x - series
+    terms = np.log(x, out=tmp)
+    terms -= np.divide(0.5, x, out=x)
+    terms -= series
+    value += terms
     return value
 
 
@@ -173,12 +181,16 @@ def beta_sample_array(a, b, size, rng):
     draws is an exact Beta(a, b) variate.  (`rng.gamma(shape, 1.0)` is the
     same draw times the scale 1.0, so the same bits, at more cost.)  The
     ratio is clamped to [1e-7, 1 - 1e-7] before its logs are taken, so both
-    stay finite.
+    stay finite.  The ratio, the clamp and both logs are computed in place
+    over the two Gamma draws' buffers (0-d arrays for a single draw).
     """
-    x = rng.standard_gamma(np.broadcast_to(a, size))
-    y = rng.standard_gamma(np.broadcast_to(b, size))
-    v = np.clip(x / (x + y), _V_CLAMP, 1.0 - _V_CLAMP)
-    return np.log(v), np.log1p(-v)
+    x = np.asarray(rng.standard_gamma(np.broadcast_to(a, size)))
+    y = np.asarray(rng.standard_gamma(np.broadcast_to(b, size)))
+    y += x
+    v = np.divide(x, y, out=x)
+    np.clip(v, _V_CLAMP, 1.0 - _V_CLAMP, out=v)
+    log_1mv = np.log1p(np.negative(v, out=y), out=y)
+    return np.log(v, out=v), log_1mv
 
 
 def beta_log_prob(log_v, log_1mv, a, b):
@@ -188,7 +200,10 @@ def beta_log_prob(log_v, log_1mv, a, b):
     of shape (..., K) against K shape pairs).
     """
     log_beta = lgamma(a) + lgamma(b) - lgamma(a + b)
-    return (a - 1.0) * log_v + (b - 1.0) * log_1mv - log_beta
+    out = (a - 1.0) * log_v
+    out += (b - 1.0) * log_1mv
+    out -= log_beta
+    return out
 
 
 def beta_score_grad(log_v, log_1mv, a, b):
@@ -197,8 +212,10 @@ def beta_score_grad(log_v, log_1mv, a, b):
     # one digamma call over the stacked (a, b, a + b): it is elementwise,
     # so the bits are those of three calls
     psi_a, psi_b, psi_ab = digamma(np.stack(np.broadcast_arrays(a, b, a + b)))
-    da = log_v - psi_a + psi_ab
-    db = log_1mv - psi_b + psi_ab
+    da = log_v - psi_a
+    da += psi_ab
+    db = log_1mv - psi_b
+    db += psi_ab
     return da, db
 
 

@@ -72,7 +72,10 @@ class GlobalSticks:
         """
         a, b = self.a, self.b
         da, db = dist.beta_score_grad(log_v, log_1mv, a, b)
-        return np.concatenate([a * da, b * db], axis=-1)
+        out = np.empty((*da.shape[:-1], 2 * self.K))
+        np.multiply(a, da, out=out[..., :self.K])
+        np.multiply(b, db, out=out[..., self.K:])
+        return out
 
 
 def ibp_prior_log_prob_from_sticks(zhat, log_v):
@@ -87,14 +90,21 @@ def ibp_prior_log_prob_from_sticks(zhat, log_v):
     q(zhat = 1) in its place gives their expectation.
     """
     zhat = np.asarray(zhat, dtype=np.float64)
-    log_pi = np.cumsum(log_v, axis=-1)
-    one_minus_pi = -np.expm1(log_pi)
+    on = np.cumsum(log_v, axis=-1)                 # log pi
+    off = np.expm1(on)
+    np.negative(off, out=off)                      # 1 - pi
     with np.errstate(divide="ignore"):
-        log_one_minus_pi = np.log(one_minus_pi)
+        np.log(off, out=off)
     # zhat log(pi) + (1 - zhat) log(1 - pi), with log(0) guarded
-    on = np.where(np.isfinite(log_pi), log_pi, LOG_ZERO_SENTINEL)
-    off = np.where(np.isfinite(log_one_minus_pi), log_one_minus_pi, LOG_ZERO_SENTINEL)
-    return zhat * on + (1.0 - zhat) * off
+    guard = np.empty(on.shape, dtype=bool)
+    for term in (on, off):
+        np.logical_not(np.isfinite(term, out=guard), out=guard)
+        np.copyto(term, LOG_ZERO_SENTINEL, where=guard)
+    out = np.multiply(zhat, on)
+    rest = np.subtract(1.0, zhat, out=np.empty(out.shape))
+    rest *= off
+    out += rest
+    return out
 
 
 def sticks_prior_log_prob(log_v, alpha):
@@ -102,7 +112,9 @@ def sticks_prior_log_prob(log_v, alpha):
     shape (..., K), from ln v."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return np.log(alpha) + (alpha - 1.0) * log_v
+    out = np.multiply(log_v, alpha - 1.0)
+    out += np.log(alpha)
+    return out
 
 
 @dataclass

@@ -153,7 +153,7 @@ def forward(net, x, layers=None):
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(
             f"input of shape {x.shape}: network expects (B, {net.input_dim})")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     inputs, outputs = [], []
     h = x

@@ -10,7 +10,10 @@ likelihood written out from its definition are defined once, in
 references (`LatentDraw`, `draw_latents`, `likelihood_log_prob`,
 `per_point_elbo_terms`) check the batched estimator one point at a time,
 with the densities and KLs written out rather than taken from
-`ibpdgm.distributions`.
+`ibpdgm.distributions`.  The `*_unfused` functions and `digamma_masked`
+are the score-function path's whole-array expressions, one new array per
+operation; the library computes the same operations in place, and the
+tests hold it to their bits.
 """
 
 import itertools
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ibpdgm import distributions as dist, ibp, model as mdl
+from ibpdgm import bbvi, distributions as dist, ibp, model as mdl
 from ibpdgm.bbvi import CV_EPS
 from ibpdgm.selftest import (exact_toy_elbo, fd_grad_all,  # noqa: F401
                              make_enumerable_toy, reference_log_lik, rel_err)
@@ -85,6 +88,118 @@ def net_pass_masking_preacts(net, x, grad_out, dtype=np.float64):
         if layer:
             g = g @ weights[layer][0]
     return h, np.concatenate(parts[::-1]).astype(np.float64), g
+
+
+# ---------------------------------------------------------------------------
+# the score-function path as whole-array expressions, one temporary per
+# operation: the bits that `bbvi`, `distributions` and `ibp` compute in
+# place on their own buffers, and the stand-ins of the whole-step bit check
+
+def control_variate_coeffs_unfused(f, h):
+    """`bbvi.control_variate_coeffs` without its shape checks, one new
+    array per operation and `np.where` for the constant-score fallback."""
+    scale = 1.0 / (h.shape[0] - 1.0)
+
+    def others(x):
+        return (x.sum(axis=0) - x) * scale
+
+    f_mean = f.mean(axis=0)
+    fc = f - f_mean
+    fch = fc * h
+    mean_h = others(h)
+    var_h = others(h * h) - mean_h * mean_h
+    cov = others(fch * h) - others(fch) * mean_h
+    m = fc * -scale
+    small = var_h < CV_EPS
+    cov = (cov + CV_EPS * m) / (var_h + CV_EPS)
+    return np.where(small, m, cov) + f_mean
+
+
+def score_function_grad_unfused(f, h):
+    """`bbvi.score_function_grad` over `control_variate_coeffs_unfused`."""
+    return np.mean(h * (f - control_variate_coeffs_unfused(f, h)), axis=0)
+
+
+def beta_sample_array_unfused(a, b, size, rng):
+    """`distributions.beta_sample_array` with a new array per operation:
+    the same Gamma draws, in the same order."""
+    x = rng.standard_gamma(np.broadcast_to(a, size))
+    y = rng.standard_gamma(np.broadcast_to(b, size))
+    v = np.clip(x / (x + y), 1e-7, 1.0 - 1e-7)
+    return np.log(v), np.log1p(-v)
+
+
+def digamma_masked(x):
+    """`distributions.digamma` with the recurrence on boolean-indexed
+    elements and the asymptotic series as one expression."""
+    x = np.array(x, dtype=np.float64, copy=True)
+    value = np.zeros_like(x)
+    while True:
+        small = x < 10.0
+        if not np.any(small):
+            break
+        value[small] -= 1.0 / x[small]
+        x[small] += 1.0
+    r = 1.0 / (x * x)
+    series = r * (1.0 / 12.0
+                  - r * (1.0 / 120.0
+                         - r * (1.0 / 252.0
+                                - r * (1.0 / 240.0
+                                       - r * (1.0 / 132.0)))))
+    value += np.log(x) - 0.5 / x - series
+    return value
+
+
+def beta_log_prob_unfused(log_v, log_1mv, a, b):
+    """`distributions.beta_log_prob` as one expression."""
+    log_beta = dist.lgamma(a) + dist.lgamma(b) - dist.lgamma(a + b)
+    return (a - 1.0) * log_v + (b - 1.0) * log_1mv - log_beta
+
+
+def beta_score_grad_unfused(log_v, log_1mv, a, b):
+    """`distributions.beta_score_grad` over `digamma_masked`."""
+    psi_a, psi_b, psi_ab = digamma_masked(np.stack(np.broadcast_arrays(a, b, a + b)))
+    return log_v - psi_a + psi_ab, log_1mv - psi_b + psi_ab
+
+
+def sticks_score_grads_unfused(sticks, log_v, log_1mv):
+    """`ibp.GlobalSticks.score_grads` over `beta_score_grad_unfused`, its
+    two halves joined by `np.concatenate`."""
+    a, b = sticks.a, sticks.b
+    da, db = beta_score_grad_unfused(log_v, log_1mv, a, b)
+    return np.concatenate([a * da, b * db], axis=-1)
+
+
+def ibp_prior_log_prob_unfused(zhat, log_v):
+    """`ibp.ibp_prior_log_prob_from_sticks` with `np.where` guards."""
+    zhat = np.asarray(zhat, dtype=np.float64)
+    log_pi = np.cumsum(log_v, axis=-1)
+    with np.errstate(divide="ignore"):
+        log_one_minus_pi = np.log(-np.expm1(log_pi))
+    on = np.where(np.isfinite(log_pi), log_pi, ibp.LOG_ZERO_SENTINEL)
+    off = np.where(np.isfinite(log_one_minus_pi), log_one_minus_pi,
+                   ibp.LOG_ZERO_SENTINEL)
+    return zhat * on + (1.0 - zhat) * off
+
+
+def sticks_prior_log_prob_unfused(log_v, alpha):
+    """`ibp.sticks_prior_log_prob` as one expression."""
+    return np.log(alpha) + (alpha - 1.0) * log_v
+
+
+# (owner, attribute, whole-array stand-in) for every function of the
+# score-function path that computes in place
+SCORE_PATH_UNFUSED = [
+    (bbvi, "control_variate_coeffs", control_variate_coeffs_unfused),
+    (bbvi, "score_function_grad", score_function_grad_unfused),
+    (dist, "beta_sample_array", beta_sample_array_unfused),
+    (dist, "digamma", digamma_masked),
+    (dist, "beta_log_prob", beta_log_prob_unfused),
+    (dist, "beta_score_grad", beta_score_grad_unfused),
+    (ibp, "ibp_prior_log_prob_from_sticks", ibp_prior_log_prob_unfused),
+    (ibp, "sticks_prior_log_prob", sticks_prior_log_prob_unfused),
+    (ibp.GlobalSticks, "score_grads", sticks_score_grads_unfused),
+]
 
 
 def _expect_sticks(fun, a, b, nodes=200):

@@ -6,9 +6,10 @@ import pytest
 
 from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, nn, selftest
 
-from oracles import LatentDraw, bernoulli_log_pmf, exact_stick_objective, \
-    exact_toy_elbo, fd_grad_all, make_enumerable_toy, per_point_elbo_terms, \
-    same_bits, weighted_score_coeff, zero_control_variates
+from oracles import LatentDraw, bernoulli_log_pmf, control_variate_coeffs_unfused, \
+    exact_stick_objective, exact_toy_elbo, fd_grad_all, make_enumerable_toy, \
+    per_point_elbo_terms, same_bits, score_function_grad_unfused, \
+    weighted_score_coeff, zero_control_variates
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +86,34 @@ def test_score_calls_read_the_estimators_layouts_bit_for_bit():
         want = fn(np.tile(f_v, 2), h_v.reshape(160, -1))
         assert np.array_equal(fn(f_v[:, None, :], h_v).reshape(want.shape),
                               want), fn.__name__
+
+
+@pytest.mark.parametrize("layout", ["spikes", "sticks"])
+def test_score_calls_keep_the_bits_of_the_whole_array_expressions(layout):
+    # the spikes' (S, B, K) signals and scores, as transposed views of
+    # (B, S, K) arrays and as the contiguous copies the estimator passes;
+    # the sticks' (N, 1, K) signal against (N, 2, K) scores.  Score column
+    # 0 is constant over the samples (the fallback to the others' mean
+    # signal), and the signals sit 80 nats below 0
+    rng = np.random.default_rng(16)
+    if layout == "spikes":
+        f = 40.0 * rng.normal(size=(5, 32, 4)) - 80.0        # (B, S, K)
+        h = rng.normal(size=(5, 32, 4))
+        h[..., 0] = -0.2
+        f, h = f.transpose(1, 0, 2), h.transpose(1, 0, 2)
+        calls = [(f, h), (np.ascontiguousarray(f), np.ascontiguousarray(h))]
+    else:
+        f = 40.0 * rng.normal(size=(160, 1, 4)) - 80.0
+        h = rng.normal(size=(160, 2, 4))
+        h[..., 0] = 0.3
+        calls = [(f, h)]
+    for fn, unfused in ((bbvi.control_variate_coeffs, control_variate_coeffs_unfused),
+                        (bbvi.score_function_grad, score_function_grad_unfused)):
+        want = unfused(f, h)
+        for args in calls:
+            before = [a.copy() for a in args]
+            assert same_bits(fn(*args), want), fn.__name__
+            assert all(same_bits(a, b) for a, b in zip(args, before)), fn.__name__
 
 
 def test_loo_grad_constant_score_is_shift_invariant():

@@ -8,8 +8,9 @@ import scipy.stats
 
 from ibpdgm import distributions as dist
 
-from oracles import (enumerate_binary, fd_grad_all, rel_err, same_bits,
-                     sigmoid_masked, softplus_unfused)
+from oracles import (beta_log_prob_unfused, beta_sample_array_unfused,
+                     beta_score_grad_unfused, digamma_masked, enumerate_binary,
+                     fd_grad_all, rel_err, same_bits, sigmoid_masked, softplus_unfused)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,29 @@ def test_beta_score_grad_digamma_call_is_bit_identical(a, b, v):
         assert same_bits(np.asarray(g, dtype=np.float64), np.asarray(w, dtype=np.float64))
 
 
+@pytest.mark.parametrize("a, b, size", [
+    (K16, K16[::-1], (25, 32, 16)), (K16, 1.0, (4, 16)), (0.3, 2.5, (50,)),
+    (2.5, 0.3, ())], ids=["c6-sticks", "array-scalar", "scalars", "one-draw"])
+def test_beta_functions_keep_the_bits_of_the_whole_array_expressions(a, b, size):
+    # the draws, their log-density and scores against the same expressions
+    # with a new array per operation, from the same stream; the c6-train
+    # shape puts draws on both clamp values
+    mine, ref = np.random.default_rng(31), np.random.default_rng(31)
+    shapes = [np.array(a, copy=True), np.array(b, copy=True)]
+    log_v, log_1mv = pair = dist.beta_sample_array(*shapes, size, mine)
+    for got, want in zip(pair, beta_sample_array_unfused(a, b, size, ref)):
+        assert same_bits(got, want)
+    assert mine.bit_generator.state == ref.bit_generator.state
+    if size == (25, 32, 16):
+        assert np.any(log_v == np.log(1e-7)) and np.any(log_1mv == np.log1p(-(1.0 - 1e-7)))
+    args = [log_v, log_1mv, *shapes]
+    before = [log_v.copy(), log_1mv.copy(), np.array(a), np.array(b)]
+    assert same_bits(dist.beta_log_prob(*args), beta_log_prob_unfused(*before))
+    for got, want in zip(dist.beta_score_grad(*args), beta_score_grad_unfused(*before)):
+        assert same_bits(got, want)
+    assert all(same_bits(x, x0) for x, x0 in zip(args, before))
+
+
 # ---------------------------------------------------------------------------
 # digamma
 
@@ -303,6 +327,21 @@ def test_digamma_against_scipy():
     xs = np.concatenate([np.linspace(0.01, 2, 40), np.linspace(2, 60, 40)])
     assert np.allclose(dist.digamma(xs), scipy.special.digamma(xs),
                        rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("x", [
+    np.float64(1.0), np.array(0.5), 2.5, 1e-300, 1e-8, np.nextafter(10.0, 0.0), 10.0,
+    np.nextafter(10.0, 20.0), np.array([[1e-8, 0.7, 9.999], [10.0, 10.5, 57.3]]),
+    np.stack([K16, K16[::-1], 2.0 * K16])],
+    ids=["0d-scalar", "0d-array", "float", "tiny", "small", "below-10", "at-10",
+         "above-10", "mixed", "stacked-sticks"])
+def test_digamma_keeps_the_bits_of_the_masked_recurrence(x):
+    # the recurrence as masked whole-array steps, against boolean-indexed
+    # steps; tiny arguments take the most steps, and 10 takes none
+    before = np.array(x, copy=True)
+    got = dist.digamma(x)
+    assert same_bits(got, digamma_masked(before))
+    assert same_bits(np.asarray(x), before)
 
 
 def test_digamma_domain():

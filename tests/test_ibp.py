@@ -5,8 +5,9 @@ import pytest
 
 from ibpdgm import distributions as dist, ibp
 
-from oracles import enumerate_binary, fd_grad_all, sticks_log_prob_formula, \
-    sticks_score_grads_formula
+from oracles import enumerate_binary, fd_grad_all, ibp_prior_log_prob_unfused, \
+    same_bits, sticks_log_prob_formula, sticks_prior_log_prob_unfused, \
+    sticks_score_grads_formula, sticks_score_grads_unfused
 
 
 def test_ibp_prior_log_prob_basic():
@@ -125,6 +126,31 @@ def test_global_sticks_match_the_written_out_formulas_bit_for_bit(shape):
     for got, want in ((sticks.log_prob(*pair), sticks_log_prob_formula(sticks, *pair)),
                       (sticks.score_grads(*pair), sticks_score_grads_formula(sticks, *pair))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_stick_terms_keep_the_bits_of_the_whole_array_expressions():
+    # the estimator's (2, B, S, K) stack of drawn spikes and q(zhat = 1)
+    # against (B, S, K) sticks, with one row at pi = 1 whose off spikes
+    # take the sentinel; the stick prior at alpha below, at and above 1;
+    # the stick scores of the (B, S, K) draws
+    rng = np.random.default_rng(18)
+    sticks = ibp.GlobalSticks(16, 1.0)
+    sticks.params[:] = rng.normal(scale=0.7, size=sticks.params.size)
+    log_v, log_1mv = sticks.sample((25, 32), rng)
+    log_v[0, 0] = 0.0
+    spikes = np.stack([(rng.random((25, 32, 16)) < 0.5).astype(float),
+                       np.broadcast_to(rng.random((25, 1, 16)), (25, 32, 16))])
+    args = [spikes, log_v, log_1mv]
+    before = [x.copy() for x in args]
+    got = ibp.ibp_prior_log_prob_from_sticks(spikes, log_v)
+    assert same_bits(got, ibp_prior_log_prob_unfused(spikes, log_v))
+    assert np.any(got == ibp.LOG_ZERO_SENTINEL)
+    for alpha in (0.1, 1.0, 3.0):
+        assert same_bits(ibp.sticks_prior_log_prob(log_v, alpha),
+                         sticks_prior_log_prob_unfused(log_v, alpha))
+    assert same_bits(sticks.score_grads(log_v, log_1mv),
+                     sticks_score_grads_unfused(sticks, log_v, log_1mv))
+    assert all(same_bits(x, x0) for x, x0 in zip(args, before))
 
 
 def test_global_sticks_score_grads_match_fd():

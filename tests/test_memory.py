@@ -41,21 +41,41 @@ def mnist_shape_model(seed):
                            np.random.default_rng(seed))
 
 
-def test_forward_only_estimate_at_the_mnist_shape():
-    # the per-epoch metrics pass of perfbench's mnist-train: 2000 points,
-    # 1% labeled, two draws each; 118.6 MB when it kept the tapes, the
-    # ReLU pre-activations and each decoder block's output into the next
-    # block's pass, 52.2 MB now
+def forward_only_estimate_peak(pixel_dtype):
+    """(ELBO, traced peak in MB) of the forward-only estimate of the
+    per-epoch metrics pass of perfbench's mnist-train: 2000 points, 1%
+    labeled, two draws each, with the pixels in `pixel_dtype`."""
     rng = np.random.default_rng(0)
     m = mnist_shape_model(0)
-    x = (rng.random((2000, 784)) < 0.3).astype(np.float64)
+    x = (rng.random((2000, 784)) < 0.3).astype(pixel_dtype)
     labels = np.full(2000, -1)
     labels[:20] = rng.integers(10, size=20)
     bd, peak = traced_peak(
         bbvi.estimate_elbo_and_grads, m, x, labels, 2, np.random.default_rng(1),
         dataset_size=2000, alpha_sup=100.0, with_grads=False, dtype=nn.FAST_DTYPE)
-    assert np.isfinite(bd.total)
+    return bd.total, peak
+
+
+def test_forward_only_estimate_at_the_mnist_shape():
+    # 118.6 MB when it kept the tapes, the ReLU pre-activations and each
+    # decoder block's output into the next block's pass, 44.6 MB now
+    total, peak = forward_only_estimate_peak(np.float64)
+    assert np.isfinite(total)
     assert peak <= 64.0, f"forward-only estimate peaked at {peak:.1f} MB"
+
+
+def test_forward_only_estimate_frees_its_float64_batch():
+    # the metrics pass hands the estimate bool pixels; their float64 copy
+    # (12.5 MB) is freed with the heads' tapes, and each decoder block
+    # casts its rows from the bool array.  So bool pixels peak no higher
+    # than float64 ones, which need no copy, and give the same ELBO:
+    # 58.1 MB against 46.1 MB when the copy stayed live through the
+    # decoder loop, 44.6 MB for both now
+    total64, peak64 = forward_only_estimate_peak(np.float64)
+    total_bool, peak_bool = forward_only_estimate_peak(bool)
+    assert total_bool == total64
+    assert peak_bool <= peak64 + 1.0, \
+        f"bool pixels peaked at {peak_bool:.1f} MB, float64 at {peak64:.1f} MB"
 
 
 def test_training_step_at_b100(tmp_path, monkeypatch):

@@ -421,6 +421,27 @@ def test_clip_spares_ordinary_criterion_6_steps(tmp_path):
     assert abs(after - training.GRAD_CLIP) < 1e-9
 
 
+def test_in_place_score_path_keeps_the_bits_of_a_criterion_6_run(tmp_path, monkeypatch):
+    # two epochs at the criterion-6 config, with the library's in-place
+    # score-function path and with the whole-array expressions patched in
+    # its place: the same metrics and checkpoint bytes
+    from oracles import SCORE_PATH_UNFUSED
+    from test_acceptance import CRITERION_6_CONFIG
+
+    def run(name):
+        cfg = training.RunConfig(out=str(tmp_path / name),
+                                 **dict(CRITERION_6_CONFIG, epochs=2))
+        result = training.train(cfg)
+        paths = (result.metrics_path, result.checkpoint_path,
+                 result.checkpoint_path + ".bin")
+        return [open(path, "rb").read() for path in paths]
+
+    library = run("library")
+    for owner, name, unfused in SCORE_PATH_UNFUSED:
+        monkeypatch.setattr(owner, name, unfused)
+    assert run("unfused") == library
+
+
 def test_small_alpha_keeps_components_active(tmp_path):
     # q(v) starts at a = b = 1 whatever alpha is; from the prior Beta(0.1, 1)
     # every spike switched off within the first epoch and stayed off
