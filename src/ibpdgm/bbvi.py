@@ -252,7 +252,11 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     block's tape before its likelihood values and its output before the
     next block's pass.
     Every point decodes C rows per sample, one per class, weighted by its
-    label's one-hot or, unlabeled, by q(y | x).  The decoder runs on
+    label's one-hot or, unlabeled, by q(y | x), and has one label term:
+    alpha_sup * log q(y | x) at its label, or, unlabeled,
+    -KL(q(y | x) || Uniform(C)).  The decoder weights, the label term and
+    its classifier-logit gradient each take one expression per point,
+    selected by the unlabeled mask labels < 0.  The decoder runs on
     contiguous blocks of whole points of at most DECODER_BLOCK_ROWS rows,
     so memory is bounded by one block; a batch that fits in one block
     decodes exactly as one call would.
@@ -279,7 +283,10 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     if (labels.shape != x.shape[:1] or not np.issubdtype(labels.dtype, np.integer)
             or (labels < -1).any() or (labels >= m.C).any()):
         raise ValueError(f"labels must be {x.shape[0]} integers in [-1, {m.C})")
-    labels = labels.astype(np.int64, copy=False)
+    # an unlabeled point takes the first expression of each `np.where`
+    # below, a labeled one the second, at its class y
+    unl = labels < 0
+    y = np.maximum(labels, 0)
     batch_size, s = x.shape[0], num_samples
     n_data = int(dataset_size)
     scale = n_data / batch_size
@@ -335,11 +342,8 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     # DECODER_BLOCK_ROWS rows (one point when a point alone is more), so
     # memory does not grow with the batch; the draws are all made already.
     # A block's backward pass runs while its output is at hand.
-    idx_lab = np.flatnonzero(labels >= 0)
-    idx_unl = np.flatnonzero(labels < 0)
     eye = np.eye(c)
-    w = probs_y.copy()                                    # (B, C)
-    w[idx_lab] = eye[labels[idx_lab]]
+    w = np.where(unl[:, None], probs_y, eye[y])           # (B, C)
     r = np.empty((batch_size, s, c))          # log p(x | z, y = c)
     g_z = np.empty((batch_size, s, k))        # weighted by scale/S already
     dec_grads = m.decoder.zero_grad_like()
@@ -379,12 +383,8 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     # analytic -KL(q(ztilde) || N(0, I))
     kl_gauss_points = dist.gaussian_kl_to_standard(mean, var)
 
-    term_y_points = np.zeros(batch_size)
-    if idx_unl.size:
-        term_y_points[idx_unl] = -dist.categorical_kl_to_uniform(probs_y[idx_unl])
-    if idx_lab.size and alpha_sup != 0.0:
-        term_y_points[idx_lab] = alpha_sup * dist.categorical_log_prob(
-            labels[idx_lab], probs_y[idx_lab])
+    term_y_points = np.where(unl, -dist.categorical_kl_to_uniform(probs_y),
+                             alpha_sup * dist.categorical_log_prob(y, probs_y))
 
     logp_v_k = ibp.sticks_prior_log_prob(log_v, m.sticks.alpha)   # (B, S, K)
     logq_v_k = m.sticks.log_prob(log_v, log_1mv)
@@ -450,15 +450,11 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     enc_grads, _ = nn.backward(m.encoder, enc_tape, enc_grad_out)
 
     # --- label gradients -----------------------------------------------------
-    g_cls_logits = np.zeros((batch_size, c))
-    if idx_unl.size:
-        p_u = probs_y[idx_unl]
-        g_probs = (-dist.categorical_kl_to_uniform_grad(p_u) * scale
-                   + r[idx_unl].mean(axis=1) * scale)
-        g_cls_logits[idx_unl] = _softmax_jacobian_vec(p_u, g_probs)
-    if idx_lab.size and alpha_sup != 0.0:
-        g_cls_logits[idx_lab] = scale * alpha_sup * dist.categorical_score_grad(
-            labels[idx_lab], probs_y[idx_lab])
+    g_probs = (-dist.categorical_kl_to_uniform_grad(probs_y) * scale
+               + r.mean(axis=1) * scale)
+    g_cls_logits = np.where(
+        unl[:, None], _softmax_jacobian_vec(probs_y, g_probs),
+        scale * alpha_sup * dist.categorical_score_grad(y, probs_y))
     cls_grads, _ = nn.backward(m.classifier, cls_tape, g_cls_logits)
 
     # --- stick gradients, pooled over every (point, sample) draw ------------

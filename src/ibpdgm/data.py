@@ -130,6 +130,9 @@ def load_amat(path, kind="bernoulli"):
             except ValueError:
                 raise DataFormatError(
                     f"{path}:{lineno}: non-numeric token") from None
+            if not row[-1].is_integer():
+                raise DataFormatError(
+                    f"{path}:{lineno}: label {tokens[-1]!r} is not a finite integer")
             features.append(row[:-1])
             labels.append(int(row[-1]))
     if not features:
@@ -163,11 +166,8 @@ def binarize_epoch(features, rng):
 
 
 def stratified_label_split(labels, fraction, rng):
-    """Pick round(fraction * N_c) labeled indices per class, at least one.
-
-    Returns (labeled indices, unlabeled indices): disjoint, exhaustive,
-    both sorted.
-    """
+    """Pick round(fraction * N_c) labeled indices per class, at least one;
+    returns them sorted."""
     labels = np.asarray(labels, dtype=np.int64)
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie in (0, 1)")
@@ -179,10 +179,7 @@ def stratified_label_split(labels, fraction, rng):
             raise ValueError(f"class {c} has no examples")
         take = max(1, int(round(fraction * members.size)))
         labeled.append(rng.permutation(members)[:take])
-    labeled = np.sort(np.concatenate(labeled))
-    mask = np.ones(labels.size, dtype=bool)
-    mask[labeled] = False
-    return labeled, np.flatnonzero(mask)
+    return np.sort(np.concatenate(labeled))
 
 
 def apply_split(dataset, labeled_idx):

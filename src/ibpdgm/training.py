@@ -236,7 +236,7 @@ def train(cfg, train_data=None, test_data=None, log=None):
     # stratified labeled/unlabeled split (skipped when nothing is labeled)
     has_labels = np.any(train_data.labels >= 0)
     if has_labels:
-        labeled_idx, _ = dio.stratified_label_split(
+        labeled_idx = dio.stratified_label_split(
             train_data.labels, cfg.labeled_fraction, np.random.default_rng(s_split))
         split_train = dio.apply_split(train_data, labeled_idx)
         n_labeled = labeled_idx.size

@@ -151,8 +151,13 @@ def digamma_masked(x):
 
 
 def beta_log_prob_unfused(log_v, log_1mv, a, b):
-    """`distributions.beta_log_prob` as one expression."""
-    log_beta = dist.lgamma(a) + dist.lgamma(b) - dist.lgamma(a + b)
+    """`distributions.beta_log_prob` as one expression, with its own
+    elementwise `math.lgamma`."""
+    def lgamma(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.array([math.lgamma(t) for t in x.ravel()]).reshape(x.shape)
+
+    log_beta = lgamma(a) + lgamma(b) - lgamma(a + b)
     return (a - 1.0) * log_v + (b - 1.0) * log_1mv - log_beta
 
 
@@ -267,30 +272,6 @@ def zero_control_variates(f, h):
     is h * f, bit for bit as the plain estimator (no control variates)
     computes it.  Tests patch it in to get that estimator as a reference."""
     return np.zeros(np.broadcast_shapes(f.shape, h.shape))
-
-
-def _lgamma(x):
-    return np.array([math.lgamma(t) for t in np.atleast_1d(x)])
-
-
-def sticks_log_prob_formula(sticks, log_v, log_1mv):
-    """log q(v_k) per stick, (..., K), from the drawn pair (log v,
-    log(1 - v)): the Beta log-density written out over arrays, in the
-    expression order `GlobalSticks.log_prob` trains with."""
-    a, b = sticks.a, sticks.b
-    log_beta_fn = (_lgamma(a) + _lgamma(b) - _lgamma(a + b))
-    return (a - 1.0) * log_v + (b - 1.0) * log_1mv - log_beta_fn
-
-
-def sticks_score_grads_formula(sticks, log_v, log_1mv):
-    """d log q(v) / d [log_a | log_b], (..., 2K), from the drawn pair,
-    written out over arrays in the expression order
-    `GlobalSticks.score_grads` trains with."""
-    a, b = sticks.a, sticks.b
-    psi_ab = dist.digamma(a + b)
-    da = log_v - dist.digamma(a) + psi_ab
-    db = log_1mv - dist.digamma(b) + psi_ab
-    return np.concatenate([a * da, b * db], axis=-1)
 
 
 # ---------------------------------------------------------------------------

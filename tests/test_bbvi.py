@@ -59,7 +59,7 @@ def test_loo_coeffs_match_brute_force():
             assert np.allclose(got[s, p], want, rtol=1e-12, atol=1e-12)
 
 
-def test_score_sample_set_needs_one_signal_per_parameter():
+def test_signals_and_scores_must_share_the_sample_axis():
     # signals and scores hold the same samples on axis 0, and the signal
     # broadcasts against the scores over the other axes
     h = np.ones((7, 2))
@@ -666,7 +666,8 @@ def test_clip_global_norm():
 def test_per_point_terms_match_vectorized_estimator():
     # single point, S=1, sticks held at v0 and the other draws fixed by the
     # seeded rng: the batched estimator's term values must agree with the
-    # per-point op
+    # per-point op, unlabeled and at two labels, with and without the
+    # supervised weight
     rng = np.random.default_rng(13)
     m = mdl.build_model(5, 3, 2, 6, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random(5) < 0.5).astype(float)
@@ -674,9 +675,6 @@ def test_per_point_terms_match_vectorized_estimator():
     m.sticks = selftest.FixedSticks(v0, m.sticks.alpha)
 
     seed = 31337
-    bd = bbvi.estimate_elbo_and_grads(m, x[None, :], np.array([-1]), 1,
-                                      np.random.default_rng(seed), dataset_size=1,
-                                      with_grads=False)
     # replay the same draws
     r = np.random.default_rng(seed)
     mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
@@ -691,8 +689,25 @@ def test_per_point_terms_match_vectorized_estimator():
         logq_zhat=bernoulli_log_pmf(zhat, incl),
         logp_zhat=bernoulli_log_pmf(zhat, pi),
         logq_v=0.0, logp_v=0.0)
-    terms = per_point_elbo_terms(m, x, None, draw)
-    assert abs(terms["recon"] - bd.recon) < 1e-9
-    assert abs(terms["kl_gauss"] - bd.kl_gauss) < 1e-9
-    assert abs(terms["term_zhat"] - bd.term_zhat) < 1e-9
-    assert abs(terms["term_y"] - bd.term_y) < 1e-9
+    for label in (-1, 0, 2):
+        for alpha_sup in (0.0, 0.7):
+            bd = bbvi.estimate_elbo_and_grads(
+                m, x[None, :], np.array([label]), 1, np.random.default_rng(seed),
+                dataset_size=1, alpha_sup=alpha_sup, with_grads=False)
+            terms = per_point_elbo_terms(m, x, label, draw, alpha_sup=alpha_sup)
+            for name in ("recon", "kl_gauss", "term_zhat", "term_y"):
+                assert abs(terms[name] - getattr(bd, name)) < 1e-9, (label, alpha_sup, name)
+            assert (bd.term_y == 0.0) == (label >= 0 and alpha_sup == 0.0)
+
+
+def test_all_labeled_batch_without_label_weight_has_no_label_signal():
+    # at alpha_sup = 0 a labeled point's label term is 0 and the classifier
+    # gets no gradient: only unlabeled points train it
+    rng = np.random.default_rng(23)
+    m = mdl.build_model(5, 3, 3, 8, "bernoulli", 2.0, 1.0, rng)
+    x = (rng.random((6, 5)) < 0.5).astype(float)
+    bd = bbvi.estimate_elbo_and_grads(m, x, BATCH_LABELS["labeled"], 4,
+                                      np.random.default_rng(24), dataset_size=60)
+    assert bd.term_y == 0.0
+    assert np.all(bd.grads["classifier"] == 0.0)
+    assert np.any(bd.grads["encoder"] != 0.0)

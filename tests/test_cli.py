@@ -138,6 +138,9 @@ def _bad_idx_labels(tmp_path):
 OUT_OF_RANGE_FILES = {
     "amat_pixel_two": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 2 0 0\n"),
     "amat_label_minus_three": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 -3\n"),
+    "amat_label_inf": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 inf\n"),
+    "amat_label_nan": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 nan\n"),
+    "amat_label_two_and_a_half": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 2.5\n"),
     "idx_label_twelve": _bad_idx_labels,
 }
 

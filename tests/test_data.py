@@ -105,6 +105,17 @@ def test_load_amat_float_label_column(tmp_path):
     assert ds.labels[0] == 7
 
 
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "2.5"])
+def test_load_amat_rejects_a_label_that_is_not_an_integer(tmp_path, token):
+    # int() alone raises OverflowError on inf and ValueError on nan, and
+    # truncates 2.5 to class 2
+    path = tmp_path / "rows.amat"
+    path.write_text(f"0.5 0.5 1\n0.25 0.75 {token}\n")
+    with pytest.raises(dio.DataFormatError,
+                       match=re.escape(f"{path}:2: label {token!r}")):
+        dio.load_amat(str(path))
+
+
 @pytest.mark.parametrize("kind, token", [
     ("bernoulli", "nan"), ("bernoulli", "inf"), ("gaussian", "nan"),
     ("gaussian", "inf"), ("gaussian", "-inf")])
@@ -183,7 +194,7 @@ def test_binarize_matches_one_draw_bit_for_bit(shape):
 
 def test_split_one_percent_balanced():
     labels = np.repeat(np.arange(10), 100)   # N=1000, balanced
-    lab, unl = dio.stratified_label_split(labels, 0.01, np.random.default_rng(4))
+    lab = dio.stratified_label_split(labels, 0.01, np.random.default_rng(4))
     assert lab.size == 10
     for c in range(10):
         assert np.sum(labels[lab] == c) == 1
@@ -191,16 +202,16 @@ def test_split_one_percent_balanced():
 
 def test_split_floors_at_one_per_class():
     labels = np.repeat(np.arange(5), 20)     # 0.1% of 20 rounds to 0
-    lab, _ = dio.stratified_label_split(labels, 0.001, np.random.default_rng(5))
+    lab = dio.stratified_label_split(labels, 0.001, np.random.default_rng(5))
     assert lab.size == 5
 
 
 def test_split_disjoint_exhaustive():
     rng = np.random.default_rng(6)
     labels = rng.integers(0, 4, size=507)
-    lab, unl = dio.stratified_label_split(labels, 0.1, rng)
-    assert np.intersect1d(lab, unl).size == 0
-    assert np.array_equal(np.sort(np.concatenate([lab, unl])), np.arange(507))
+    lab = dio.stratified_label_split(labels, 0.1, rng)
+    assert lab.dtype.kind == "i" and np.all(np.diff(lab) > 0)
+    assert 0 <= lab[0] and lab[-1] < 507
 
 
 def test_split_missing_class_rejected():
@@ -211,9 +222,9 @@ def test_split_missing_class_rejected():
 
 def test_split_deterministic_and_seed_sensitive():
     labels = np.repeat(np.arange(3), 50)
-    a, _ = dio.stratified_label_split(labels, 0.1, np.random.default_rng(8))
-    b, _ = dio.stratified_label_split(labels, 0.1, np.random.default_rng(8))
-    c, _ = dio.stratified_label_split(labels, 0.1, np.random.default_rng(9))
+    a = dio.stratified_label_split(labels, 0.1, np.random.default_rng(8))
+    b = dio.stratified_label_split(labels, 0.1, np.random.default_rng(8))
+    c = dio.stratified_label_split(labels, 0.1, np.random.default_rng(9))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -5,9 +5,9 @@ import pytest
 
 from ibpdgm import distributions as dist, ibp
 
-from oracles import enumerate_binary, fd_grad_all, ibp_prior_log_prob_unfused, \
-    same_bits, sticks_log_prob_formula, sticks_prior_log_prob_unfused, \
-    sticks_score_grads_formula, sticks_score_grads_unfused
+from oracles import beta_log_prob_unfused, enumerate_binary, fd_grad_all, \
+    ibp_prior_log_prob_unfused, same_bits, sticks_prior_log_prob_unfused, \
+    sticks_score_grads_unfused
 
 
 def test_ibp_prior_log_prob_basic():
@@ -123,8 +123,9 @@ def test_global_sticks_match_the_written_out_formulas_bit_for_bit(shape):
     pair = sticks.sample(shape[:-1], rng)
     for row, v in ((0, 1e-7), (1, 1.0 - 1e-7)):
         pair[0][0, row], pair[1][0, row] = np.log(v), np.log1p(-v)
-    for got, want in ((sticks.log_prob(*pair), sticks_log_prob_formula(sticks, *pair)),
-                      (sticks.score_grads(*pair), sticks_score_grads_formula(sticks, *pair))):
+    for got, want in ((sticks.log_prob(*pair),
+                       beta_log_prob_unfused(*pair, sticks.a, sticks.b)),
+                      (sticks.score_grads(*pair), sticks_score_grads_unfused(sticks, *pair))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
