@@ -38,11 +38,14 @@ input, the decoder's passes and the likelihood) in float32; everything
 else, every returned value and gradient included, stays float64.  The
 finite-difference checks and the oracles call the default, float64.
 
-The Bernoulli likelihood runs on chunks of whole points that fit in a
-core's L2 cache, each chunk's values and gradient from one exp of its
-logits (`distributions`' private helpers behind `sigmoid` and
-`softplus`), with the bits of whole-block `bernoulli_log_prob` and
-`bernoulli_score_grad`.
+One function, `_likelihood`, takes each decoder block's log-likelihood
+values in both modes, and in a training step writes their gradient over
+the block's decoder output, for both likelihoods.  The Bernoulli
+likelihood runs on chunks of whole points that fit in a core's L2 cache,
+each chunk's values and gradient from one exp of its logits
+(`distributions`' private helpers behind `sigmoid` and `softplus`), with
+the bits of whole-block `bernoulli_log_prob` and `bernoulli_score_grad`;
+the forward-only pass takes the same chunks without the sigmoid.
 
 The score-function path (`control_variate_coeffs`, `score_function_grad`,
 the Beta functions and digamma in `distributions`, the priors and stick
@@ -170,52 +173,44 @@ def _softmax_jacobian_vec(probs, g):
     return probs * (g - inner)
 
 
-def _bernoulli_by_chunks(dec_out, x_pts, chunk_fn):
-    """Run chunk_fn(x rows, logits, values) on chunks of whole points
-    (axis 0) of dec_out, of about LIKELIHOOD_CHUNK logits each (one point
-    when a point alone is more); returns the values it wrote, one per row
-    of dec_out, in dec_out's dtype."""
+def _likelihood(kind, dec_out, x_pts, input_dim, with_grads):
+    """Log-likelihood of each row of the raw decoder output (the last axis
+    is the output width), in dec_out's dtype.  x_pts broadcasts against
+    those rows: each point's data once, for every row decoded for it.
+
+    With `with_grads` the gradient w.r.t. the raw output is written over
+    dec_out, for both likelihoods; the model's decoder output layer is
+    linear, so the block is not read again by its backward pass.  The
+    Bernoulli likelihood runs on chunks of whole points (axis 0) of about
+    LIKELIHOOD_CHUNK logits each (one point when a point alone is more),
+    each chunk's values and gradient from one exp(-|logits|), with the bits
+    of `bernoulli_log_prob` and `bernoulli_score_grad` on the whole block
+    for every logit but a NaN, whose sign may differ; a forward-only call
+    takes the same chunks without the sigmoid, and leaves dec_out as it is.
+    """
+    if kind == "gaussian":
+        mean, var = mdl.split_decoder_out(dec_out, input_dim)
+        values = dist.gaussian_log_prob(x_pts, mean, var)
+        if with_grads:
+            g_mean, g_var = dist.gaussian_score_grad(x_pts, mean, var)
+            g_var *= dist.sigmoid(dec_out[..., input_dim:])
+            dec_out[..., :input_dim] = g_mean
+            dec_out[..., input_dim:] = g_var
+        return values
     x_rows = np.broadcast_to(x_pts, dec_out.shape)
     values = np.empty(dec_out.shape[:-1], dtype=dec_out.dtype)
     per_chunk = max(1, LIKELIHOOD_CHUNK // max(1, dec_out[:1].size))
     for lo in range(0, dec_out.shape[0], per_chunk):
         c = slice(lo, lo + per_chunk)
-        chunk_fn(x_rows[c], dec_out[c], values[c])
+        z, logits = x_rows[c], dec_out[c]
+        e = dist._exp_neg_abs(logits, np.empty_like(logits))
+        terms = z * logits
+        terms -= dist._softplus_from_exp(
+            logits, e, out=np.empty_like(logits) if with_grads else e)
+        terms.sum(axis=-1, out=values[c])
+        if with_grads:
+            np.subtract(z, dist._sigmoid_from_exp(logits, e), out=logits)
     return values
-
-
-def _likelihood_values(kind, dec_out, x_pts, input_dim):
-    """Log-likelihood of each row of the raw decoder output (the last axis
-    is the output width).  x_pts broadcasts against those rows: each point's
-    data once, for every row decoded for it.  The Bernoulli values are
-    taken by chunks of whole points, in dec_out's dtype; a row's value does
-    not depend on the chunking."""
-    if kind == "bernoulli":
-        return _bernoulli_by_chunks(
-            dec_out, x_pts,
-            lambda z, logits, values: dist.bernoulli_log_prob(z, logits).sum(
-                axis=-1, out=values))
-    return dist.gaussian_log_prob(x_pts, *mdl.split_decoder_out(dec_out, input_dim))
-
-
-def _likelihood_values_and_grads(kind, dec_out, x_pts, input_dim):
-    """`_likelihood_values` and its gradient w.r.t. the raw decoder output,
-    shaped like dec_out.
-
-    The Bernoulli gradient is written over dec_out, chunk by chunk, each
-    chunk's values and gradient from one exp of its logits; dec_out is in
-    x_pts's dtype.  The model's decoder output layer is linear, so the
-    block is not read again by its backward pass.  The Gaussian gradient is
-    a new array.
-    """
-    if kind == "bernoulli":
-        return (_bernoulli_by_chunks(dec_out, x_pts,
-                                     dist._bernoulli_row_log_probs_and_scores),
-                dec_out)
-    mean, var = mdl.split_decoder_out(dec_out, input_dim)
-    g_mean, g_var = dist.gaussian_score_grad(x_pts, mean, var)
-    return dist.gaussian_log_prob(x_pts, mean, var), np.concatenate(
-        [g_mean, g_var * dist.sigmoid(dec_out[..., input_dim:])], axis=-1)
 
 
 def _check_finite(name, *arrays):
@@ -265,11 +260,12 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     and backward passes and the likelihood, which reads x cast to `dtype`,
     run in it; each block's parameter gradient is added into the float64
     decoder gradient, and every other term and gradient is float64.  The
-    Bernoulli likelihood takes a block in chunks of whole points of about
-    LIKELIHOOD_CHUNK logits and writes its gradient over the block's
-    decoder output; the decoder's backward pass returns the gradient
-    w.r.t. its first pre-activation, and the z-gradient is that times the
-    first layer's weights.
+    likelihood writes its gradient over the block's decoder output, for
+    both likelihoods; the Bernoulli one takes a block in chunks of whole
+    points of about LIKELIHOOD_CHUNK logits, and the forward-only pass the
+    same chunks without the sigmoid.  The decoder's backward pass returns
+    the gradient w.r.t. its first pre-activation, and the z-gradient is
+    that times the first layer's weights.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] == 0:
@@ -360,17 +356,16 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
         out = out.reshape(n_pts, s, c, -1)
         x_pts = x[pts].astype(dtype, copy=False)[:, None, None, :]
         if not with_grads:
-            # only the gradients read the tape, and the block's output is
-            # freed before the next block's pass allocates its own
-            del tape
-            r[pts] = _likelihood_values(m.likelihood_kind, out, x_pts, m.D)
+            del tape   # only the gradients read it
+        r[pts] = _likelihood(m.likelihood_kind, out, x_pts, m.D, with_grads)
+        if not with_grads:
+            # freed before the next block's pass allocates its own output
             del out
             continue
-        r[pts], g_out = _likelihood_values_and_grads(
-            m.likelihood_kind, out, x_pts, m.D)
-        g_out *= (w[pts] * (scale / s)).astype(dtype, copy=False)[:, None, :, None]
+        # out holds the likelihood's gradient w.r.t. the block's output now
+        out *= (w[pts] * (scale / s)).astype(dtype, copy=False)[:, None, :, None]
         g_params, g_pre = nn.backward(m.decoder, tape,
-                                      g_out.reshape(-1, out.shape[-1]))
+                                      out.reshape(-1, out.shape[-1]))
         g_in = g_pre @ tape.layers[0][0]
         # the one-hots are constants and the weights are folded in: the
         # z-gradient sums the class rows

@@ -130,9 +130,9 @@ def load_amat(path, kind="bernoulli"):
             except ValueError:
                 raise DataFormatError(
                     f"{path}:{lineno}: non-numeric token") from None
-            if not row[-1].is_integer():
-                raise DataFormatError(
-                    f"{path}:{lineno}: label {tokens[-1]!r} is not a finite integer")
+            if not (row[-1].is_integer() and -2.0 ** 63 <= row[-1] < 2.0 ** 63):
+                raise DataFormatError(f"{path}:{lineno}: label {tokens[-1]!r} is "
+                                      "not a finite integer within int64")
             features.append(row[:-1])
             labels.append(int(row[-1]))
     if not features:
@@ -167,7 +167,8 @@ def binarize_epoch(features, rng):
 
 def stratified_label_split(labels, fraction, rng):
     """Pick round(fraction * N_c) labeled indices per class, at least one;
-    returns them sorted."""
+    returns them sorted.  A class below the largest label with no examples
+    is a DataFormatError."""
     labels = np.asarray(labels, dtype=np.int64)
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie in (0, 1)")
@@ -176,7 +177,7 @@ def stratified_label_split(labels, fraction, rng):
     for c in range(num_classes):
         members = np.flatnonzero(labels == c)
         if members.size == 0:
-            raise ValueError(f"class {c} has no examples")
+            raise DataFormatError(f"class {c} has no examples")
         take = max(1, int(round(fraction * members.size)))
         labeled.append(rng.permutation(members)[:take])
     return np.sort(np.concatenate(labeled))

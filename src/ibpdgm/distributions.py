@@ -156,20 +156,6 @@ def bernoulli_score_grad(z, logits):
     return z - sigmoid(logits)
 
 
-def _bernoulli_row_log_probs_and_scores(z, logits, values):
-    """Both Bernoulli terms of a block of logit rows from one exp(-|logits|):
-    the sums over the last axis of `bernoulli_log_prob(z, logits)` into
-    `values`, and `bernoulli_score_grad(z, logits)` written over `logits`.
-    Bit for bit the two public functions' results, for every logit but a
-    NaN, whose sign may differ.  z broadcasts against logits, and both are
-    in one dtype."""
-    e = _exp_neg_abs(logits, np.empty_like(logits))
-    out = z * logits
-    out -= _softplus_from_exp(logits, e, out=np.empty_like(logits))
-    out.sum(axis=-1, out=values)
-    np.subtract(z, _sigmoid_from_exp(logits, e), out=logits)
-
-
 # ---------------------------------------------------------------------------
 # Beta
 

@@ -302,13 +302,12 @@ def test_estimator_shift_invariant(monkeypatch):
         m = mdl.build_model(6, 1, 4, 8, "bernoulli", 1.0, 0.1, rng)
         m.encoder.biases(1)[2 * m.K:] = [4.0, -4.0, 0.0, -6.0]
         x = (rng.random((5, 6)) < 0.5).astype(float)
-        exact_likelihood = bbvi._likelihood_values_and_grads
+        exact_likelihood = bbvi._likelihood
 
-        def shifted(kind, dec_out, x_pts, input_dim):
-            r, g = exact_likelihood(kind, dec_out, x_pts, input_dim)
-            return r + shift, g
+        def shifted(kind, dec_out, x_pts, input_dim, with_grads):
+            return exact_likelihood(kind, dec_out, x_pts, input_dim, with_grads) + shift
 
-        monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", shifted)
+        monkeypatch.setattr(bbvi, "_likelihood", shifted)
         bd = bbvi.estimate_elbo_and_grads(m, x, np.full(5, -1), 8,
                                           np.random.default_rng(1), dataset_size=100)
         monkeypatch.undo()
@@ -328,8 +327,7 @@ ESTIMATOR_DENSITIES = [
         "bernoulli_log_prob", "bernoulli_score_grad", "beta_log_prob", "beta_score_grad",
         "categorical_kl_to_uniform", "categorical_kl_to_uniform_grad",
         "categorical_log_prob", "categorical_score_grad")
-] + [(ibp, "ibp_prior_log_prob_from_sticks"), (bbvi, "_likelihood_values"),
-     (bbvi, "_likelihood_values_and_grads")]
+] + [(ibp, "ibp_prior_log_prob_from_sticks"), (bbvi, "_likelihood")]
 
 
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
@@ -428,10 +426,11 @@ def test_numeric_error_names_term(monkeypatch):
     m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((2, 4)) < 0.5).astype(float)
 
-    def poisoned_likelihood(kind, dec_out, x_pts, input_dim):
-        return np.full(dec_out.shape[:-1], np.nan), np.zeros_like(dec_out)
+    def poisoned_likelihood(kind, dec_out, x_pts, input_dim, with_grads):
+        dec_out.fill(0.0)   # the gradient, written over the block
+        return np.full(dec_out.shape[:-1], np.nan)
 
-    monkeypatch.setattr(bbvi, "_likelihood_values_and_grads", poisoned_likelihood)
+    monkeypatch.setattr(bbvi, "_likelihood", poisoned_likelihood)
     with pytest.raises(bbvi.NumericError) as err:
         bbvi.estimate_elbo_and_grads(m, x, np.full(2, -1), 2, rng, dataset_size=2)
     assert err.value.term == "recon"
@@ -513,10 +512,11 @@ def test_forward_only_numeric_error_names_term(monkeypatch):
     m = mdl.build_model(4, 2, 2, 4, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random((2, 4)) < 0.5).astype(float)
 
-    def poisoned_likelihood(kind, dec_out, x_pts, input_dim):
+    def poisoned_likelihood(kind, dec_out, x_pts, input_dim, with_grads):
+        assert not with_grads
         return np.full(dec_out.shape[:-1], np.nan)
 
-    monkeypatch.setattr(bbvi, "_likelihood_values", poisoned_likelihood)
+    monkeypatch.setattr(bbvi, "_likelihood", poisoned_likelihood)
     with pytest.raises(bbvi.NumericError) as err:
         bbvi.estimate_elbo_and_grads(m, x, np.full(2, -1), 2, rng, dataset_size=2,
                                      with_grads=False)
@@ -600,18 +600,21 @@ def test_forward_only_memory_bounded_in_points():
 
 def _check_chunked_bernoulli(points, s, n_cls, d, dtype, seed):
     # the chunked values and gradient against the public functions on the
-    # whole block; the gradient is written over the block
+    # whole block, in both modes; the gradient is written over the block,
+    # and a forward-only call leaves the block as it is
     rng = np.random.default_rng(seed)
     logits = (8.0 * rng.standard_normal((points, s, n_cls, d))).astype(dtype)
     logits.flat[:4] = [0.0, -0.0, 100.0, -100.0]
     x_pts = (rng.random((points, 1, 1, d)) < 0.5).astype(dtype)
     want_values = dist.bernoulli_log_prob(x_pts, logits).sum(axis=-1)
     want_grads = dist.bernoulli_score_grad(x_pts, logits)
-    assert same_bits(bbvi._likelihood_values("bernoulli", logits, x_pts, d),
-                      want_values)
-    values, grads = bbvi._likelihood_values_and_grads("bernoulli", logits, x_pts, d)
-    assert grads is logits
-    assert same_bits(values, want_values) and same_bits(grads, want_grads)
+    before = logits.tobytes()
+    assert same_bits(bbvi._likelihood("bernoulli", logits, x_pts, d, False),
+                     want_values)
+    assert logits.tobytes() == before
+    assert same_bits(bbvi._likelihood("bernoulli", logits, x_pts, d, True),
+                     want_values)
+    assert same_bits(logits, want_grads)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -635,6 +638,29 @@ def test_chunked_bernoulli_likelihood_at_the_mnist_shape(dtype):
     # to a chunk), on a block that ends in a ragged chunk
     per_chunk = max(1, bbvi.LIKELIHOOD_CHUNK // (4 * 10 * 784))
     _check_chunked_bernoulli(2 * per_chunk + 1, 4, 10, 784, dtype, seed=3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gaussian_likelihood_matches_public_functions(dtype):
+    # the values and the gradient against the public functions bit for bit;
+    # the gradient w.r.t. the raw variance is the one w.r.t. the variance
+    # times sigmoid(raw), and both halves are written over the block
+    rng = np.random.default_rng(4)
+    points, s, n_cls, d = 3, 2, 4, 5
+    dec_out = (3.0 * rng.standard_normal((points, s, n_cls, 2 * d))).astype(dtype)
+    x_pts = rng.standard_normal((points, 1, 1, d)).astype(dtype)
+    mean, var = mdl.split_decoder_out(dec_out, d)
+    want_values = dist.gaussian_log_prob(x_pts, mean, var)
+    g_mean, g_var = dist.gaussian_score_grad(x_pts, mean, var)
+    want_grads = np.concatenate([g_mean, g_var * dist.sigmoid(dec_out[..., d:])],
+                                axis=-1)
+    before = dec_out.tobytes()
+    assert same_bits(bbvi._likelihood("gaussian", dec_out, x_pts, d, False),
+                     want_values)
+    assert dec_out.tobytes() == before
+    assert same_bits(bbvi._likelihood("gaussian", dec_out, x_pts, d, True),
+                     want_values)
+    assert same_bits(dec_out, want_grads)
 
 
 @pytest.mark.parametrize("with_grads", [True, False])

@@ -141,6 +141,9 @@ OUT_OF_RANGE_FILES = {
     "amat_label_inf": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 inf\n"),
     "amat_label_nan": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 nan\n"),
     "amat_label_two_and_a_half": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 2.5\n"),
+    "amat_label_1e19": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 1e19\n"),
+    "amat_label_minus_1e19": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 -1e19\n"),
+    "amat_label_1e300": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 1e300\n"),
     "idx_label_twelve": _bad_idx_labels,
 }
 
@@ -160,6 +163,17 @@ def test_out_of_range_file_contents_exit_two(tmp_path, capsys, case, command):
         argv = ["eval", "--checkpoint", ckpt, *eval_flags]
     assert cli.main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+def test_train_on_labels_that_skip_a_class_exits_two(tmp_path, capsys):
+    # eval accepts a class with no examples; the labeled split of training
+    # needs every class below the largest label
+    _, sets, _ = _bad_amat(tmp_path, "0.1 0.2 0\n0.3 0.4 0\n0.5 0.6 2\n0.7 0.8 2\n")
+    argv = ["train", "--out", str(tmp_path / "run"), "--set", "likelihood=gaussian"]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert cli.main(argv) == 2
+    assert "class 1 has no examples" in capsys.readouterr().err
 
 
 def _corrupt_short_blob(ckpt):

@@ -105,10 +105,11 @@ def test_load_amat_float_label_column(tmp_path):
     assert ds.labels[0] == 7
 
 
-@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "2.5"])
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "2.5", "1e19", "-1e19", "1e300"])
 def test_load_amat_rejects_a_label_that_is_not_an_integer(tmp_path, token):
     # int() alone raises OverflowError on inf and ValueError on nan, and
-    # truncates 2.5 to class 2
+    # truncates 2.5 to class 2; 1e19 and 1e300 are integers that overflow
+    # the int64 label array
     path = tmp_path / "rows.amat"
     path.write_text(f"0.5 0.5 1\n0.25 0.75 {token}\n")
     with pytest.raises(dio.DataFormatError,
@@ -216,7 +217,7 @@ def test_split_disjoint_exhaustive():
 
 def test_split_missing_class_rejected():
     labels = np.array([0, 0, 2, 2])          # class 1 absent
-    with pytest.raises(ValueError):
+    with pytest.raises(dio.DataFormatError, match="class 1 has no examples"):
         dio.stratified_label_split(labels, 0.5, np.random.default_rng(7))
 
 

@@ -308,6 +308,7 @@ def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
     context = []
     forward, backward = nn.forward, nn.backward
     estimate, adam_step = bbvi.estimate_elbo_and_grads, nn.adam_step
+    likelihood = bbvi._likelihood
 
     def tape_dtypes(tape):
         return {a.dtype for a in (*tape.inputs, *tape.outputs,
@@ -328,13 +329,10 @@ def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
                                  tape_dtypes(tape)))
         return grads, g_in
 
-    def spied_likelihood(fn):
-        def spied(kind, dec_out, x_pts, input_dim):
-            result = fn(kind, dec_out, x_pts, input_dim)
-            outputs = result if isinstance(result, tuple) else (result,)
-            seen["likelihood"].append({a.dtype for a in (dec_out, x_pts, *outputs)})
-            return result
-        return spied
+    def spied_likelihood(kind, dec_out, x_pts, input_dim, with_grads):
+        values = likelihood(kind, dec_out, x_pts, input_dim, with_grads)
+        seen["likelihood"].append({a.dtype for a in (dec_out, x_pts, values)})
+        return values
 
     def within(name, fn):
         def spied(*args, **kwargs):
@@ -363,8 +361,7 @@ def test_training_decoder_runs_in_float32(tmp_path, monkeypatch, keys):
     monkeypatch.setattr(nn, "adam_step", spied_adam_step)
     for name in ("error_rate", "component_report"):
         monkeypatch.setattr(training, name, within(name, getattr(training, name)))
-    for name in ("_likelihood_values", "_likelihood_values_and_grads"):
-        monkeypatch.setattr(bbvi, name, spied_likelihood(getattr(bbvi, name)))
+    monkeypatch.setattr(bbvi, "_likelihood", spied_likelihood)
     cfg = quick_cfg(tmp_path, **dict(keys, synth_n=30, epochs=1))
     result = training.train(cfg)
     m = result.model
