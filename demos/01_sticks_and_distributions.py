@@ -1,8 +1,12 @@
 """Stick-breaking feature probabilities and the distribution toolbox.
 
-Walks through the building blocks: Beta stick draws, the decaying feature
-probabilities they induce, the hierarchical prior over binary feature
-ownership, and the score gradients that make black-box inference possible.
+Walks through the building blocks: stick draws from the Beta(alpha, 1)
+prior, the decaying feature probabilities they induce, the hierarchical
+prior over binary feature ownership, and the score gradients that make
+black-box inference possible.  The prior's CDF is v^alpha, so a stick is
+drawn by its inverse, log v = log(U) / alpha, from one uniform U: exact,
+with no clamp.  The clamped Gamma-ratio sampler
+`distributions.beta_sample_array` serves only the posterior q(v).
 Run:  python demos/01_sticks_and_distributions.py
 """
 
@@ -14,16 +18,16 @@ rng = np.random.default_rng(0)
 
 print("=== stick-breaking: decaying feature probabilities ===")
 alpha, K = 2.0, 10
-log_v, _ = dist.beta_sample_array(alpha, 1.0, (K,), rng)   # (log v, log(1 - v))
+log_v = ibp.sticks_prior_sample(alpha, (K,), rng)   # log v = log(U) / alpha
 pi = np.exp(np.cumsum(log_v))
-print(f"stick fractions v ~ Beta({alpha}, 1):")
+print(f"stick fractions v ~ Beta({alpha}, 1), by the inverse CDF v = U^(1/alpha):")
 print(" ", np.round(np.exp(log_v), 3))
 print("feature probabilities pi_k = prod_j<=k v_j (non-increasing):")
 print(" ", np.round(pi, 4))
 
 print()
 print("=== prior moments: E[pi_k] = (alpha/(alpha+1))^k ===")
-log_draws, _ = dist.beta_sample_array(alpha, 1.0, (100_000, K), rng)
+log_draws = ibp.sticks_prior_sample(alpha, (100_000, K), rng)
 pi_draws = np.exp(np.cumsum(log_draws, axis=1))
 expected = (alpha / (alpha + 1.0)) ** np.arange(1, K + 1)
 print("k   MC mean   closed form")

@@ -17,8 +17,8 @@ from .bbvi import (ElboBreakdown, NumericError, control_variate_coeffs,
 from .data import (Dataset, DataFormatError, binarize_epoch, load_amat,
                    load_idx, stratified_label_split, synth_blobs,
                    synth_ibp_data)
-from .ibp import (GlobalSticks, active_components,
-                  ibp_prior_log_prob_from_sticks, sticks_prior_log_prob)
+from .ibp import (GlobalSticks, active_components, ibp_prior_log_prob_from_sticks,
+                  sticks_prior_log_prob, sticks_prior_sample)
 from .model import (IbpDgm, build_model, classify, decode, encode, generate,
                     load_checkpoint, predict_batch, save_checkpoint,
                     theta_log_prior)

@@ -138,8 +138,9 @@ def load_amat(path, kind="bernoulli"):
     if not features:
         raise DataFormatError(f"{path}: empty file")
     labels = np.array(labels, dtype=np.int64)
+    num_classes = max(int(labels.max()) + 1, 1)   # all unlabeled: one class
     try:
-        return Dataset(np.array(features), labels, int(labels.max()) + 1, kind)
+        return Dataset(np.array(features), labels, num_classes, kind)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

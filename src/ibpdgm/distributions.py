@@ -9,16 +9,16 @@ they need.  Each computes the expression the estimator
 functions checks trained code.  The Gaussian log-density, both KLs and
 the categorical log-probability return one value per row (they reduce
 the last axis); `bernoulli_log_prob` and the score gradients are
-elementwise.  The one sampler is `beta_sample_array`; it takes a
-caller-provided numpy Generator and returns a Beta draw v as the pair
-(log v, log(1 - v)), the form every Beta term reads.
+elementwise.  The one sampler, `beta_sample_array`, serves q(v): from a
+numpy Generator it draws clamped Beta pairs (log v, log(1 - v)), the form
+every Beta term reads.  The prior is drawn by `ibp.sticks_prior_sample`.
 """
 
 import math
 
 import numpy as np
 
-_V_CLAMP = 1e-7  # sampled Beta values are kept inside [tiny, 1 - tiny]
+_V_CLAMP = 1e-7  # q(v)'s draws are kept inside [tiny, 1 - tiny]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Feature probabilities decay as running products of stick fractions
 v_k ~ Beta(alpha, 1); a finite truncation level K caps the number of
-latent features, and everything beyond index K is simply absent.  A
-draw of the sticks is the pair (log v, log(1 - v)) that
-`distributions.beta_sample_array` returns; the stick terms read it, and
-log pi_k is the running sum of log v.
+latent features, and everything beyond index K is simply absent.
+log pi_k is the running sum of log v.  A prior draw is log v alone, by
+the inverse CDF; a draw from q(v) is the pair (log v, log(1 - v)) that
+`distributions.beta_sample_array` returns, which the stick terms read.
 """
 
 from dataclasses import dataclass
@@ -55,8 +55,7 @@ class GlobalSticks:
         return np.exp(self.log_b)
 
     def sample(self, size, rng):
-        """Draw stick fractions v of shape (*size, K) from the Beta
-        posteriors, as the pair (log v, log(1 - v))."""
+        """q(v)'s draws, shape (*size, K), as the pair (log v, log(1 - v))."""
         return dist.beta_sample_array(self.a, self.b, (*size, self.K), rng)
 
     def log_prob(self, log_v, log_1mv):
@@ -105,6 +104,12 @@ def ibp_prior_log_prob_from_sticks(zhat, log_v):
     rest *= off
     out += rest
     return out
+
+
+def sticks_prior_sample(alpha, size, rng):
+    """log v for sticks v_k ~ Beta(alpha, 1) of shape `size`, by the exact
+    inverse CDF: log(U) / alpha, one U = 1 - rng.random() in (0, 1] each."""
+    return np.log(np.subtract(1.0, rng.random(size))) / alpha
 
 
 def sticks_prior_log_prob(log_v, alpha):

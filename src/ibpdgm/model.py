@@ -156,16 +156,16 @@ def theta_log_prior(m):
 def generate(m, n, rng, y=None, sample_observations=False):
     """Draw n observations from the generative process.
 
-    Sticks come from the Beta(alpha, 1) prior, feature probabilities from
-    stick-breaking, spikes and slab from their priors; the label is the
-    given class or drawn uniformly.  Returns (likelihood means, sampled
-    observations or None).
+    Sticks come from the Beta(alpha, 1) prior by its inverse CDF, feature
+    probabilities from stick-breaking, spikes and slab from their priors;
+    the label is the given class or drawn uniformly.  Returns (likelihood
+    means, sampled observations or None).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if y is not None and not 0 <= y < m.C:
         raise ValueError(f"label {y} outside [0, {m.C})")
-    log_v, _ = dist.beta_sample_array(m.sticks.alpha, 1.0, (n, m.K), rng)
+    log_v = ibp.sticks_prior_sample(m.sticks.alpha, (n, m.K), rng)
     pi = np.exp(np.cumsum(log_v, axis=-1))
     zhat = (rng.random((n, m.K)) < pi).astype(np.float64)
     ztilde = rng.standard_normal((n, m.K))

@@ -43,8 +43,9 @@ stream so the curve reflects parameter movement rather than fresh sampling
 noise.  It is always the ELBO, also during the warm-up.
 """
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,6 +103,10 @@ class RunConfig:
     out: str = "runs"
 
     def validate(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type is float and not math.isfinite(value):
+                raise ValueError(f"{field.name} = {value}: must be finite")
         if self.dataset not in ("synth-ibp", "synth-blobs", "idx", "amat"):
             raise ValueError(f"unknown dataset kind {self.dataset!r}")
         if self.likelihood not in mdl.LIKELIHOODS:

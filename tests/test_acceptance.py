@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from ibpdgm import bbvi, distributions as dist, selftest, training
+from ibpdgm import bbvi, distributions as dist, ibp, selftest, training
 
 from oracles import zero_control_variates
 
@@ -119,7 +119,7 @@ def test_criterion_5_stick_prior_moments():
     start = time.time()
     rng = np.random.default_rng(501)
     alpha, k, n = 2.0, 5, 100_000
-    log_v, _ = dist.beta_sample_array(alpha, 1.0, (n, k), rng)
+    log_v = ibp.sticks_prior_sample(alpha, (n, k), rng)
     pi = np.exp(np.cumsum(log_v, axis=1))
     expected = (alpha / (alpha + 1.0)) ** np.arange(1, k + 1)
     sem = pi.std(axis=0, ddof=1) / np.sqrt(n)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -101,6 +102,38 @@ def test_too_few_samples_is_usage_error(tmp_path, capsys, key, value):
     assert cli.main(["train", "--set", f"{key}={value}", "--out", out]) == 1
     assert f"error: {key} = {value}:" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key", ["synth_noise", "synth_separation", "alpha",
+                                 "sigma_theta_sq", "lr", "labeled_fraction",
+                                 "alpha_sup", "tau"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_is_usage_error(tmp_path, capsys, key, value):
+    # a NaN or an infinity would train until some term turned non-finite;
+    # the config check names the key before any output is written
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--set", f"{key}={value}", "--out", out]) == 1
+    assert f"error: {key} = {value}: must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_all_unlabeled_amat_trains_and_evals(tmp_path, capsys):
+    # every label -1: one class, no error rate, as unlabeled synth-ibp data
+    rng = np.random.default_rng(4)
+    amat = tmp_path / "unlabeled.amat"
+    amat.write_text("".join(" ".join(f"{v:.3f}" for v in row) + " -1\n"
+                            for row in rng.random((40, 6))))
+    out = tmp_path / "run"
+    cfgp = tiny_train_cfg(tmp_path, out=str(out))
+    assert cli.main(["train", "--config", cfgp, "--set", "dataset=amat",
+                     "--set", f"train_path={amat}"]) == 0
+    with open(out / "metrics.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(math.isnan(float(row["train_err"])) for row in rows)
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(out / "model.ckpt"),
+                     "--amat", str(amat)]) == 0
+    assert "error_rate_percent: nan" in capsys.readouterr().out
 
 
 def test_bad_flag_exits_one():

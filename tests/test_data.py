@@ -77,6 +77,16 @@ def test_load_amat_fixture(tmp_path):
     assert np.allclose(ds.features[0], [0.0, 0.25, 0.5, 1.0])
 
 
+def test_load_amat_all_unlabeled_has_one_class(tmp_path):
+    # no label names a class, and the model still needs one, as unlabeled
+    # synthetic data has
+    path = tmp_path / "unlabeled.amat"
+    path.write_text("0.0 0.5 -1\n1.0 0.25 -1\n")
+    ds = dio.load_amat(str(path))
+    assert ds.num_classes == 1
+    assert np.array_equal(ds.labels, [-1, -1])
+
+
 def test_load_amat_empty(tmp_path):
     path = tmp_path / "empty.amat"
     path.write_text("")

@@ -81,7 +81,7 @@ def test_prior_moments_match_closed_form():
     # with v_k ~ Beta(alpha, 1) i.i.d., E[pi_k] = (alpha/(alpha+1))^k
     rng = np.random.default_rng(5)
     alpha, k, n = 2.0, 5, 100_000
-    log_v, _ = dist.beta_sample_array(alpha, 1.0, (n, k), rng)
+    log_v = ibp.sticks_prior_sample(alpha, (n, k), rng)
     pi = np.exp(np.cumsum(log_v, axis=1))
     expected = (alpha / (alpha + 1.0)) ** np.arange(1, k + 1)
     sem = pi.std(axis=0, ddof=1) / np.sqrt(n)

@@ -296,6 +296,31 @@ def test_generate_tiny_alpha_rarely_activates():
     assert matches.mean() > 0.99
 
 
+def test_generate_draws_the_ibp_prior_without_a_gamma_variate(monkeypatch):
+    # the sticks come by the prior's inverse CDF, not the Gamma-ratio
+    # sampler; the slab is N(0, 1), so spike k is on exactly where z_k != 0,
+    # and its on-fraction estimates E[pi_k] = (alpha/(alpha+1))^k
+    def refuse(*args):
+        raise AssertionError("generate drew a Gamma variate")
+
+    decode, seen = mdl.decode, []
+
+    def recording(m, z, y_embed):
+        seen.append(z)
+        return decode(m, z, y_embed)
+
+    monkeypatch.setattr(dist, "beta_sample_array", refuse)
+    monkeypatch.setattr(mdl, "decode", recording)
+    rng = np.random.default_rng(31)
+    alpha, k, n = 2.0, 5, 100_000
+    m = mdl.build_model(4, 2, k, 8, "bernoulli", alpha, 1e-2, rng)
+    mdl.generate(m, n, rng)
+    on = seen[0] != 0
+    expected = (alpha / (alpha + 1.0)) ** np.arange(1, k + 1)
+    sem = on.std(axis=0, ddof=1) / np.sqrt(n)
+    assert np.all(np.abs(on.mean(axis=0) - expected) < 3 * sem)
+
+
 def test_generate_validates_n():
     m = tiny_model()
     with pytest.raises(ValueError):
