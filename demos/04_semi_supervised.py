@@ -10,8 +10,7 @@ Run:  python demos/04_semi_supervised.py
 from ibpdgm import training
 
 cfg = training.RunConfig(
-    dataset="synth-blobs", synth_n=5000, synth_test_n=1000,
-    synth_classes=2, synth_dim=20, synth_separation=4.0,
+    dataset="synth-blobs", synth_n=5000, synth_test_n=1000, synth_dim=20,
     likelihood="gaussian", labeled_fraction=0.01,
     truncation=8, hidden=64, alpha=1.0, sigma_theta_sq=0.1,
     lr=1e-3, mc_samples=8, eval_mc_samples=2, epochs=30, batch_size=100, seed=5, out="runs/demo04",
@@ -19,7 +18,7 @@ cfg = training.RunConfig(
 
 n_labeled = int(round(cfg.labeled_fraction * cfg.synth_n))
 print(f"{cfg.synth_n} points, ~{n_labeled} labeled, "
-      f"{cfg.synth_classes} classes in {cfg.synth_dim} dimensions")
+      f"2 classes in {cfg.synth_dim} dimensions")
 print("training...")
 result = training.train(
     cfg, log=lambda s: print("  " + s) if int(s.split()[1]) % 5 == 0 else None)

@@ -219,6 +219,32 @@ def _check_finite(name, *arrays):
             raise NumericError(name)
 
 
+def _learning_signals(recon, logp_zhat_k, logq_zhat_k, prior_weight,
+                      expected_spike_priors, logp_v_k, logq_v_k, n_data):
+    """The spikes' learning signal, (S, B, K), the spike fit's layout, and
+    the sticks' signal, (B * S, K), from (B, S)- and (B, S, K)-shaped terms.
+
+    Spike k's signal keeps the reconstruction and its own prior and entropy
+    terms, the latter two weighted by `prior_weight`; the other spikes'
+    terms are independent of its score.  Stick j's signal is its Markov
+    blanket: the spike priors of components k >= j, in expectation over
+    q(zhat) and batch-scaled to the dataset, plus the stick's own prior and
+    entropy.  Both are computed in place, on one new array each.
+    """
+    batch_size, s, k = logp_zhat_k.shape
+    f_zhat = np.empty((s, batch_size, k))
+    f_zhat_bsk = f_zhat.transpose(1, 0, 2)     # the same array as (B, S, K)
+    np.subtract(logp_zhat_k, logq_zhat_k, out=f_zhat_bsk)
+    f_zhat_bsk *= prior_weight
+    f_zhat_bsk += recon[:, :, None]
+    f_v = np.empty((batch_size, s, k))
+    np.cumsum(expected_spike_priors[..., ::-1], axis=2, out=f_v[..., ::-1])  # tails
+    f_v *= n_data
+    f_v += logp_v_k
+    f_v -= logq_v_k
+    return f_zhat, f_v.reshape(-1, k)
+
+
 def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
                             alpha_sup=0.0, prior_weight=1.0, with_grads=True,
                             dtype=np.float64):
@@ -404,25 +430,9 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
         return breakdown
 
     # --- the learning signals -------------------------------------------------
-    # spike k's signal keeps the reconstruction and its own prior and
-    # entropy terms; the other spikes' terms are independent of its score
-    # f_zhat is laid out (S, B, K), the spike fit's layout; f_zhat_bsk is
-    # the same array as (B, S, K)
-    f_zhat = np.empty((s, batch_size, k))
-    f_zhat_bsk = f_zhat.transpose(1, 0, 2)
-    np.subtract(logp_zhat_k, logq_zhat_k, out=f_zhat_bsk)
-    f_zhat_bsk *= prior_weight
-    f_zhat_bsk += recon[:, :, None]
+    f_zhat, f_v = _learning_signals(recon, logp_zhat_k, logq_zhat_k, prior_weight,
+                                    spike_priors[1], logp_v_k, logq_v_k, n_data)
     _check_finite("term_zhat", f_zhat)
-    # Markov blanket of v_j: the spike priors of components k >= j, in
-    # expectation over q(zhat) and batch-scaled to the dataset, plus the
-    # stick's own prior and entropy
-    f_v = np.empty((batch_size, s, k))
-    np.cumsum(spike_priors[1, ..., ::-1], axis=2, out=f_v[..., ::-1])  # tails
-    f_v *= n_data
-    f_v += logp_v_k
-    f_v -= logq_v_k
-    f_v = f_v.reshape(-1, k)
     _check_finite("term_v", f_v)
 
     # --- spike (zhat) score gradients, per-point control variates ----------

@@ -1,18 +1,19 @@
 """Command-line entry points: train, eval, report, selftest, gen.
 
-`train` reads and validates the whole `RunConfig`, `report` reads its
-`tau` and `out`, and `gen` its `seed` and `out`; each folds it from a
-key=value text file (`--config`), environment variables IBPDGM_<KEY> (only
-those naming a `RunConfig` field are read, so other IBPDGM_ variables such
-as IBPDGM_MNIST_DIR pass through), and flag overrides, in that precedence
-order.  `report` writes `report.json` only when some source sets `out`.
-`eval` and `selftest` read no configuration; `eval` and `report` load
-`--amat` files under the checkpoint's likelihood.
+`train` reads the whole `RunConfig`, `report` its `tau` and `out`, and
+`gen` its `seed` and `out`, each checking the keys it reads.  Each folds
+them from a key=value text file (`--config`), environment variables
+IBPDGM_<KEY> (only those naming a `RunConfig` field are read, so other
+IBPDGM_ variables such as IBPDGM_MNIST_DIR pass through), and flag
+overrides, in that precedence order.  `report` writes `report.json` only
+when some source sets `out`.  `eval` and `selftest` read no configuration;
+`eval` and `report` load `--amat` files under the checkpoint's likelihood.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
 failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -44,13 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _coerce(name, raw, target_type):
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
+        return target_type(raw)
     except ValueError:
         raise UsageError(f"config key {name}: cannot parse {raw!r}") from None
-    return str(raw)
 
 
 def parse_config_file(path):
@@ -72,7 +69,7 @@ def build_run_config(args, out=training.RunConfig.out):
     """Fold defaults < config file < environment < --set flags; `out` is
     the default of the `out` key (`report` passes "": no source, no file)."""
     cfg = training.RunConfig(out=out)
-    field_types = {name: type(getattr(cfg, name)) for name in vars(cfg)}
+    field_types = {f.name: f.type for f in dataclasses.fields(training.RunConfig)}
 
     def apply(pairs, source):
         for key, raw in pairs.items():
@@ -175,7 +172,7 @@ def cmd_eval(args):
 
 
 def cmd_report(args):
-    cfg = build_run_config(args, out="")
+    cfg = build_run_config(args, out="").validate(("tau",))
     m = mdl.load_checkpoint(args.checkpoint)
     dataset = _load_eval_dataset(args, m)
     report = training.component_report(m, dataset, cfg.tau)
@@ -208,7 +205,7 @@ def cmd_selftest(args):
 
 
 def cmd_gen(args):
-    cfg = build_run_config(args)
+    cfg = build_run_config(args).validate(("seed",))
     m = mdl.load_checkpoint(args.checkpoint)
     rng = np.random.default_rng(cfg.seed)
     means, samples = mdl.generate(m, args.n, rng, y=args.label,

@@ -44,8 +44,9 @@ noise.  It is always the ELBO, also during the warm-up.
 """
 
 import math
+import operator
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,71 +61,75 @@ METRICS_COLUMNS = ("epoch", "elbo", "recon", "kl_gauss", "term_zhat",
                    "term_v", "term_y", "train_err", "test_err", "n_active")
 GRAD_CLIP = 10.0
 LR_DECAY_EPOCHS = 10.0
+METRICS_CAP = 4000   # points of the per-epoch metrics, bounding their cost
 WARMUP_FRACTION = 1.0 / 15.0
+
+
+def _key(default, accepts):
+    """A `RunConfig` field that accepts only the values `accepts` states: a
+    tuple of choices, or an interval such as "[1, inf)", which messages
+    quote as written.  An interval is parsed here, once."""
+    if isinstance(accepts, tuple):
+        test, must = accepts.__contains__, "be one of " + ", ".join(accepts)
+    else:
+        lo, hi = (float(end) for end in accepts[1:-1].split(","))
+        above = operator.le if accepts[0] == "[" else operator.lt
+        below = operator.le if accepts[-1] == "]" else operator.lt
+        test, must = (lambda v: above(lo, v) and below(v, hi)), "lie in " + accepts
+    return field(default=default, metadata={"accepts": test, "must": must})
 
 
 @dataclass
 class RunConfig:
     # data
-    dataset: str = "synth-ibp"        # synth-ibp | synth-blobs | idx | amat
-    likelihood: str = "bernoulli"
+    dataset: str = _key("synth-ibp", ("synth-ibp", "synth-blobs", "idx", "amat"))
+    likelihood: str = _key("bernoulli", mdl.LIKELIHOODS)
     images: str = ""                  # idx: image/label file pair
     labels: str = ""
     test_images: str = ""
     test_labels: str = ""
     train_path: str = ""              # amat files
     test_path: str = ""
-    limit_train: int = 0              # optional cap on training rows (0 = all)
-    synth_n: int = 2000
-    synth_test_n: int = 500
-    synth_features: int = 4           # ground-truth G for synth-ibp
-    synth_dim: int = 30
-    synth_noise: float = 0.02
-    synth_classes: int = 2            # synth-blobs
-    synth_separation: float = 4.0
+    limit_train: int = _key(0, "[0, inf)")   # optional cap on training rows (0 = all)
+    synth_n: int = _key(2000, "[1, inf)")
+    synth_test_n: int = _key(500, "[0, inf)")
+    synth_features: int = _key(4, "[0, inf)")   # ground-truth G for synth-ibp
+    synth_dim: int = _key(30, "[1, inf)")
+    synth_noise: float = _key(0.02, "[0, 0.5]")   # flip probability
     # model
-    truncation: int = 50
-    alpha: float = 2.0
-    hidden: int = 500
-    sigma_theta_sq: float = 1e-2
+    truncation: int = _key(50, "[1, inf)")
+    alpha: float = _key(2.0, "(0, inf)")
+    hidden: int = _key(500, "[1, inf)")
+    sigma_theta_sq: float = _key(1e-2, "(0, inf)")
     # optimizer
-    lr: float = 3e-4
+    lr: float = _key(3e-4, "(0, inf)")
     # objective
-    mc_samples: int = 8
-    labeled_fraction: float = 0.01
+    mc_samples: int = _key(8, "[2, inf)")   # the leave-one-out CVs need 2 draws
+    labeled_fraction: float = _key(0.01, "(0, 1)")
     alpha_sup: float = -1.0           # < 0 means auto: 0.1 * N / N_labeled
-    unlabeled_mode: str = "marginalize"   # its one value; perfbench sets it
+    unlabeled_mode: str = _key("marginalize", ("marginalize",))   # kept: perfbench sets it
     # loop
-    epochs: int = 10
-    batch_size: int = 100
-    seed: int = 0
-    eval_mc_samples: int = 4
-    tau: float = 0.01
+    epochs: int = _key(10, "[0, inf)")
+    batch_size: int = _key(100, "[1, inf)")
+    seed: int = _key(0, "[0, inf)")
+    eval_mc_samples: int = _key(4, "[1, inf)")
+    tau: float = _key(0.01, "[0, 1]")   # 1 counts no component active
     out: str = "runs"
 
-    def validate(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.type is float and not math.isfinite(value):
-                raise ValueError(f"{field.name} = {value}: must be finite")
-        if self.dataset not in ("synth-ibp", "synth-blobs", "idx", "amat"):
-            raise ValueError(f"unknown dataset kind {self.dataset!r}")
-        if self.likelihood not in mdl.LIKELIHOODS:
-            raise ValueError(f"unknown likelihood {self.likelihood!r}")
-        if self.unlabeled_mode != "marginalize":
-            raise ValueError(f"unlabeled_mode {self.unlabeled_mode!r}: unlabeled "
-                             "points always marginalize their label")
-        # mc_samples: the leave-one-out control variates need 2 draws per
-        # point; a synthetic run needs a training point, and may have no test
-        for key, least in (("truncation", 1), ("hidden", 1), ("epochs", 0),
-                           ("batch_size", 1), ("mc_samples", 2), ("eval_mc_samples", 1),
-                           ("synth_n", 1), ("synth_test_n", 0), ("limit_train", 0)):
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} = {getattr(self, key)}: must be >= {least}")
-        if not (0 < self.labeled_fraction < 1):
-            raise ValueError("labeled_fraction must lie in (0, 1)")
-        if self.sigma_theta_sq <= 0 or self.lr <= 0 or self.alpha <= 0:
-            raise ValueError("sigma_theta_sq, lr, alpha must be positive")
+    def validate(self, keys=None):
+        """Check every field, or those named in `keys`: a float must be
+        finite, and then each field must be a value it accepts."""
+        for f in fields(self):
+            if keys is not None and f.name not in keys:
+                continue
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                must = "be finite"
+            elif "accepts" in f.metadata and not f.metadata["accepts"](value):
+                must = f.metadata["must"]
+            else:
+                continue
+            raise ValueError(f"{f.name} = {value!r}: must {must}")
         return self
 
 
@@ -139,9 +144,8 @@ def load_datasets(cfg, rng):
         test = full.subset(np.arange(cfg.synth_n, full.n))
         return train, test
     if cfg.dataset == "synth-blobs":
-        # train and test share the class centers, so draw them jointly
-        joint = dio.synth_blobs(cfg.synth_n + cfg.synth_test_n, cfg.synth_classes,
-                                cfg.synth_dim, cfg.synth_separation, rng)
+        # two classes, centers 4 from the origin; train and test share them
+        joint = dio.synth_blobs(cfg.synth_n + cfg.synth_test_n, 2, cfg.synth_dim, 4.0, rng)
         return (joint.subset(np.arange(cfg.synth_n)),
                 joint.subset(np.arange(cfg.synth_n, joint.n)))
     if cfg.dataset == "idx":
@@ -317,9 +321,8 @@ def _epoch_metrics(m, train_data, test_data, cfg, alpha_sup, epoch, eval_seed):
     rng = np.random.default_rng(eval_seed)
     feats, labels = train_data.features, train_data.labels
     n = train_data.n
-    cap = 4000  # bound per-epoch metric cost on big datasets
-    if n > cap:
-        idx = rng.permutation(n)[:cap]
+    if n > METRICS_CAP:
+        idx = rng.permutation(n)[:METRICS_CAP]
         feats, labels = feats[idx], labels[idx]
     if train_data.kind == "bernoulli":     # only the rows kept
         feats = dio.binarize_epoch(feats, rng)

@@ -192,6 +192,17 @@ def sticks_prior_log_prob_unfused(log_v, alpha):
     return np.log(alpha) + (alpha - 1.0) * log_v
 
 
+def learning_signals_unfused(recon, logp_zhat_k, logq_zhat_k, prior_weight,
+                             expected_spike_priors, logp_v_k, logq_v_k, n_data):
+    """`bbvi._learning_signals` as two expressions: the spikes' signal
+    transposed to (S, B, K), the sticks' reversed cumulative sums of the
+    expected spike priors flattened to (B * S, K)."""
+    f_zhat = (logp_zhat_k - logq_zhat_k) * prior_weight + recon[:, :, None]
+    tails = np.cumsum(expected_spike_priors[..., ::-1], axis=2)[..., ::-1]
+    f_v = tails * n_data + logp_v_k - logq_v_k
+    return f_zhat.transpose(1, 0, 2), f_v.reshape(-1, f_v.shape[-1])
+
+
 # (owner, attribute, whole-array stand-in) for every function of the
 # score-function path that computes in place
 SCORE_PATH_UNFUSED = [
@@ -204,6 +215,7 @@ SCORE_PATH_UNFUSED = [
     (ibp, "ibp_prior_log_prob_from_sticks", ibp_prior_log_prob_unfused),
     (ibp, "sticks_prior_log_prob", sticks_prior_log_prob_unfused),
     (ibp.GlobalSticks, "score_grads", sticks_score_grads_unfused),
+    (bbvi, "_learning_signals", learning_signals_unfused),
 ]
 
 

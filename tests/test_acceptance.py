@@ -183,8 +183,7 @@ def test_criterion_9_bit_exact_determinism(tmp_path):
 def test_criterion_7_semi_supervised_blobs(tmp_path):
     start = time.time()
     cfg = training.RunConfig(
-        dataset="synth-blobs", synth_n=5000, synth_test_n=1000,
-        synth_classes=2, synth_dim=20, synth_separation=4.0,
+        dataset="synth-blobs", synth_n=5000, synth_test_n=1000, synth_dim=20,
         likelihood="gaussian", labeled_fraction=0.01,
         truncation=8, hidden=64, alpha=1.0, sigma_theta_sq=0.1,
         lr=1e-3, mc_samples=8, eval_mc_samples=2, alpha_sup=100.0,

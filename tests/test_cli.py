@@ -79,9 +79,12 @@ def test_unknown_config_key_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("source", ["file", "set"])
 @pytest.mark.parametrize("key, value", [("beta1", "0.9"), ("beta2", "0.999"),
-                                        ("grad_clip", "10"), ("add_noise", "0")])
+                                        ("grad_clip", "10"), ("add_noise", "0"),
+                                        ("synth_classes", "2"),
+                                        ("synth_separation", "4.0")])
 def test_removed_config_key_is_usage_error(tmp_path, key, value, source):
-    # Adam's rates and the clip threshold are constants, and add_noise is gone
+    # Adam's rates, the clip threshold and the synthetic blobs' class count
+    # and separation are constants, and add_noise is gone
     out = str(tmp_path / "run")
     if source == "file":
         argv = ["train", "--config", write_cfg(tmp_path, **{key: value}), "--out", out]
@@ -104,7 +107,7 @@ def test_too_few_samples_is_usage_error(tmp_path, capsys, key, value):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("key", ["synth_noise", "synth_separation", "alpha",
+@pytest.mark.parametrize("key", ["synth_noise", "alpha",
                                  "sigma_theta_sq", "lr", "labeled_fraction",
                                  "alpha_sup", "tau"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -115,6 +118,36 @@ def test_non_finite_float_is_usage_error(tmp_path, capsys, key, value):
     assert cli.main(["train", "--set", f"{key}={value}", "--out", out]) == 1
     assert f"error: {key} = {value}: must be finite" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("synth_noise", "-1", "synth_noise = -1.0: must lie in [0, 0.5]"),
+    ("synth_noise", "0.7", "synth_noise = 0.7: must lie in [0, 0.5]"),
+    ("tau", "-5", "tau = -5.0: must lie in [0, 1]"),
+    ("tau", "1.5", "tau = 1.5: must lie in [0, 1]"),
+    ("seed", "-1", "seed = -1: must lie in [0, inf)"),
+    ("synth_dim", "0", "synth_dim = 0: must lie in [1, inf)"),
+    ("synth_features", "-1", "synth_features = -1: must lie in [0, inf)"),
+    ("lr", "-1", "lr = -1.0: must lie in (0, inf)"),
+    ("alpha", "-1", "alpha = -1.0: must lie in (0, inf)"),
+    ("sigma_theta_sq", "-1", "sigma_theta_sq = -1.0: must lie in (0, inf)"),
+    ("labeled_fraction", "0", "labeled_fraction = 0.0: must lie in (0, 1)")])
+def test_out_of_range_setting_is_usage_error(tmp_path, capsys, key, value, message):
+    # a finite value outside what its key accepts: the config check names
+    # that key alone, with its value, before any output is written
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--set", f"{key}={value}", "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key, value", [("tau", "0"), ("tau", "1"), ("synth_noise", "0"),
+                                        ("synth_noise", "0.5"), ("epochs", "0")])
+def test_boundary_setting_trains(tmp_path, key, value):
+    out = tmp_path / "run"
+    cfgp = tiny_train_cfg(tmp_path, out=str(out), epochs=1)
+    assert cli.main(["train", "--config", cfgp, "--set", f"{key}={value}"]) == 0
+    assert (out / "model.ckpt").exists()
 
 
 def test_all_unlabeled_amat_trains_and_evals(tmp_path, capsys):
@@ -310,14 +343,14 @@ def test_eval_takes_only_checkpoint_and_data_flags(tmp_path, capsys, command, fl
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("mc_samples", "1", "mc_samples = 1: must be >= 2"),
-    ("epochs", "-1", "epochs = -1: must be >= 0"),
-    ("labeled_fraction", "0", "labeled_fraction must lie in (0, 1)")],
+    ("mc_samples", "1", "mc_samples = 1: must lie in [2, inf)"),
+    ("epochs", "-1", "epochs = -1: must lie in [0, inf)"),
+    ("labeled_fraction", "0", "labeled_fraction = 0.0: must lie in (0, 1)")],
     ids=["mc_samples", "epochs", "labeled_fraction"])
 def test_commands_ignore_training_only_settings(tmp_path, monkeypatch, capsys,
                                                 key, value, message):
-    # only train validates the run configuration; the other commands read
-    # none of these keys
+    # each command checks only the keys it reads, and eval, report and gen
+    # read none of these
     monkeypatch.setenv(f"IBPDGM_{key.upper()}", value)
     ckpt, amat = _make_checkpoint(tmp_path), _normal_amat(tmp_path)
     assert cli.main(["eval", "--checkpoint", ckpt, "--amat", amat]) == 0
@@ -328,6 +361,25 @@ def test_commands_ignore_training_only_settings(tmp_path, monkeypatch, capsys,
     out = tmp_path / "run"
     assert cli.main(["train", "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("report", "tau", "nan", "tau = nan: must be finite"),
+    ("report", "tau", "-5", "tau = -5.0: must lie in [0, 1]"),
+    ("report", "tau", "1.5", "tau = 1.5: must lie in [0, 1]"),
+    ("gen", "seed", "-1", "seed = -1: must lie in [0, inf)")])
+def test_report_and_gen_check_the_keys_they_read(tmp_path, capsys, command, key,
+                                                 value, message):
+    # the check runs before the checkpoint is read or any output written
+    out = tmp_path / "out"
+    argv = [command, "--checkpoint", _make_checkpoint(tmp_path),
+            "--set", f"{key}={value}", "--out", str(out)]
+    if command == "report":
+        argv += ["--amat", _normal_amat(tmp_path)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
     assert not out.exists()
 
 

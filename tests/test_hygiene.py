@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no library
 parameter keeps a default that no caller overrides, no CLI flag goes
 unread, no test is parametrized over an argument its body never reads,
-and README quotes no stale signature.
+no numeric run setting goes unchecked, and README quotes no stale
+signature.
 
 A plain `ast` scan of every program, test and demo file.  Package
 `__init__.py` files re-export on purpose and are skipped; an import
@@ -18,11 +19,14 @@ arguments to (`build_run_config` reads `--config`, `--seed`, `--out` and
 each subcommand accepts.  The README signature check reads every inline
 `name(args)` whose name is a function or class of an `ibpdgm` module,
 bare or as `module.name`: its arguments must be that callable's leading
-parameter names.
+parameter names.  Every `int` or `float` field of `RunConfig` states
+the values it accepts, as the field metadata that `validate` checks, but
+for the few that accept every finite value.
 """
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import math
@@ -33,7 +37,7 @@ import re
 import pytest
 
 import ibpdgm
-from ibpdgm import cli
+from ibpdgm import cli, training
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCANNED = ("src", "tests", "demos")
@@ -304,3 +308,27 @@ def test_every_parametrized_argument_is_read():
               for path in python_files(("tests", "perfbench"))
               for found in unread_parametrized_arguments(source_of(path))]
     assert unread == []
+
+
+def unchecked_numeric_settings(config_class, free):
+    """Names of the `int` and `float` fields of `config_class` that state
+    no accepted values and are not listed in `free`."""
+    return [f.name for f in dataclasses.fields(config_class)
+            if f.type in (int, float) and "accepts" not in f.metadata
+            and f.name not in free]
+
+
+def test_scan_finds_an_unchecked_numeric_setting():
+    @dataclasses.dataclass
+    class Config:
+        checked: int = training._key(1, "[1, inf)")
+        unchecked: int = 0
+        free: float = -1.0
+        path: str = ""
+
+    assert unchecked_numeric_settings(Config, {"free"}) == ["unchecked"]
+
+
+def test_every_numeric_run_setting_states_what_it_accepts():
+    # alpha_sup takes any finite value: a negative one means auto
+    assert unchecked_numeric_settings(training.RunConfig, {"alpha_sup"}) == []

@@ -44,8 +44,8 @@ def test_train_seed_changes_metrics(tmp_path):
 
 
 def test_train_with_labels_uses_stratified_split(tmp_path):
-    cfg = quick_cfg(tmp_path, dataset="synth-blobs", synth_classes=2,
-                    synth_dim=5, likelihood="gaussian", labeled_fraction=0.1)
+    cfg = quick_cfg(tmp_path, dataset="synth-blobs", synth_dim=5,
+                    likelihood="gaussian", labeled_fraction=0.1)
     result = training.train(cfg)
     assert np.isfinite(result.history[-1][7])   # train_err defined
     assert np.isfinite(result.history[-1][8])   # test_err defined
