@@ -47,13 +47,13 @@ each chunk's values and gradient from one exp of its logits
 the bits of whole-block `bernoulli_log_prob` and `bernoulli_score_grad`;
 the forward-only pass takes the same chunks without the sigmoid.
 
-The score-function path (`control_variate_coeffs`, `score_function_grad`,
-the Beta functions and digamma in `distributions`, the priors and stick
-scores in `ibp`) computes in place, over buffers each function owns and
-never over an argument, with the operands and order of operations of the
-whole-array expressions that `tests/oracles.py` keeps and the tests pin
-bit for bit.  The spike fit takes its signals and scores as contiguous
-(S, B, K) arrays.
+The spike path (`control_variate_coeffs`, `score_function_grad`,
+`_learning_signals` and the spike prior in `ibp`) computes in place, over
+buffers each function owns and never over an argument, with the operands
+and order of operations of the whole-array expressions that
+`tests/oracles.py` keeps and the tests pin bit for bit; the stick
+functions are plain whole-array expressions.  The spike fit takes its
+signals and scores as contiguous (S, B, K) arrays.
 """
 
 from dataclasses import dataclass, field

@@ -238,7 +238,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (dio.DataFormatError, FileNotFoundError) as exc:
+    except (dio.DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except bbvi.NumericError as exc:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distributions as dist
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 # `binarize_epoch` draws its uniforms in row chunks of about this many values
@@ -216,7 +218,7 @@ def synth_ibp_data(n, true_features, dim, noise, rng):
     dictionary = rng.choice([-9.0, 4.0], size=(true_features, dim))
     ownership = (rng.random((n, true_features)) < 0.5).astype(np.float64)
     logits = ownership @ dictionary
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    probs = dist.sigmoid(logits)
     probs = noise + (1.0 - 2.0 * noise) * probs
     features = (rng.random((n, dim)) < probs).astype(np.float64)
     labels = np.full(n, -1, dtype=np.int64)

@@ -71,10 +71,7 @@ class GlobalSticks:
         """
         a, b = self.a, self.b
         da, db = dist.beta_score_grad(log_v, log_1mv, a, b)
-        out = np.empty((*da.shape[:-1], 2 * self.K))
-        np.multiply(a, da, out=out[..., :self.K])
-        np.multiply(b, db, out=out[..., self.K:])
-        return out
+        return np.concatenate([a * da, b * db], axis=-1)
 
 
 def ibp_prior_log_prob_from_sticks(zhat, log_v):
@@ -117,9 +114,7 @@ def sticks_prior_log_prob(log_v, alpha):
     shape (..., K), from ln v."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    out = np.multiply(log_v, alpha - 1.0)
-    out += np.log(alpha)
-    return out
+    return np.log(alpha) + (alpha - 1.0) * log_v
 
 
 @dataclass

@@ -136,6 +136,9 @@ class RunConfig:
 def load_datasets(cfg, rng):
     """Materialize (train, test) datasets for a run configuration."""
     if cfg.dataset == "synth-ibp":
+        if cfg.synth_features > cfg.synth_dim:
+            raise ValueError(f"synth_features = {cfg.synth_features!r}: "
+                             f"must be at most synth_dim = {cfg.synth_dim!r}")
         synth = dio.synth_ibp_data(cfg.synth_n + cfg.synth_test_n,
                                    cfg.synth_features, cfg.synth_dim,
                                    cfg.synth_noise, rng)
@@ -235,7 +238,6 @@ def train(cfg, train_data=None, test_data=None, log=None):
     Bernoulli draw before every epoch.
     """
     cfg.validate()
-    os.makedirs(cfg.out, exist_ok=True)
     seed_root = np.random.SeedSequence(cfg.seed)
     s_data, s_model, s_split, s_train, s_eval = seed_root.spawn(5)
 
@@ -264,6 +266,7 @@ def train(cfg, train_data=None, test_data=None, log=None):
     train_rng = np.random.default_rng(s_train)
     eval_seed = s_eval.generate_state(1)[0]
 
+    os.makedirs(cfg.out, exist_ok=True)   # only once the inputs are good
     metrics_path = os.path.join(cfg.out, "metrics.csv")
     history = []
     n = split_train.n

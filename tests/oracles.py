@@ -10,10 +10,11 @@ likelihood written out from its definition are defined once, in
 references (`LatentDraw`, `draw_latents`, `likelihood_log_prob`,
 `per_point_elbo_terms`) check the batched estimator one point at a time,
 with the densities and KLs written out rather than taken from
-`ibpdgm.distributions`.  The `*_unfused` functions and `digamma_masked`
-are the score-function path's whole-array expressions, one new array per
-operation; the library computes the same operations in place, and the
-tests hold it to their bits.
+`ibpdgm.distributions`.  `beta_log_prob_unfused` writes q(v)'s density
+out with its own lgamma.  The other `*_unfused` functions are the
+whole-array expressions, one new array per operation, of the spike path
+functions that the library computes in place (`SCORE_PATH_UNFUSED`);
+the tests hold the library to their bits.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ibpdgm import bbvi, distributions as dist, ibp, model as mdl
+from ibpdgm import bbvi, ibp, model as mdl
 from ibpdgm.bbvi import CV_EPS
 from ibpdgm.selftest import (exact_toy_elbo, fd_grad_all,  # noqa: F401
                              make_enumerable_toy, reference_log_lik, rel_err)
@@ -91,9 +92,9 @@ def net_pass_masking_preacts(net, x, grad_out, dtype=np.float64):
 
 
 # ---------------------------------------------------------------------------
-# the score-function path as whole-array expressions, one temporary per
-# operation: the bits that `bbvi`, `distributions` and `ibp` compute in
-# place on their own buffers, and the stand-ins of the whole-step bit check
+# the spike path as whole-array expressions, one temporary per operation:
+# the bits that `bbvi` and `ibp` compute in place on their own buffers,
+# and the stand-ins of the whole-step bit check
 
 def control_variate_coeffs_unfused(f, h):
     """`bbvi.control_variate_coeffs` without its shape checks, one new
@@ -120,61 +121,6 @@ def score_function_grad_unfused(f, h):
     return np.mean(h * (f - control_variate_coeffs_unfused(f, h)), axis=0)
 
 
-def beta_sample_array_unfused(a, b, size, rng):
-    """`distributions.beta_sample_array` with a new array per operation:
-    the same Gamma draws, in the same order."""
-    x = rng.standard_gamma(np.broadcast_to(a, size))
-    y = rng.standard_gamma(np.broadcast_to(b, size))
-    v = np.clip(x / (x + y), 1e-7, 1.0 - 1e-7)
-    return np.log(v), np.log1p(-v)
-
-
-def digamma_masked(x):
-    """`distributions.digamma` with the recurrence on boolean-indexed
-    elements and the asymptotic series as one expression."""
-    x = np.array(x, dtype=np.float64, copy=True)
-    value = np.zeros_like(x)
-    while True:
-        small = x < 10.0
-        if not np.any(small):
-            break
-        value[small] -= 1.0 / x[small]
-        x[small] += 1.0
-    r = 1.0 / (x * x)
-    series = r * (1.0 / 12.0
-                  - r * (1.0 / 120.0
-                         - r * (1.0 / 252.0
-                                - r * (1.0 / 240.0
-                                       - r * (1.0 / 132.0)))))
-    value += np.log(x) - 0.5 / x - series
-    return value
-
-
-def beta_log_prob_unfused(log_v, log_1mv, a, b):
-    """`distributions.beta_log_prob` as one expression, with its own
-    elementwise `math.lgamma`."""
-    def lgamma(x):
-        x = np.asarray(x, dtype=np.float64)
-        return np.array([math.lgamma(t) for t in x.ravel()]).reshape(x.shape)
-
-    log_beta = lgamma(a) + lgamma(b) - lgamma(a + b)
-    return (a - 1.0) * log_v + (b - 1.0) * log_1mv - log_beta
-
-
-def beta_score_grad_unfused(log_v, log_1mv, a, b):
-    """`distributions.beta_score_grad` over `digamma_masked`."""
-    psi_a, psi_b, psi_ab = digamma_masked(np.stack(np.broadcast_arrays(a, b, a + b)))
-    return log_v - psi_a + psi_ab, log_1mv - psi_b + psi_ab
-
-
-def sticks_score_grads_unfused(sticks, log_v, log_1mv):
-    """`ibp.GlobalSticks.score_grads` over `beta_score_grad_unfused`, its
-    two halves joined by `np.concatenate`."""
-    a, b = sticks.a, sticks.b
-    da, db = beta_score_grad_unfused(log_v, log_1mv, a, b)
-    return np.concatenate([a * da, b * db], axis=-1)
-
-
 def ibp_prior_log_prob_unfused(zhat, log_v):
     """`ibp.ibp_prior_log_prob_from_sticks` with `np.where` guards."""
     zhat = np.asarray(zhat, dtype=np.float64)
@@ -185,11 +131,6 @@ def ibp_prior_log_prob_unfused(zhat, log_v):
     off = np.where(np.isfinite(log_one_minus_pi), log_one_minus_pi,
                    ibp.LOG_ZERO_SENTINEL)
     return zhat * on + (1.0 - zhat) * off
-
-
-def sticks_prior_log_prob_unfused(log_v, alpha):
-    """`ibp.sticks_prior_log_prob` as one expression."""
-    return np.log(alpha) + (alpha - 1.0) * log_v
 
 
 def learning_signals_unfused(recon, logp_zhat_k, logq_zhat_k, prior_weight,
@@ -204,19 +145,24 @@ def learning_signals_unfused(recon, logp_zhat_k, logq_zhat_k, prior_weight,
 
 
 # (owner, attribute, whole-array stand-in) for every function of the
-# score-function path that computes in place
+# score-function path that computes in place: the spike path
 SCORE_PATH_UNFUSED = [
     (bbvi, "control_variate_coeffs", control_variate_coeffs_unfused),
     (bbvi, "score_function_grad", score_function_grad_unfused),
-    (dist, "beta_sample_array", beta_sample_array_unfused),
-    (dist, "digamma", digamma_masked),
-    (dist, "beta_log_prob", beta_log_prob_unfused),
-    (dist, "beta_score_grad", beta_score_grad_unfused),
     (ibp, "ibp_prior_log_prob_from_sticks", ibp_prior_log_prob_unfused),
-    (ibp, "sticks_prior_log_prob", sticks_prior_log_prob_unfused),
-    (ibp.GlobalSticks, "score_grads", sticks_score_grads_unfused),
     (bbvi, "_learning_signals", learning_signals_unfused),
 ]
+
+
+def beta_log_prob_unfused(log_v, log_1mv, a, b):
+    """log Beta(v; a, b) written out from ln v and ln(1 - v), with its
+    own elementwise `math.lgamma`: `distributions.beta_log_prob`'s bits."""
+    def lgamma(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.array([math.lgamma(t) for t in x.ravel()]).reshape(x.shape)
+
+    log_beta = lgamma(a) + lgamma(b) - lgamma(a + b)
+    return (a - 1.0) * log_v + (b - 1.0) * log_1mv - log_beta
 
 
 def _expect_sticks(fun, a, b, nodes=200):

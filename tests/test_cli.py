@@ -240,6 +240,42 @@ def test_train_on_labels_that_skip_a_class_exits_two(tmp_path, capsys):
         argv += ["--set", pair]
     assert cli.main(argv) == 2
     assert "class 1 has no examples" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_with_more_features_than_dimensions_exits_one(tmp_path, capsys):
+    # a check across two keys, after `validate`'s one-key loop; training
+    # writes nothing before it
+    argv = ["train", "--out", str(tmp_path / "run"), "--set", "synth_dim=3"]
+    assert cli.main(argv) == 1
+    assert "synth_features = 4: must be at most synth_dim = 3" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, blob", [
+    ("eval", None), ("report", None), ("train", None), ("eval", ""), ("eval", ".")],
+    ids=["eval_checkpoint", "report_checkpoint", "train_path", "blob_empty", "blob_dot"])
+def test_directory_where_a_file_belongs_exits_two(tmp_path, capsys, command, blob):
+    # each command meets the directory tmp_path where it reads a file: as
+    # the checkpoint, as the training data, or as the blob a manifest names
+    ckpt = _make_checkpoint(tmp_path)
+    amat = tmp_path / "data.amat"
+    amat.write_text("0.1 0.2 0.3 0.4 1\n")
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "run"), "--set", "dataset=amat",
+                "--set", f"train_path={tmp_path}"]
+    elif blob is None:
+        argv = [command, "--checkpoint", str(tmp_path), "--amat", str(amat)]
+    else:
+        manifest = json.loads(Path(ckpt).read_text())
+        manifest["blob"] = blob
+        Path(ckpt).write_text(json.dumps(manifest))
+        argv = ["eval", "--checkpoint", ckpt, "--amat", str(amat)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(tmp_path) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def _corrupt_short_blob(ckpt):

@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no library
 parameter keeps a default that no caller overrides, no CLI flag goes
 unread, no test is parametrized over an argument its body never reads,
-no numeric run setting goes unchecked, and README quotes no stale
-signature.
+no numeric run setting goes unchecked, no oracle goes unread, and README
+quotes no stale signature.
 
 A plain `ast` scan of every program, test and demo file.  Package
 `__init__.py` files re-export on purpose and are skipped; an import
@@ -21,7 +21,10 @@ each subcommand accepts.  The README signature check reads every inline
 bare or as `module.name`: its arguments must be that callable's leading
 parameter names.  Every `int` or `float` field of `RunConfig` states
 the values it accepts, as the field metadata that `validate` checks, but
-for the few that accept every finite value.
+for the few that accept every finite value.  Every name that
+`tests/oracles.py` binds at its top level must be imported from it by a
+test module or read by another of its top-level statements, so an oracle
+whose library form is gone cannot linger.
 """
 
 import argparse
@@ -332,3 +335,50 @@ def test_scan_finds_an_unchecked_numeric_setting():
 def test_every_numeric_run_setting_states_what_it_accepts():
     # alpha_sup takes any finite value: a negative one means auto
     assert unchecked_numeric_settings(training.RunConfig, {"alpha_sup"}) == []
+
+
+def unread_oracles(oracle_source, readers):
+    """Names bound at the top level of `oracle_source` (functions,
+    classes, assignments and imports) that no other top-level statement
+    there reads and that no `readers` source imports from `oracles` or
+    reads as `oracles.<name>`."""
+    statements = ast.parse(oracle_source).body
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                read.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "oracles"):
+                read.add(node.attr)
+    unread = []
+    for stmt in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            bound = [stmt.name]
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound = [a.asname or a.name.split(".")[0] for a in stmt.names]
+        elif isinstance(stmt, ast.Assign):
+            bound = [n.id for t in stmt.targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        elsewhere = {n.id for other in statements if other is not stmt
+                     for n in ast.walk(other) if isinstance(n, ast.Name)}
+        unread += [name for name in bound if name not in read | elsewhere]
+    return unread
+
+
+def test_scan_finds_an_unread_oracle():
+    oracle = ("import numpy as np\nimport os\n"
+              "def helper(x):\n    return np.abs(x)\n"
+              "def used(x):\n    return helper(x)\n"
+              "def dead(x):\n    return dead(x - 1)\n"
+              "TABLE = [used]\nSPARE = 1\n")
+    readers = ["from oracles import TABLE\nimport oracles\n", "oracles.SPARE\n"]
+    assert unread_oracles(oracle, readers) == ["os", "dead"]
+
+
+def test_every_oracle_is_read():
+    path = os.path.join(ROOT, "tests", "oracles.py")
+    readers = [source_of(p) for p in python_files(("tests",)) if p != path]
+    assert unread_oracles(source_of(path), readers) == []
