@@ -19,9 +19,8 @@ from .data import (Dataset, DataFormatError, binarize_epoch, load_amat,
                    synth_ibp_data)
 from .ibp import (GlobalSticks, active_components, ibp_prior_log_prob_from_sticks,
                   sticks_prior_log_prob, sticks_prior_sample)
-from .model import (IbpDgm, build_model, classify, decode, encode, generate,
-                    load_checkpoint, predict_batch, save_checkpoint,
-                    theta_log_prior)
+from .model import (IbpDgm, build_model, decode, generate, load_checkpoint,
+                    predict_batch, save_checkpoint, theta_log_prior)
 from .nn import AdamState, DenseNet, adam_step, backward, forward, glorot_init
 from .training import RunConfig, TrainResult, component_report, error_rate, train
 

@@ -199,6 +199,8 @@ def cmd_report(args):
 
 
 def cmd_selftest(args):
+    if args.reps < 2:   # the unbiasedness rows need a standard error
+        raise UsageError(f"--reps {args.reps}: must be at least 2")
     ok = selftest.run_all(print_fn=print, reps=args.reps)
     print("selftest:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_NUMERIC

@@ -80,6 +80,9 @@ def load_idx(images_path, labels_path):
         count = _read_u32(fh, images_path, "count")
         rows = _read_u32(fh, images_path, "rows")
         cols = _read_u32(fh, images_path, "cols")
+        if count * rows * cols == 0:
+            raise DataFormatError(f"{images_path}: empty file ({count} images "
+                                  f"of {rows} x {cols} pixels)")
         offset = fh.tell()
         raw = fh.read()
         if len(raw) != count * rows * cols:

@@ -151,7 +151,7 @@ def beta_sample_array(a, b, size, rng):
     draws is an exact Beta(a, b) variate.  (`rng.gamma(shape, 1.0)` is the
     same draw times the scale 1.0, so the same bits, at more cost.)  The
     ratio is clamped to [1e-7, 1 - 1e-7] before its logs are taken, so both
-    stay finite.  `size=()` gives a pair of numpy scalars.
+    stay finite.
     """
     x = rng.standard_gamma(np.broadcast_to(a, size))
     y = rng.standard_gamma(np.broadcast_to(b, size))

@@ -93,25 +93,12 @@ def split_encoder_out(out, k):
     return mean, var, logits
 
 
-def encode(m, x):
-    """Posterior parameters (mean, var, inclusion logits), each (B, K), for
-    a batch x of shape (B, D)."""
-    out, _ = nn.forward(m.encoder, x)
-    return split_encoder_out(out, m.K)
-
-
-def classify(m, x):
-    """Label probabilities q(y | x), (B, C), for a batch x of shape (B, D)."""
-    out, _ = nn.forward(m.classifier, x)
-    return dist.softmax(out)
-
-
 def predict_batch(m, x):
     """The most probable label of each row of x, (B,).
 
-    Unlike `classify`, the classifier runs in nn.FAST_DTYPE (float32), on
-    weights cast once per call and on chunks of EVAL_CHUNK rows: only the
-    argmax of the logits is read.
+    The classifier runs in nn.FAST_DTYPE (float32), on weights cast once
+    per call and on chunks of EVAL_CHUNK rows: only the argmax of the
+    logits is read.
     """
     layers = nn.cast_layers(m.classifier, nn.FAST_DTYPE)
     pred = np.empty(len(x), dtype=np.intp)

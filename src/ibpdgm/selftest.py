@@ -12,12 +12,13 @@ check.  Acceptance criteria 1-4 call these same suites at their own
 seeds, and pin the tolerance constants below.
 
 The fd and normalization suites check the `distributions` and `ibp`
-functions the estimator trains with.  The oracle (`make_enumerable_toy`,
-`exact_toy_elbo`) and the finite-difference helpers (`rel_err`,
-`fd_grad_all`) live here once; the test suite imports them.
-The oracle writes every density and KL out from its definition and
-shares only the networks and the elementwise maps with the estimator, so
-it can catch a fault in the estimator's own densities.
+functions the estimator trains with.  The one written-out ELBO
+(`reference_heads`, `reference_terms`), the enumeration oracle that sums
+it (`make_enumerable_toy`, `exact_toy_elbo`) and the finite-difference
+helpers (`rel_err`, `fd_grad_all`) live here once; the test suite
+imports them.  The ELBO writes every density and KL out from its
+definition and shares only the networks and the elementwise maps with
+the estimator, so it can catch a fault in the estimator's own densities.
 
 The oracle conditions on fixed sticks v0, and so do the estimates it
 checks: `fd/estimator` and the `unbiased/*` rows run the training
@@ -284,49 +285,61 @@ def reference_log_lik(m, out, x):
     return -0.5 * np.sum(np.log(2 * np.pi * var) + (x - mean) ** 2 / var, axis=1)
 
 
+def reference_heads(m, x):
+    """The networks' own float64 passes over a batch x, (B, D): the slab's
+    mean and variance and the spikes' inclusion logits, each (B, K), and
+    q(y | x), (B, C)."""
+    return (*mdl.split_encoder_out(nn.forward(m.encoder, x)[0], m.K),
+            dist.softmax(nn.forward(m.classifier, x)[0]))
+
+
+def reference_terms(m, x, label, ztilde, zhat, v0, alpha_sup=0.0):
+    """One point's ELBO terms at rows of draws ztilde, (R, K), and zhat,
+    (R, K) or one (K,) pattern, with the sticks held at v0: per row
+    "recon", "log_q_zhat" and "term_zhat", per point "kl_gauss" and
+    "term_y".  A labeled point (label >= 0) adds alpha_sup * log q(y =
+    label | x); an unlabeled one mixes its reconstruction over the classes
+    under q(y | x) and pays -KL(q(y | x) || Uniform(C))."""
+    mean, var, logits, q_y = (head[0] for head in reference_heads(m, x[None]))
+    q_on = 1.0 / (1.0 + np.exp(-logits))      # q(zhat_k = 1)
+    pi = np.cumprod(v0)                        # p(zhat_k = 1 | v0)
+    log_q = np.sum(zhat * np.log(q_on) + (1.0 - zhat) * np.log1p(-q_on), axis=-1)
+    log_p = np.sum(zhat * np.log(pi) + (1.0 - zhat) * np.log1p(-pi), axis=-1)
+
+    def recon_rows(c):
+        y_embed = np.tile(np.eye(m.C)[c], (len(ztilde), 1))
+        return reference_log_lik(m, mdl.decode(m, ztilde * zhat, y_embed), x)
+
+    if label >= 0:
+        recon = recon_rows(label)
+        term_y = alpha_sup * np.log(q_y[label])
+    else:
+        recon = sum(q_y[c] * recon_rows(c) for c in range(m.C))
+        term_y = -np.sum(q_y * np.log(m.C * q_y))
+    return {"recon": recon, "log_q_zhat": log_q, "term_zhat": log_p - log_q,
+            "kl_gauss": 0.5 * np.sum(1.0 + np.log(var) - mean ** 2 - var),
+            "term_y": term_y}
+
+
 def exact_toy_elbo(m, x, label, v0, alpha_sup=0.0, gh_nodes=32):
-    """Exact ELBO: enumeration over the spikes, Gauss-Hermite over the slab;
-    an unlabeled point marginalizes its label under q(y | x).
+    """Exact ELBO: `reference_terms` summed over the spike patterns,
+    weighted by q(zhat | x), and over Gauss-Hermite nodes of the slab.
 
     Only valid for small K and a decoder without kinks, so that the
     quadrature converges to machine precision; the sticks are held at v0
     (their term is 0, as the estimator's with `FixedSticks(v0, alpha)`).
     """
-    k, c = m.K, m.C
-    mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
-    probs_y = mdl.classify(m, x[None])[0]
     t, w = np.polynomial.hermite.hermgauss(gh_nodes)
-    nodes = np.array(list(itertools.product(*[np.sqrt(2.0) * t] * k)))
-    wts = np.prod(np.array(list(itertools.product(*[w / np.sqrt(np.pi)] * k))), axis=1)
+    nodes = np.array(list(itertools.product(*[np.sqrt(2.0) * t] * m.K)))
+    wts = np.prod(np.array(list(itertools.product(*[w / np.sqrt(np.pi)] * m.K))), axis=1)
+    mean, var, _, _ = (head[0] for head in reference_heads(m, x[None]))
     ztilde = mean + np.sqrt(var) * nodes
-    # -KL(N(mean, var) || N(0, I)), in closed form
-    total = 0.5 * np.sum(1.0 + np.log(var) - mean ** 2 - var)
-    labeled = label is not None and label >= 0
-    if labeled:
-        total += alpha_sup * np.log(probs_y[label])
-    else:   # -KL(q(y) || Uniform(C))
-        total -= np.sum(probs_y * np.log(c * probs_y))
-    q_on = 1.0 / (1.0 + np.exp(-logits))      # q(zhat_k = 1)
-    pi = np.cumprod(v0)                        # p(zhat_k = 1 | v0)
-
-    def recon_rows(z_rows, y_embed):
-        dec_out, _ = nn.forward(
-            m.decoder,
-            np.concatenate([z_rows, np.tile(y_embed, (len(z_rows), 1))], axis=1))
-        return reference_log_lik(m, dec_out, np.tile(x, (len(z_rows), 1)))
-
-    for pattern in itertools.product([0.0, 1.0], repeat=k):
-        pattern = np.array(pattern)
-        log_q = np.sum(pattern * np.log(q_on) + (1.0 - pattern) * np.log1p(-q_on))
-        log_p = np.sum(pattern * np.log(pi) + (1.0 - pattern) * np.log1p(-pi))
-        qz = np.exp(log_q)
-        total += qz * (log_p - log_q)
-        z_rows = ztilde * pattern
-        if labeled:
-            r = recon_rows(z_rows, np.eye(c)[label])
-        else:
-            r = sum(probs_y[ci] * recon_rows(z_rows, np.eye(c)[ci]) for ci in range(c))
-        total += qz * float(np.sum(wts * r))
+    per_pattern = [reference_terms(m, x, label, ztilde, np.array(pattern), v0, alpha_sup)
+                   for pattern in itertools.product([0.0, 1.0], repeat=m.K)]
+    total = per_pattern[0]["kl_gauss"] + per_pattern[0]["term_y"]   # per point
+    for terms in per_pattern:
+        total += np.exp(terms["log_q_zhat"]) * terms["term_zhat"]
+        total += np.exp(terms["log_q_zhat"]) * float(np.sum(wts * terms["recon"]))
     return float(total)
 
 

@@ -152,12 +152,15 @@ def load_datasets(cfg, rng):
         return (joint.subset(np.arange(cfg.synth_n)),
                 joint.subset(np.arange(cfg.synth_n, joint.n)))
     if cfg.dataset == "idx":
-        train = dio.load_idx(cfg.images, cfg.labels)
-        test = (dio.load_idx(cfg.test_images, cfg.test_labels)
-                if cfg.test_images else None)
+        train, test_path = dio.load_idx(cfg.images, cfg.labels), cfg.test_images
+        test = dio.load_idx(test_path, cfg.test_labels) if test_path else None
     else:
-        train = dio.load_amat(cfg.train_path, kind=cfg.likelihood)
-        test = dio.load_amat(cfg.test_path, kind=cfg.likelihood) if cfg.test_path else None
+        train, test_path = dio.load_amat(cfg.train_path, kind=cfg.likelihood), cfg.test_path
+        test = dio.load_amat(test_path, kind=cfg.likelihood) if test_path else None
+    if test is not None and (test.dim != train.dim or test.num_classes > train.num_classes):
+        raise dio.DataFormatError(
+            f"{test_path}: {test.dim} features and {test.num_classes} classes, but "
+            f"the training set has {train.dim} features and {train.num_classes} classes")
     if cfg.limit_train and train.n > cfg.limit_train:
         train = train.subset(np.arange(cfg.limit_train))
     return train, test

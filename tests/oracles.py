@@ -3,15 +3,14 @@
 These deliberately avoid the library's own gradient/estimation code:
 finite differences for gradients, brute-force enumeration for discrete
 normalization, Gauss-Hermite tensor quadrature for Gaussian expectations,
-and scipy for special functions and adaptive integration.  The
-finite-difference helpers, the enumerable toy with its exact ELBO and the
-likelihood written out from its definition are defined once, in
-`ibpdgm.selftest`, and re-exported here.  The scalar per-point
-references (`LatentDraw`, `draw_latents`, `likelihood_log_prob`,
-`per_point_elbo_terms`) check the batched estimator one point at a time,
-with the densities and KLs written out rather than taken from
-`ibpdgm.distributions`.  `beta_log_prob_unfused` writes q(v)'s density
-out with its own lgamma.  The other `*_unfused` functions are the
+and scipy for special functions and adaptive integration.  The one
+written-out ELBO (`reference_heads`, `reference_terms`, with the
+likelihood `reference_log_lik`), the enumerable toy whose exact ELBO
+sums it and the finite-difference helpers are defined once, in
+`ibpdgm.selftest`, and re-exported here; the tests check the batched
+estimator one point at a time against that ELBO.
+`beta_log_prob_unfused` writes q(v)'s density out with its own lgamma.
+The other `*_unfused` functions are the
 whole-array expressions, one new array per operation, of the spike path
 functions that the library computes in place (`SCORE_PATH_UNFUSED`);
 the tests hold the library to their bits.
@@ -19,14 +18,14 @@ the tests hold the library to their bits.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ibpdgm import bbvi, ibp, model as mdl
+from ibpdgm import bbvi, ibp
 from ibpdgm.bbvi import CV_EPS
 from ibpdgm.selftest import (exact_toy_elbo, fd_grad_all,  # noqa: F401
-                             make_enumerable_toy, reference_log_lik, rel_err)
+                             make_enumerable_toy, reference_heads, reference_log_lik,
+                             reference_terms, rel_err)
 
 
 def same_bits(a, b):
@@ -230,97 +229,3 @@ def zero_control_variates(f, h):
     is h * f, bit for bit as the plain estimator (no control variates)
     computes it.  Tests patch it in to get that estimator as a reference."""
     return np.zeros(np.broadcast_shapes(f.shape, h.shape))
-
-
-# ---------------------------------------------------------------------------
-# scalar per-point references for the batched estimator, with every density
-# and KL written out from its definition
-
-def gaussian_log_pdf(x, mean, var):
-    """log N(x; mean, diag var), summed."""
-    return float(np.sum(-0.5 * np.log(2.0 * np.pi * var) - (x - mean) ** 2 / (2.0 * var)))
-
-
-def bernoulli_log_pmf(z, probs):
-    """log prod_k Bernoulli(z_k; probs_k)."""
-    return float(np.sum(np.where(z == 1.0, np.log(probs), np.log1p(-probs))))
-
-
-def likelihood_log_prob(m, x, out):
-    """log p(x | raw decoder output) of one point."""
-    out = np.atleast_2d(out)
-    if out.shape[1] != (m.D if m.likelihood_kind == "bernoulli" else 2 * m.D):
-        raise ValueError("decoder output width does not match the likelihood kind")
-    return float(reference_log_lik(m, out, x)[0])
-
-
-@dataclass
-class LatentDraw:
-    """One Monte Carlo joint sample with its per-factor log-densities."""
-    ztilde: np.ndarray
-    zhat: np.ndarray
-    log_v: np.ndarray        # the sticks, as the pair (log v, log(1 - v))
-    log_1mv: np.ndarray
-    logq_ztilde: float = 0.0
-    logp_ztilde: float = 0.0
-    logq_zhat: float = 0.0
-    logp_zhat: float = 0.0   # conditional on the sampled sticks
-    logq_v: float = 0.0
-    logp_v: float = 0.0
-
-    @property
-    def z(self):
-        return self.ztilde * self.zhat
-
-
-def draw_latents(m, x, rng):
-    """Sample (ztilde, zhat, v) from the amortized posteriors for one point."""
-    mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
-    ztilde = mean + np.sqrt(var) * rng.standard_normal(m.K)
-    incl = 1.0 / (1.0 + np.exp(-logits))
-    zhat = (rng.random(m.K) < incl).astype(np.float64)
-    log_v, log_1mv = m.sticks.sample((), rng)
-    return LatentDraw(
-        ztilde=ztilde, zhat=zhat, log_v=log_v, log_1mv=log_1mv,
-        logq_ztilde=gaussian_log_pdf(ztilde, mean, var),
-        logp_ztilde=gaussian_log_pdf(ztilde, 0.0, 1.0),
-        logq_zhat=bernoulli_log_pmf(zhat, incl),
-        logp_zhat=float(ibp.ibp_prior_log_prob_from_sticks(zhat, log_v).sum()),
-        logq_v=float(m.sticks.log_prob(log_v, log_1mv).sum()),
-        logp_v=float(ibp.sticks_prior_log_prob(log_v, m.sticks.alpha).sum()),
-    )
-
-
-def per_point_elbo_terms(m, x, label, draw, alpha_sup=0.0):
-    """Signed ELBO contributions of one data point for one joint draw.
-
-    Labeled points condition the decoder on their one-hot label and add
-    the supervised classifier term alpha_sup * log q(y = label); unlabeled
-    points marginalize the reconstruction over classes weighted by q(y)
-    and pay -KL(q(y) || Uniform(C)).  Returns a dict with keys recon,
-    kl_gauss, term_zhat, term_v, term_y.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    z = draw.z
-    labeled = label is not None and int(label) >= 0
-    onehots = np.eye(m.C)
-    q_y = mdl.classify(m, x[None])[0]
-
-    def recon_given(c):
-        return likelihood_log_prob(m, x, mdl.decode(m, z[None], onehots[c][None]))
-
-    if labeled:
-        recon = recon_given(int(label))
-        term_y = alpha_sup * np.log(q_y[int(label)]) if alpha_sup != 0.0 else 0.0
-    else:
-        recon = sum(q_y[c] * recon_given(c) for c in range(m.C))
-        term_y = -np.sum(q_y * np.log(m.C * q_y))
-
-    mean, var, _ = (head[0] for head in mdl.encode(m, x[None]))
-    return {
-        "recon": float(recon),
-        "kl_gauss": 0.5 * float(np.sum(1.0 + np.log(var) - mean ** 2 - var)),
-        "term_zhat": draw.logp_zhat - draw.logq_zhat,
-        "term_v": draw.logp_v - draw.logq_v,
-        "term_y": float(term_y),
-    }

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, nn, selftest
+from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, selftest
 
-from oracles import LatentDraw, bernoulli_log_pmf, control_variate_coeffs_unfused, \
-    exact_stick_objective, exact_toy_elbo, fd_grad_all, learning_signals_unfused, \
-    make_enumerable_toy, per_point_elbo_terms, same_bits, score_function_grad_unfused, \
+from oracles import control_variate_coeffs_unfused, exact_stick_objective, exact_toy_elbo, \
+    fd_grad_all, learning_signals_unfused, make_enumerable_toy, reference_heads, \
+    reference_log_lik, reference_terms, same_bits, score_function_grad_unfused, \
     weighted_score_coeff, zero_control_variates
 
 
@@ -296,7 +296,7 @@ def test_stick_gradient_unbiased(cv, points, monkeypatch):
     m, x = make_enumerable_toy(seed=3)
     m.sticks.params[:] = np.log([2.0, 1.6, 1.4, 2.2])
     batch = np.stack([x, 1.0 - x])[:points]
-    incl = dist.sigmoid(mdl.encode(m, batch)[2])
+    incl = dist.sigmoid(reference_heads(m, batch)[2])
     params = m.sticks.params.copy()
     exact = fd_grad_all(
         lambda: exact_stick_objective(params, m.sticks.alpha, incl, 10),
@@ -352,8 +352,9 @@ ESTIMATOR_DENSITIES = [
 
 @pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
 def test_exact_toy_elbo_shares_no_estimator_likelihood(kind, monkeypatch):
-    # the oracle must not reuse the estimator's densities, or a fault
-    # there would pass every unbiasedness check unseen
+    # the oracle, and so the `reference_terms` it sums over every spike
+    # pattern, must not reuse the estimator's densities, or a fault there
+    # would pass every unbiasedness check unseen
     m, x = selftest.make_enumerable_toy(kind=kind)
     v0 = np.array([0.7, 0.5])
 
@@ -410,20 +411,16 @@ def test_exact_log_marginal_upper_bounds_elbo():
     nodes = np.array(list(itertools.product(*[np.sqrt(2.0) * t] * m.K)))
     wts = np.prod(np.array(list(
         itertools.product(*[w / np.sqrt(np.pi)] * m.K))), axis=1)
-    probs_y = mdl.classify(m, x[None])[0]
+    probs_y = reference_heads(m, x[None])[3][0]
     marginal = 0.0
     for pattern in itertools.product([0.0, 1.0], repeat=m.K):
         pattern = np.array(pattern)
         p_z = np.exp(ibp.ibp_prior_log_prob_from_sticks(pattern, np.log(v0)).sum())
         z_rows = nodes * pattern       # prior draws are standard normal
-        lik = 0.0
-        for c in range(m.C):
-            dec_out, _ = nn.forward(m.decoder, np.concatenate(
-                [z_rows, np.tile(np.eye(m.C)[c], (len(z_rows), 1))], axis=1))
-            p = 1.0 / (1.0 + np.exp(-dec_out))
-            lik_c = np.exp(np.sum(
-                x * np.log(p) + (1 - x) * np.log1p(-p), axis=1))
-            lik = lik + probs_y[c] * lik_c   # q(y)-mixed conditional likelihood
+        # the q(y)-mixed conditional likelihood
+        lik = sum(probs_y[c] * np.exp(reference_log_lik(
+            m, mdl.decode(m, z_rows, np.tile(np.eye(m.C)[c], (len(z_rows), 1))), x))
+            for c in range(m.C))
         marginal += p_z * float(np.sum(wts * lik))
     assert np.log(marginal) >= elbo - 1e-6
 
@@ -712,8 +709,8 @@ def test_clip_global_norm():
 def test_per_point_terms_match_vectorized_estimator():
     # single point, S=1, sticks held at v0 and the other draws fixed by the
     # seeded rng: the batched estimator's term values must agree with the
-    # per-point op, unlabeled and at two labels, with and without the
-    # supervised weight
+    # written-out terms at the same draws, unlabeled and at two labels, with
+    # and without the supervised weight
     rng = np.random.default_rng(13)
     m = mdl.build_model(5, 3, 2, 6, "bernoulli", 2.0, 1.0, rng)
     x = (rng.random(5) < 0.5).astype(float)
@@ -723,26 +720,18 @@ def test_per_point_terms_match_vectorized_estimator():
     seed = 31337
     # replay the same draws
     r = np.random.default_rng(seed)
-    mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
-    eps = r.standard_normal((1, 1, m.K))[0, 0]
-    u = r.random((1, 1, m.K))[0, 0]
-    ztilde = mean + np.sqrt(var) * eps
-    incl = dist.sigmoid(logits)
-    zhat = (u < incl).astype(float)
-    pi = np.cumprod(v0)
-    draw = LatentDraw(
-        ztilde=ztilde, zhat=zhat, log_v=np.log(v0), log_1mv=np.log1p(-v0),
-        logq_zhat=bernoulli_log_pmf(zhat, incl),
-        logp_zhat=bernoulli_log_pmf(zhat, pi),
-        logq_v=0.0, logp_v=0.0)
+    mean, var, logits, _ = reference_heads(m, x[None])
+    ztilde = mean + np.sqrt(var) * r.standard_normal((1, 1, m.K))[0]
+    zhat = (r.random((1, 1, m.K))[0] < dist.sigmoid(logits)).astype(float)
     for label in (-1, 0, 2):
         for alpha_sup in (0.0, 0.7):
             bd = bbvi.estimate_elbo_and_grads(
                 m, x[None, :], np.array([label]), 1, np.random.default_rng(seed),
                 dataset_size=1, alpha_sup=alpha_sup, with_grads=False)
-            terms = per_point_elbo_terms(m, x, label, draw, alpha_sup=alpha_sup)
+            terms = reference_terms(m, x, label, ztilde, zhat, v0, alpha_sup)
             for name in ("recon", "kl_gauss", "term_zhat", "term_y"):
-                assert abs(terms[name] - getattr(bd, name)) < 1e-9, (label, alpha_sup, name)
+                assert abs(np.sum(terms[name]) - getattr(bd, name)) < 1e-9, \
+                    (label, alpha_sup, name)
             assert (bd.term_y == 0.0) == (label >= 0 and alpha_sup == 0.0)
 
 

@@ -194,10 +194,11 @@ def _bad_amat(tmp_path, text):
     return ["--amat", path], ["dataset=amat", f"train_path={path}"], path
 
 
-def _bad_idx_labels(tmp_path):
-    images, labels = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [3, 12])
+def _bad_idx(tmp_path, shape, labels, name_images=False):
+    images, labels = write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8), labels)
     return (["--images", images, "--labels", labels],
-            ["dataset=idx", f"images={images}", f"labels={labels}"], labels)
+            ["dataset=idx", f"images={images}", f"labels={labels}"],
+            images if name_images else labels)
 
 
 # each gives (eval's data flags, train's --set pairs, the file to name)
@@ -210,14 +211,17 @@ OUT_OF_RANGE_FILES = {
     "amat_label_1e19": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 1e19\n"),
     "amat_label_minus_1e19": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 -1e19\n"),
     "amat_label_1e300": lambda tmp: _bad_amat(tmp, "0 1 0 1 1\n1 0 1 0 1e300\n"),
-    "idx_label_twelve": _bad_idx_labels,
+    "idx_label_twelve": lambda tmp: _bad_idx(tmp, (2, 2, 2), [3, 12]),
+    "idx_no_images": lambda tmp: _bad_idx(tmp, (0, 2, 2), [], name_images=True),
+    "idx_no_pixels": lambda tmp: _bad_idx(tmp, (2, 0, 0), [0, 1], name_images=True),
 }
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("case", list(OUT_OF_RANGE_FILES))
 def test_out_of_range_file_contents_exit_two(tmp_path, capsys, case, command):
-    # a value outside the dataset's range is a malformed file, not a usage error
+    # a value outside the dataset's range, or a file with no data, is a
+    # malformed file, not a usage error
     eval_flags, sets, named = OUT_OF_RANGE_FILES[case](tmp_path)
     if command == "train":
         argv = ["train", "--out", str(tmp_path / "run")]
@@ -228,7 +232,29 @@ def test_out_of_range_file_contents_exit_two(tmp_path, capsys, case, command):
         ckpt = _make_checkpoint(tmp_path, kind="bernoulli")
         argv = ["eval", "--checkpoint", ckpt, *eval_flags]
     assert cli.main(argv) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("test_rows, counts", [
+    ("0.1 0.2 0.3 0.4 0.5 1\n", "5 features and 2 classes, but the training set "
+                                "has 4 features and 2 classes"),
+    ("0.1 0.2 0.3 0.4 3\n", "4 features and 4 classes, but the training set "
+                            "has 4 features and 2 classes")], ids=["width", "classes"])
+def test_train_on_a_test_set_unlike_the_training_set_exits_two(tmp_path, capsys,
+                                                                test_rows, counts):
+    # checked before anything trains or is written: the network's width and
+    # its classes come from the training set
+    train = tmp_path / "train.amat"
+    train.write_text("0.1 0.2 0.3 0.4 0\n0.5 0.6 0.7 0.8 1\n")
+    test = tmp_path / "test.amat"
+    test.write_text(test_rows)
+    argv = ["train", "--out", str(tmp_path / "run"), "--set", "dataset=amat",
+            "--set", f"train_path={train}", "--set", f"test_path={test}"]
+    assert cli.main(argv) == 2
+    assert f"data error: {test}: {counts}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_on_labels_that_skip_a_class_exits_two(tmp_path, capsys):
@@ -543,6 +569,13 @@ def test_gen_label_outside_classes_is_usage_error(tmp_path, capsys, label):
 def test_selftest_takes_only_reps(flag):
     # the suites run at their own pinned seeds and write nothing
     assert cli.main(["selftest", *flag]) == 1
+
+
+@pytest.mark.parametrize("reps", ["1", "0", "-3"])
+def test_selftest_with_fewer_than_two_reps_is_usage_error(capsys, reps):
+    # a standard error needs two estimates
+    assert cli.main(["selftest", "--reps", reps]) == 1
+    assert f"--reps {reps}: must be at least 2" in capsys.readouterr().err
 
 
 def test_selftest_passes_quick(capsys):

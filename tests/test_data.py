@@ -64,6 +64,13 @@ def test_load_idx_count_mismatch(tmp_path):
         dio.load_idx(img, lbl)
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 0)], ids=["no_images", "no_pixels"])
+def test_load_idx_empty(tmp_path, shape):
+    img, lbl = write_idx_pair(tmp_path, np.zeros(shape, dtype=np.uint8), [0] * shape[0])
+    with pytest.raises(dio.DataFormatError, match=re.escape(f"{img}: empty file")):
+        dio.load_idx(img, lbl)
+
+
 # ---------------------------------------------------------------------------
 # amat loader
 

@@ -24,7 +24,12 @@ the values it accepts, as the field metadata that `validate` checks, but
 for the few that accept every finite value.  Every name that
 `tests/oracles.py` binds at its top level must be imported from it by a
 test module or read by another of its top-level statements, so an oracle
-whose library form is gone cannot linger.
+whose library form is gone cannot linger.  Every public function and
+class defined at the top level of an `ibpdgm` module but `selftest` must
+be read, as a name or an attribute, by the program: `src` without
+`selftest`, `__init__.py`'s statements but not its re-exports, the demos
+and the benchmark.  A function that only the oracles and the tests call
+belongs in `selftest` or `tests/oracles.py`.
 """
 
 import argparse
@@ -382,3 +387,41 @@ def test_every_oracle_is_read():
     path = os.path.join(ROOT, "tests", "oracles.py")
     readers = [source_of(p) for p in python_files(("tests",)) if p != path]
     assert unread_oracles(source_of(path), readers) == []
+
+
+def unread_library_names(library, program):
+    """(module, name) for every public function and class defined at the
+    top level of a `library` source, {module: source}, that no `program`
+    source reads as a name or an attribute.  An import is not a read, so a
+    re-export alone keeps nothing."""
+    read = set()
+    for source in program:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [(module, node.name) for module, source in library.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_scan_finds_a_library_function_no_program_reads():
+    library = {"lib": "def called():\n    pass\ndef exported():\n    pass\n"
+                      "def _private():\n    pass\nclass Built:\n    pass\n"
+                      "class Unbuilt:\n    pass\nLIMIT = 1\n"}
+    program = ["from lib import exported\nimport lib\nlib.called()\nBuilt()\n"]
+    assert unread_library_names(library, program) == [("lib", "exported"),
+                                                      ("lib", "Unbuilt")]
+
+
+def test_every_library_function_is_read_by_the_program():
+    # the program as `test_every_library_default_is_set_by_the_program`
+    # takes it, with `__init__.py`'s own statements
+    library = {os.path.relpath(p, ROOT): source_of(p) for p in python_files(("src",))
+               if os.path.basename(p) != "selftest.py"}
+    init = source_of(os.path.join(ROOT, "src", "ibpdgm", "__init__.py"))
+    program = [*library.values(), init,
+               *(source_of(p) for p in python_files(("demos", "perfbench")))]
+    assert unread_library_names(library, program) == []

@@ -5,10 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, nn, selftest
+from ibpdgm import bbvi, distributions as dist, model as mdl, nn, selftest
 
-from oracles import draw_latents, enumerate_binary, fd_grad_all, \
-    likelihood_log_prob, per_point_elbo_terms, rel_err
+from oracles import enumerate_binary, reference_heads, reference_log_lik, reference_terms
 
 
 def tiny_model(seed=0, kind="bernoulli", input_dim=5, num_classes=2,
@@ -24,47 +23,20 @@ def tiny_model(seed=0, kind="bernoulli", input_dim=5, num_classes=2,
 def test_encode_zero_weights_gives_default_heads():
     m = tiny_model()
     m.encoder.params[:] = 0.0
-    mean, var, logits = mdl.encode(m, np.zeros((1, 5)))
+    out, _ = nn.forward(m.encoder, np.zeros((1, 5)))
+    mean, var, logits = mdl.split_encoder_out(out, m.K)
     assert np.allclose(mean, 0.0)
-    assert np.allclose(var, np.log(2.0) + 1e-6)
+    assert np.allclose(var, np.log(2.0) + mdl.VAR_FLOOR)
     assert np.allclose(dist.sigmoid(logits), 0.5)
 
 
 def test_encode_output_arity():
     m = tiny_model(input_dim=9, truncation=4)
-    mean, var, logits = mdl.encode(m, np.random.default_rng(1).random((2, 9)))
+    out, _ = nn.forward(m.encoder, np.random.default_rng(1).random((2, 9)))
+    mean, var, logits = mdl.split_encoder_out(out, m.K)
     assert mean.shape == (2, 4)
     assert var.shape == (2, 4)
     assert logits.shape == (2, 4)
-
-
-def test_encode_dim_mismatch():
-    m = tiny_model()
-    with pytest.raises(ValueError):
-        mdl.encode(m, np.zeros((1, 7)))
-
-
-def test_encode_gradient_matches_fd():
-    # smooth scalar loss of all three heads, FD over encoder params
-    m = tiny_model(seed=3)
-    x = np.random.default_rng(4).random((1, 5))
-
-    def loss():
-        mean, var, logits = mdl.encode(m, x)
-        return float(np.sum(mean ** 2) + np.sum(var) + np.sum(dist.sigmoid(logits)))
-
-    mean, var, logits = mdl.encode(m, x)
-    k = m.K
-    out, tape = nn.forward(m.encoder, x)
-    raw = out[:, k:2 * k]
-    head = np.concatenate([
-        2.0 * mean,
-        np.ones(k) * dist.sigmoid(raw),
-        dist.sigmoid(logits) * (1 - dist.sigmoid(logits)),
-    ], axis=1)
-    grads, _ = nn.backward(m.encoder, tape, head)
-    fd = fd_grad_all(loss, m.encoder.params)
-    assert max(rel_err(g, f) for g, f in zip(grads, fd)) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +112,30 @@ def test_likelihood_bernoulli_perfect_fit():
     m = tiny_model()
     x = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     p = np.clip(x, 1e-6, 1 - 1e-6)
-    assert abs(likelihood_log_prob(m, x, np.log(p) - np.log1p(-p))) < 1e-4
+    assert abs(reference_log_lik(m, (np.log(p) - np.log1p(-p))[None], x)[0]) < 1e-4
 
 
 def test_likelihood_gaussian_at_mean():
     m = tiny_model(kind="gaussian", input_dim=1)
     # raw variance output whose softplus plus the floor is 1
-    out = np.array([0.7, np.log(np.expm1(1.0 - mdl.VAR_FLOOR))])
-    got = likelihood_log_prob(m, np.array([0.7]), out)
+    out = np.array([[0.7, np.log(np.expm1(1.0 - mdl.VAR_FLOOR))]])
+    got = reference_log_lik(m, out, np.array([0.7]))[0]
     assert abs(got - (-0.5 * np.log(2 * np.pi))) < 1e-12
 
 
 def test_likelihood_kind_mismatch():
+    # a Bernoulli decoder emits D logits, a Gaussian one [mean | raw var]
     m = tiny_model(kind="bernoulli")
-    with pytest.raises(ValueError):
-        likelihood_log_prob(m, np.zeros(5), np.zeros(10))   # a Gaussian's width
+    gaussian_decoder = tiny_model(kind="gaussian").decoder
+    with pytest.raises(ValueError, match="does not match the likelihood kind"):
+        mdl.IbpDgm(m.encoder, m.classifier, gaussian_decoder, m.sticks, "bernoulli",
+                   1e-2, m.C, m.D)
 
 
 def test_likelihood_bernoulli_normalizes_d3():
     m = tiny_model(input_dim=3)
     out = mdl.decode(m, np.random.default_rng(12).normal(size=(1, 3)), np.array([[1.0, 0.0]]))
-    total = sum(np.exp(likelihood_log_prob(m, x, out))
-                for x in enumerate_binary(3))
+    total = sum(np.exp(reference_log_lik(m, out, x)[0]) for x in enumerate_binary(3))
     assert abs(total - 1.0) < 1e-9
 
 
@@ -194,8 +168,7 @@ def test_classify_zero_weights_uniform_and_tiebreak():
     m = tiny_model(num_classes=4)
     m.classifier.params[:] = 0.0
     x = np.random.default_rng(13).random((1, 5))
-    probs = mdl.classify(m, x)
-    assert np.allclose(probs, 0.25)
+    assert np.allclose(dist.softmax(nn.forward(m.classifier, x)[0]), 0.25)
     assert mdl.predict_batch(m, x)[0] == 0   # lowest index wins ties
 
 
@@ -203,7 +176,7 @@ def test_classify_simplex():
     m = tiny_model(num_classes=3)
     rng = np.random.default_rng(14)
     for _ in range(20):
-        probs = mdl.classify(m, rng.random((1, 5)))
+        probs = dist.softmax(nn.forward(m.classifier, rng.random((1, 5)))[0])
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs >= 0)
 
@@ -219,52 +192,36 @@ def test_predict_shift_invariant():
 # ---------------------------------------------------------------------------
 # per-point objective routing
 
-def make_draw(m, x, seed=0):
-    return draw_latents(m, x, np.random.default_rng(seed))
+def terms_at_random_draws(m, label, alpha_sup, seed):
+    """`reference_terms` of a random binary point at three random rows of
+    draws, the sticks held at 0.5; and q(y | x)."""
+    rng = np.random.default_rng(seed)
+    x = (rng.random(m.D) < 0.5).astype(float)
+    ztilde, zhat = rng.normal(size=(3, m.K)), (rng.random((3, m.K)) < 0.5).astype(float)
+    terms = reference_terms(m, x, label, ztilde, zhat, np.full(m.K, 0.5), alpha_sup)
+    return terms, reference_heads(m, x[None])[3][0]
 
 
 def test_per_point_terms_single_class_paths_coincide():
     m = tiny_model(num_classes=1, seed=17)
-    x = (np.random.default_rng(18).random(5) < 0.5).astype(float)
-    draw = make_draw(m, x)
-    lab = per_point_elbo_terms(m, x, 0, draw, alpha_sup=1.0)
-    unl = per_point_elbo_terms(m, x, None, draw, alpha_sup=1.0)
-    assert abs(lab["recon"] - unl["recon"]) < 1e-12
+    lab, _ = terms_at_random_draws(m, 0, 1.0, seed=18)
+    unl, _ = terms_at_random_draws(m, -1, 1.0, seed=18)
+    assert np.max(np.abs(lab["recon"] - unl["recon"])) < 1e-12
     assert abs(lab["term_y"] - unl["term_y"]) < 1e-12  # both 0 at C=1
 
 
 def test_per_point_terms_labeled_ignores_qy_kl():
     m = tiny_model(seed=19)
-    x = (np.random.default_rng(20).random(5) < 0.5).astype(float)
-    draw = make_draw(m, x)
-    t0 = per_point_elbo_terms(m, x, 1, draw, alpha_sup=0.0)
+    t0, _ = terms_at_random_draws(m, 1, 0.0, seed=20)
     assert t0["term_y"] == 0.0
-    t1 = per_point_elbo_terms(m, x, 1, draw, alpha_sup=2.0)
-    q_y = mdl.classify(m, x[None])[0]
+    t1, q_y = terms_at_random_draws(m, 1, 2.0, seed=20)
     assert abs(t1["term_y"] - 2.0 * dist.categorical_log_prob(1, q_y)) < 1e-12
 
 
 def test_per_point_terms_unlabeled_uses_uniform_prior():
     m = tiny_model(seed=21)
-    x = (np.random.default_rng(22).random(5) < 0.5).astype(float)
-    draw = make_draw(m, x)
-    terms = per_point_elbo_terms(m, x, None, draw)
-    q_y = mdl.classify(m, x[None])[0]
+    terms, q_y = terms_at_random_draws(m, -1, 0.0, seed=22)
     assert abs(terms["term_y"] + dist.categorical_kl_to_uniform(q_y)) < 1e-12
-
-
-def test_latent_draw_cached_densities_recompute():
-    m = tiny_model(seed=25)
-    x = (np.random.default_rng(26).random(5) < 0.5).astype(float)
-    draw = make_draw(m, x, seed=27)
-    mean, var, logits = (head[0] for head in mdl.encode(m, x[None]))
-    assert abs(draw.logq_ztilde - dist.gaussian_log_prob(draw.ztilde, mean, var)) < 1e-12
-    assert abs(draw.logq_zhat - dist.bernoulli_log_prob(draw.zhat, logits).sum()) < 1e-12
-    assert abs(draw.logp_zhat - float(
-        ibp.ibp_prior_log_prob_from_sticks(draw.zhat, draw.log_v).sum())) < 1e-12
-    assert abs(draw.logp_v - float(
-        ibp.sticks_prior_log_prob(draw.log_v, m.sticks.alpha).sum())) < 1e-12
-    assert np.array_equal(draw.z, draw.ztilde * draw.zhat)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import pytest
 
 from ibpdgm import bbvi, data as dio, distributions as dist, ibp, model as mdl, nn, training
 
+from oracles import reference_heads
+
 
 def quick_cfg(tmp_path, **kw):
     base = dict(
@@ -169,8 +171,8 @@ def test_component_report_untrained_is_all_active():
 
 def test_float32_evaluation_agrees_with_float64():
     # error_rate and component_report run their passes in float32; on a
-    # model with non-zero weights and biases they agree with the float64
-    # encode and classify.  2500 rows span two of inclusion_probs' chunks
+    # model with non-zero weights and biases they agree with the networks'
+    # float64 heads.  2500 rows span two of inclusion_probs' chunks
     rng = np.random.default_rng(21)
     k, c = 12, 5
     m = mdl.build_model(40, c, k, 64, "bernoulli", 2.0, 1e-2, rng)
@@ -179,7 +181,8 @@ def test_float32_evaluation_agrees_with_float64():
     x = (rng.random((2500, 40)) < 0.4).astype(np.float64)
 
     probs = training.inclusion_probs(m, x)
-    want = dist.sigmoid(mdl.encode(m, x)[2])
+    _, _, logits, p64 = reference_heads(m, x)
+    want = dist.sigmoid(logits)
     assert probs.dtype == np.float64 and probs.shape == want.shape
     assert np.max(np.abs(probs - want)) < 1e-5
 
@@ -195,7 +198,6 @@ def test_float32_evaluation_agrees_with_float64():
 
     pred = mdl.predict_batch(m, x)
     assert np.issubdtype(pred.dtype, np.integer)
-    p64 = mdl.classify(m, x)
     top2 = np.sort(p64, axis=1)[:, -2:]
     clear = top2[:, 1] - top2[:, 0] > 1e-4
     assert clear.mean() > 0.9
