@@ -138,16 +138,16 @@ def make_parser():
     return parser
 
 
-def _load_eval_dataset(args, m):
+def _load_eval_dataset(args, m, num_classes=None):
+    """The dataset the flags name, checked against the checkpoint: its width,
+    and its labels against `num_classes` when the command reads them."""
     if args.amat:
-        dataset = dio.load_amat(args.amat, kind=m.likelihood_kind)
+        name, dataset = args.amat, dio.load_amat(args.amat, kind=m.likelihood_kind)
     elif args.images and args.labels:
-        dataset = dio.load_idx(args.images, args.labels)
+        name, dataset = args.images, dio.load_idx(args.images, args.labels)
     else:
         raise UsageError("provide --amat or both --images and --labels")
-    if dataset.dim != m.D:
-        raise UsageError(
-            f"dataset has {dataset.dim} features, checkpoint expects {m.D}")
+    dio.check_fits(dataset, name, "the checkpoint", m.D, num_classes)
     return dataset
 
 
@@ -161,11 +161,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     m = mdl.load_checkpoint(args.checkpoint)
-    dataset = _load_eval_dataset(args, m)
-    top = int(dataset.labels.max(initial=-1))
-    if top >= m.C:
-        raise UsageError(
-            f"dataset labels name {top + 1} classes, checkpoint has {m.C}")
+    dataset = _load_eval_dataset(args, m, m.C)
     err = training.error_rate(m, dataset)
     print(f"error_rate_percent: {err:.4f}")
     return EXIT_OK

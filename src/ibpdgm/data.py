@@ -150,6 +150,19 @@ def load_amat(path, kind="bernoulli"):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
+def check_fits(dataset, name, expected, dim, num_classes=None):
+    """Raise a DataFormatError naming dataset `name` unless it has `dim`
+    features and, where `num_classes` is given (its labels are read), no
+    label beyond those classes; `expected` says whose counts those are."""
+    have, want, fits = f"{dataset.dim} features", f"{dim} features", dataset.dim == dim
+    if num_classes is not None:
+        named = int(dataset.labels.max(initial=-1)) + 1   # classes its labels name
+        have, want = f"{have} and {named} classes", f"{want} and {num_classes} classes"
+        fits = fits and named <= num_classes
+    if not fits:
+        raise DataFormatError(f"{name}: {have}, but {expected} has {want}")
+
+
 def binarize_epoch(features, rng):
     """Fresh Bernoulli draw per pixel with its value as the on-probability;
     returns a bool array shaped like features.

@@ -131,14 +131,18 @@ def active_components(include_probs, tau):
 
     `include_probs` is the (N, K) matrix of per-point posterior inclusion
     probabilities q(zhat_ik = 1).  Component k counts as active when its
-    dataset mean exceeds tau.
+    dataset mean exceeds tau.  The spread is the population std across
+    points, computed from that mean; it has the bits of `p.std(axis=0)`.
     """
     p = np.asarray(include_probs, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("inclusion probabilities must be an (N, K) matrix")
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("inclusion probabilities must lie in [0, 1]")
-    mean, std = p.mean(axis=0), p.std(axis=0)
+    mean = p.mean(axis=0)
+    dev = p - mean
+    dev *= dev
+    std = np.sqrt(dev.sum(axis=0) / p.shape[0])
     active = np.flatnonzero(mean > tau)
     return ComponentReport(active=active, count=int(active.size),
                            mean=mean, std=std, tau=float(tau))

@@ -33,9 +33,9 @@ decoder blocks in float32 (`nn.FAST_DTYPE`), so the metrics ELBO stays a
 bit-for-bit prefix of a step; the parameters, the gradients, Adam's
 moments, the clip and the checkpoint are float64.  The evaluation passes
 run in float32 too: `error_rate`'s classifier (`model.predict_batch`) and
-`component_report`'s encoder (`inclusion_probs`), each on weights cast
-once per call.  They read no random draws and feed nothing back into
-training.
+`component_report`'s encoder and sigmoid (`inclusion_probs`), each on
+weights cast once per call.  They read no random draws and feed nothing
+back into training.
 
 Per-epoch metrics rows go to a CSV with a fixed column schema; the ELBO
 metric is re-estimated each epoch, forward only, with a fixed evaluation
@@ -151,16 +151,23 @@ def load_datasets(cfg, rng):
         joint = dio.synth_blobs(cfg.synth_n + cfg.synth_test_n, 2, cfg.synth_dim, 4.0, rng)
         return (joint.subset(np.arange(cfg.synth_n)),
                 joint.subset(np.arange(cfg.synth_n, joint.n)))
+    # the file keys are checked before any file is read, a pair as a pair
     if cfg.dataset == "idx":
-        train, test_path = dio.load_idx(cfg.images, cfg.labels), cfg.test_images
-        test = dio.load_idx(test_path, cfg.test_labels) if test_path else None
+        if not (cfg.images and cfg.labels):
+            raise ValueError(f"images = {cfg.images!r}, labels = {cfg.labels!r}: "
+                             "must both name files under dataset = 'idx'")
+        if bool(cfg.test_images) != bool(cfg.test_labels):
+            raise ValueError(f"test_images = {cfg.test_images!r}, test_labels = "
+                             f"{cfg.test_labels!r}: must be set together")
+        train = dio.load_idx(cfg.images, cfg.labels)
+        test = (dio.load_idx(cfg.test_images, cfg.test_labels)
+                if cfg.test_images else None)
     else:
-        train, test_path = dio.load_amat(cfg.train_path, kind=cfg.likelihood), cfg.test_path
-        test = dio.load_amat(test_path, kind=cfg.likelihood) if test_path else None
-    if test is not None and (test.dim != train.dim or test.num_classes > train.num_classes):
-        raise dio.DataFormatError(
-            f"{test_path}: {test.dim} features and {test.num_classes} classes, but "
-            f"the training set has {train.dim} features and {train.num_classes} classes")
+        if not cfg.train_path:
+            raise ValueError(f"train_path = {cfg.train_path!r}: "
+                             "must name a file under dataset = 'amat'")
+        train = dio.load_amat(cfg.train_path, kind=cfg.likelihood)
+        test = dio.load_amat(cfg.test_path, kind=cfg.likelihood) if cfg.test_path else None
     if cfg.limit_train and train.n > cfg.limit_train:
         train = train.subset(np.arange(cfg.limit_train))
     return train, test
@@ -196,8 +203,9 @@ def inclusion_probs(m, features):
 
     The encoder runs in nn.FAST_DTYPE (float32) on weights cast once per
     call, on chunks of mdl.EVAL_CHUNK rows, and its last layer computes
-    only the logit rows [2K:3K]; the sigmoid is taken in float64 and
-    written into the one (N, K) result.
+    only the logit rows [2K:3K].  The sigmoid runs in float32 too, the
+    precision the logits carry, and writing it into the one (N, K) result
+    widens it to float64.
     """
     layers = nn.cast_layers(m.encoder, nn.FAST_DTYPE)
     w, b = layers[-1]
@@ -206,7 +214,7 @@ def inclusion_probs(m, features):
     for lo in range(0, features.shape[0], mdl.EVAL_CHUNK):
         chunk = slice(lo, lo + mdl.EVAL_CHUNK)
         logits, _ = nn.forward(m.encoder, features[chunk], layers)
-        probs[chunk] = dist.sigmoid(logits.astype(np.float64))
+        probs[chunk] = dist.sigmoid(logits)
     return probs
 
 
@@ -237,15 +245,23 @@ def train(cfg, train_data=None, test_data=None, log=None):
     """Run the full training loop; returns the model and metrics locations.
 
     Datasets may be passed directly (tests, notebooks) or loaded from the
-    config.  Bernoulli-kind features are re-binarized with a fresh
-    Bernoulli draw before every epoch.
+    config; either way a test set must fit the training set
+    (`data.check_fits`), which is checked before anything is written.
+    Bernoulli-kind features are re-binarized with a fresh Bernoulli draw
+    before every epoch.
     """
     cfg.validate()
     seed_root = np.random.SeedSequence(cfg.seed)
     s_data, s_model, s_split, s_train, s_eval = seed_root.spawn(5)
 
+    test_name = "the test set"
     if train_data is None:
         train_data, test_data = load_datasets(cfg, np.random.default_rng(s_data))
+        files = {"idx": cfg.test_images, "amat": cfg.test_path}
+        test_name = files.get(cfg.dataset, test_name)
+    if test_data is not None:   # the network's width and classes come from train_data
+        dio.check_fits(test_data, test_name, "the training set", train_data.dim,
+                       train_data.num_classes)
 
     # stratified labeled/unlabeled split (skipped when nothing is labeled)
     has_labels = np.any(train_data.labels >= 0)

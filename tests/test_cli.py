@@ -257,6 +257,29 @@ def test_train_on_a_test_set_unlike_the_training_set_exits_two(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("sets, keys", [
+    ({"images": "i"}, ("images = 'i'", "labels = ''")),
+    ({"labels": "l"}, ("images = ''", "labels = 'l'")),
+    ({}, ("images = ''", "labels = ''")),
+    ({"images": "i", "labels": "l", "test_images": "t"},
+     ("test_images = 't'", "test_labels = ''")),
+    ({"images": "i", "labels": "l", "test_labels": "t"},
+     ("test_images = ''", "test_labels = 't'")),
+    ({"dataset": "amat", "test_path": "t"}, ("train_path = ''",)),
+], ids=["images_alone", "labels_alone", "no_images", "test_images_alone",
+        "test_labels_alone", "amat_without_train_path"])
+def test_train_with_a_file_key_missing_exits_one(tmp_path, capsys, sets, keys):
+    # a file pair is checked as a pair, before any file is read and before
+    # the run directory exists; none of the named files exist
+    argv = ["train", "--out", str(tmp_path / "run"), "--set", "dataset=idx"]
+    for key, value in sets.items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(key in err for key in keys), err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_on_labels_that_skip_a_class_exits_two(tmp_path, capsys):
     # eval accepts a class with no examples; the labeled split of training
     # needs every class below the largest label
@@ -445,33 +468,41 @@ def test_report_and_gen_check_the_keys_they_read(tmp_path, capsys, command, key,
     assert not out.exists()
 
 
-def test_eval_dimension_mismatch_is_usage_error(tmp_path):
+def test_eval_dimension_mismatch_is_data_error(tmp_path, capsys):
     ckpt = _make_checkpoint(tmp_path, input_dim=4)
     amat = tmp_path / "data.amat"
     amat.write_text("0.1 0.2 1\n")
-    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat)]) == 1
+    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat)]) == 2
+    assert (f"data error: {amat}: 2 features and 2 classes, but the checkpoint "
+            "has 4 features and 2 classes") in capsys.readouterr().err
 
 
-def test_report_dimension_mismatch_is_usage_error(tmp_path, capsys):
+def test_report_dimension_mismatch_is_data_error(tmp_path, capsys):
     # report checks the dataset's width as eval does, before any network
-    # sees it
+    # sees it or anything is written; it reads no labels, so their classes
+    # are not checked
     ckpt = _make_checkpoint(tmp_path, input_dim=4)
     amat = tmp_path / "data.amat"
-    amat.write_text("0.1 0.2 1\n0.3 0.4 0\n")
-    assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat)]) == 1
+    amat.write_text("0.1 0.2 1\n0.3 0.4 7\n")
+    out = tmp_path / "rep"
+    assert cli.main(["report", "--checkpoint", ckpt, "--amat", str(amat),
+                     "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "active_count" not in captured.out
-    assert "dataset has 2 features, checkpoint expects 4" in captured.err
+    assert (f"data error: {amat}: 2 features, but the checkpoint has 4 features"
+            in captured.err)
+    assert not out.exists()
 
 
-def test_eval_labels_beyond_checkpoint_classes_is_usage_error(tmp_path, capsys):
+def test_eval_labels_beyond_checkpoint_classes_is_data_error(tmp_path, capsys):
     ckpt = _make_checkpoint(tmp_path, input_dim=2, num_classes=2)
     amat = tmp_path / "data.amat"
     amat.write_text("0.1 0.2 5\n0.3 0.4 7\n0.5 0.6 1\n")
-    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat)]) == 1
+    assert cli.main(["eval", "--checkpoint", ckpt, "--amat", str(amat)]) == 2
     captured = capsys.readouterr()
     assert "error_rate_percent" not in captured.out
-    assert "8 classes" in captured.err and "checkpoint has 2" in captured.err
+    assert (f"data error: {amat}: 2 features and 8 classes, but the checkpoint "
+            "has 2 features and 2 classes") in captured.err
 
 
 def _untrained_report_inputs(tmp_path):

@@ -169,9 +169,18 @@ def test_active_components_threshold():
 def test_active_components_matrix_stats():
     probs = np.array([[0.9, 0.0], [0.1, 0.0], [0.5, 0.02]])
     report = ibp.active_components(probs, 0.01)
-    assert np.allclose(report.mean, [0.5, 0.02 / 3])
+    assert same_bits(report.mean, probs.mean(axis=0))
     assert report.count == 1
-    assert np.allclose(report.std, probs.std(axis=0))
+    assert same_bits(report.std, probs.std(axis=0))
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (7, 1), (4097, 3), (300, 50)])
+def test_active_components_stats_have_numpy_bits(shape):
+    # the std is taken from the mean already computed, with numpy's bits
+    probs = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
+    report = ibp.active_components(probs, 0.5)
+    assert same_bits(report.mean, probs.mean(axis=0))
+    assert same_bits(report.std, probs.std(axis=0))
 
 
 def test_active_components_validates_range():

@@ -3,7 +3,7 @@ import pytest
 
 from ibpdgm import bbvi, data as dio, distributions as dist, ibp, model as mdl, nn, training
 
-from oracles import reference_heads
+from oracles import reference_heads, same_bits
 
 
 def quick_cfg(tmp_path, **kw):
@@ -56,6 +56,23 @@ def test_train_with_labels_uses_stratified_split(tmp_path):
 def test_train_unlabeled_has_nan_error(tmp_path):
     result = training.train(quick_cfg(tmp_path))
     assert np.isnan(result.history[-1][7])
+
+
+@pytest.mark.parametrize("width, labels, counts", [
+    (4, [0, 1], "4 features and 2 classes, but the training set has 6 features "
+                "and 2 classes"),
+    (6, [0, 2], "6 features and 3 classes, but the training set has 6 features "
+                "and 2 classes")], ids=["width", "classes"])
+def test_train_rejects_a_passed_test_set_before_writing(tmp_path, width, labels, counts):
+    # a test set passed straight to `train` is checked as a loaded one is,
+    # before the run directory is made
+    rng = np.random.default_rng(3)
+    train_data = dio.Dataset(rng.random((20, 6)), np.arange(20) % 2, 2, "bernoulli")
+    test_data = dio.Dataset(rng.random((2, width)), labels, 3, "bernoulli")
+    cfg = quick_cfg(tmp_path)
+    with pytest.raises(dio.DataFormatError, match=f"^the test set: {counts}$"):
+        training.train(cfg, train_data, test_data)
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_validation():
@@ -169,7 +186,7 @@ def test_component_report_untrained_is_all_active():
     assert report_strict.count == 0
 
 
-def test_float32_evaluation_agrees_with_float64():
+def test_float32_evaluation_agrees_with_float64(monkeypatch):
     # error_rate and component_report run their passes in float32; on a
     # model with non-zero weights and biases they agree with the networks'
     # float64 heads.  2500 rows span two of inclusion_probs' chunks
@@ -180,7 +197,22 @@ def test_float32_evaluation_agrees_with_float64():
         net.params += 0.3 * rng.standard_normal(net.params.size)
     x = (rng.random((2500, 40)) < 0.4).astype(np.float64)
 
+    # the sigmoid runs in the float32 of the encoder's logits, and the
+    # result holds it widened to float64
+    chunks, nn_forward = [], nn.forward
+
+    def recording_forward(*args, **kwargs):
+        out = nn_forward(*args, **kwargs)
+        chunks.append(out[0])
+        return out
+
+    monkeypatch.setattr(nn, "forward", recording_forward)
     probs = training.inclusion_probs(m, x)
+    monkeypatch.undo()
+    logits32 = np.concatenate(chunks)
+    assert len(chunks) == 2 and logits32.dtype == np.float32
+    assert same_bits(probs, dist.sigmoid(logits32).astype(np.float64))
+
     _, _, logits, p64 = reference_heads(m, x)
     want = dist.sigmoid(logits)
     assert probs.dtype == np.float64 and probs.shape == want.shape
