@@ -137,7 +137,7 @@ def active_components(include_probs, tau):
     p = np.asarray(include_probs, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError("inclusion probabilities must be an (N, K) matrix")
-    if np.any(p < 0) or np.any(p > 1):
+    if not (p.min() >= 0.0 and p.max() <= 1.0):   # NaN fails too
         raise ValueError("inclusion probabilities must lie in [0, 1]")
     mean = p.mean(axis=0)
     dev = p - mean

@@ -7,8 +7,16 @@ emits label probabilities; one shared decoder takes [z ; label one-hot]
 so each class gets its own conditional likelihood without C separate
 networks.  Decoder weights carry a spherical Gaussian prior and a
 point-mass posterior, which turns into plain weight decay.
+
+The parameters are float64.  The serving passes run in nn.FAST_DTYPE
+(float32) on weights cast once per call: `predict_batch`'s classifier and
+`generate`'s decoder, with its sigmoid or Gaussian mean and variance.
+`decode` computes in the precision of the `layers` it is given, by
+default the decoder's float64 views.
 """
 
+import contextlib
+import hashlib
 import json
 import os
 
@@ -109,15 +117,18 @@ def predict_batch(m, x):
     return pred
 
 
-def decode(m, z, y_embed):
+def decode(m, z, y_embed, layers=None):
     """Raw decoder output for latent codes z (B, K) and label embeddings
     (class one-hots, (B, C)): the Bernoulli logits, or a Gaussian's
-    [mean | raw var] (see `split_decoder_out`)."""
+    [mean | raw var] (see `split_decoder_out`).
+
+    Computes in the precision of `layers`, as `nn.forward` does: by
+    default the decoder's float64 views."""
     z = np.asarray(z, dtype=np.float64)
     y_embed = np.asarray(y_embed, dtype=np.float64)
     if z.shape[-1] != m.K or y_embed.shape[-1] != m.C:
         raise ValueError("latent/label embedding dimensions do not match the model")
-    out, _ = nn.forward(m.decoder, np.concatenate([z, y_embed], axis=-1))
+    out, _ = nn.forward(m.decoder, np.concatenate([z, y_embed], axis=-1), layers)
     return out
 
 
@@ -146,7 +157,11 @@ def generate(m, n, rng, y=None, sample_observations=False):
     Sticks come from the Beta(alpha, 1) prior by its inverse CDF, feature
     probabilities from stick-breaking, spikes and slab from their priors;
     the label is the given class or drawn uniformly.  Returns (likelihood
-    means, sampled observations or None).
+    means, sampled observations or None), both float64.
+
+    The decoder runs in nn.FAST_DTYPE (float32) on weights cast once per
+    call, and the sigmoid, or the Gaussian's mean and variance, are taken
+    of its output in float32 too; the means are then widened to float64.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -157,13 +172,15 @@ def generate(m, n, rng, y=None, sample_observations=False):
     zhat = (rng.random((n, m.K)) < pi).astype(np.float64)
     ztilde = rng.standard_normal((n, m.K))
     labels = np.full(n, int(y)) if y is not None else rng.integers(m.C, size=n)
-    out = decode(m, ztilde * zhat, np.eye(m.C)[labels])
+    out = decode(m, ztilde * zhat, np.eye(m.C)[labels],
+                 nn.cast_layers(m.decoder, nn.FAST_DTYPE))
     if m.likelihood_kind == "bernoulli":
-        means = dist.sigmoid(out)
+        means = dist.sigmoid(out).astype(np.float64)
         samples = ((rng.random((n, m.D)) < means).astype(np.float64)
                    if sample_observations else None)
     else:
         means, var = split_decoder_out(out, m.D)
+        means = means.astype(np.float64)
         samples = (means + np.sqrt(var) * rng.standard_normal((n, m.D))
                    if sample_observations else None)
     return means, samples
@@ -176,12 +193,21 @@ def save_checkpoint(m, path):
     """Write `path` (JSON manifest) and `path + '.bin'` (parameter blob).
 
     The blob is every group's flat float64 parameters, little-endian, in
-    manifest order; round-trips bit-exactly.
+    manifest order; round-trips bit-exactly.  The manifest records the
+    blob's byte count and sha256.  Both files are written in full to
+    temporary files beside them before either is moved into place with
+    `os.replace`, the blob first: a save that fails while writing leaves
+    the previous checkpoint as it was and no temporary file behind, and
+    one cut between the two moves leaves a blob the old manifest's sha256
+    rejects.
     """
     blob_name = os.path.basename(path) + ".bin"
+    blob = np.concatenate(list(m.parameter_groups().values())).astype("<f8").tobytes()
     manifest = {
         "format_version": CHECKPOINT_FORMAT,
         "blob": blob_name,
+        "blob_bytes": len(blob),
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "likelihood_kind": m.likelihood_kind,
         "input_dim": m.D,
         "num_classes": m.C,
@@ -199,19 +225,37 @@ def save_checkpoint(m, path):
             for name, arr in m.parameter_groups().items()
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    blob = np.concatenate(list(m.parameter_groups().values()))
-    with open(os.path.join(os.path.dirname(path) or ".", blob_name), "wb") as fh:
-        fh.write(blob.astype("<f8").tobytes())
+    text = json.dumps(manifest, indent=2) + "\n"
+    staged = [(os.path.join(os.path.dirname(path) or ".", blob_name), blob),
+              (path, text.encode("utf-8"))]
+    try:
+        for final, data in staged:
+            _write_file(final + ".tmp", data)
+        for final, _ in staged:
+            os.replace(final + ".tmp", final)
+    except BaseException:
+        for final, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(final + ".tmp")
+        raise
+
+
+def _write_file(path, data):
+    """Write `data` to `path` and flush it to the disk, so a move into
+    place never lands a file whose bytes a crash could still lose."""
+    with open(path, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def load_checkpoint(path):
     """Rebuild the model that `save_checkpoint` wrote to `path`.
 
-    A manifest or blob that does not parse, or that disagrees with itself,
-    raises `data.DataFormatError` naming the path and the fault.
+    A manifest or blob that does not parse, that disagrees with itself (a
+    blob whose byte count or sha256 is not the manifest's, where it records
+    them), or that holds a non-finite parameter raises
+    `data.DataFormatError` naming the path and the fault.
     """
     try:
         return _read_checkpoint(path)
@@ -228,7 +272,16 @@ def _read_checkpoint(path):
             f"unsupported checkpoint format {manifest.get('format_version')!r}")
     blob_path = os.path.join(os.path.dirname(path) or ".", manifest["blob"])
     with open(blob_path, "rb") as fh:
-        flat = np.frombuffer(fh.read(), dtype="<f8").astype(np.float64)
+        raw = fh.read()
+    if "blob_bytes" in manifest and len(raw) != manifest["blob_bytes"]:
+        raise ValueError(f"parameter blob holds {len(raw)} bytes, manifest "
+                         f"records {manifest['blob_bytes']}")
+    if ("blob_sha256" in manifest
+            and hashlib.sha256(raw).hexdigest() != manifest["blob_sha256"]):
+        raise ValueError("parameter blob's sha256 is not the manifest's")
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise ValueError("parameter blob holds a non-finite value")
 
     encoder = nn.DenseNet(manifest["encoder_dims"], manifest["encoder_activations"])
     classifier = nn.DenseNet(manifest["classifier_dims"], manifest["classifier_activations"])

@@ -11,8 +11,8 @@ passes at the same parameters.  The pass keeps those weights on its tape,
 so the backward pass runs in their precision too; the parameter gradient
 `backward` returns is float64 either way, like the weights.  The passes
 that need no float64 run in FAST_DTYPE (float32): the estimator's decoder
-blocks in training, and the evaluation passes behind `error_rate` and
-`component_report`.
+blocks in training, the evaluation passes behind `error_rate` and
+`component_report`, and `model.generate`'s decoder pass.
 
 `backward` stops at the first layer's pre-activation gradient: the
 encoder and classifier never read their input gradient, and the decoder's

@@ -35,7 +35,8 @@ moments, the clip and the checkpoint are float64.  The evaluation passes
 run in float32 too: `error_rate`'s classifier (`model.predict_batch`) and
 `component_report`'s encoder and sigmoid (`inclusion_probs`), each on
 weights cast once per call.  They read no random draws and feed nothing
-back into training.
+back into training.  Outside training, `model.generate`'s decoder runs
+in float32 the same way.
 
 Per-epoch metrics rows go to a CSV with a fixed column schema; the ELBO
 metric is re-estimated each epoch, forward only, with a fixed evaluation

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -348,11 +349,34 @@ def _corrupt_relu_decoder_output(ckpt):
     Path(ckpt).write_text(json.dumps(manifest))
 
 
+def _corrupt_swapped_blob(ckpt):
+    # the blob of another checkpoint of the same shape
+    other = Path(ckpt).parent / "other"
+    other.mkdir()
+    rng = np.random.default_rng(5)
+    mdl.save_checkpoint(mdl.build_model(4, 2, 3, 4, "gaussian", 2.0, 1e-2, rng),
+                        str(other / "model.ckpt"))
+    Path(ckpt + ".bin").write_bytes((other / "model.ckpt.bin").read_bytes())
+
+
+def _corrupt_nan_parameter(ckpt):
+    # a NaN the manifest's sha256 agrees with, so only the finiteness check
+    # can reject it
+    flat = np.frombuffer(Path(ckpt + ".bin").read_bytes(), dtype="<f8").copy()
+    flat[3] = np.nan
+    blob = flat.tobytes()
+    Path(ckpt + ".bin").write_bytes(blob)
+    manifest = json.loads(Path(ckpt).read_text())
+    manifest["blob_sha256"] = hashlib.sha256(blob).hexdigest()
+    Path(ckpt).write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("corrupt", [_corrupt_short_blob, _corrupt_manifest_without_blob,
                                      _corrupt_manifest_not_json,
-                                     _corrupt_relu_decoder_output],
+                                     _corrupt_relu_decoder_output,
+                                     _corrupt_swapped_blob, _corrupt_nan_parameter],
                          ids=["short_blob", "no_blob_key", "not_json",
-                              "relu_decoder_output"])
+                              "relu_decoder_output", "swapped_blob", "nan_parameter"])
 def test_corrupt_checkpoint_exits_two(tmp_path, capsys, corrupt):
     ckpt = _make_checkpoint(tmp_path)
     corrupt(ckpt)

@@ -186,5 +186,8 @@ def test_active_components_stats_have_numpy_bits(shape):
 def test_active_components_validates_range():
     with pytest.raises(ValueError):
         ibp.active_components(np.array([[1.2]]), 0.01)
+    # a NaN compares false both ways, so an any(p < 0) check lets it through
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ibp.active_components(np.array([[np.nan, 0.5], [0.2, 0.5]]), 0.01)
     with pytest.raises(ValueError):   # an averaged (K,) vector, not (N, K)
         ibp.active_components(np.array([0.5]), 0.01)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import sys
 import warnings
 
@@ -248,7 +249,9 @@ def test_generate_tiny_alpha_rarely_activates():
     rng = np.random.default_rng(30)
     m = mdl.build_model(4, 2, 6, 8, "bernoulli", 1e-3, 1e-2, rng)
     means, _ = mdl.generate(m, 10_000, rng, y=0)
-    at_zero = dist.sigmoid(mdl.decode(m, np.zeros((1, m.K)), np.eye(m.C)[[0]]))
+    # through generate's float32 pass
+    layers = nn.cast_layers(m.decoder, nn.FAST_DTYPE)
+    at_zero = dist.sigmoid(mdl.decode(m, np.zeros((1, m.K)), np.eye(m.C)[[0]], layers))
     matches = np.all(np.isclose(means, at_zero, rtol=0.0, atol=1e-12), axis=1)
     assert matches.mean() > 0.99
 
@@ -262,9 +265,9 @@ def test_generate_draws_the_ibp_prior_without_a_gamma_variate(monkeypatch):
 
     decode, seen = mdl.decode, []
 
-    def recording(m, z, y_embed):
+    def recording(m, z, y_embed, layers=None):
         seen.append(z)
-        return decode(m, z, y_embed)
+        return decode(m, z, y_embed, layers)
 
     monkeypatch.setattr(dist, "beta_sample_array", refuse)
     monkeypatch.setattr(mdl, "decode", recording)
@@ -276,6 +279,41 @@ def test_generate_draws_the_ibp_prior_without_a_gamma_variate(monkeypatch):
     expected = (alpha / (alpha + 1.0)) ** np.arange(1, k + 1)
     sem = on.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(on.mean(axis=0) - expected) < 3 * sem)
+
+
+@pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
+def test_generate_decodes_in_float32(monkeypatch, kind):
+    # the one decoder pass runs on float32 weights and input; the means are
+    # its float32 sigmoid (or Gaussian mean) widened, within float32
+    # rounding of decode's float64 pass at the same draws (for Gaussian
+    # means, relative to the largest: a mean near 0 keeps the rounding of
+    # the larger terms that cancel in it)
+    forward, calls = nn.forward, []
+
+    def recording(net, x, layers=None):
+        out, tape = forward(net, x, layers)
+        calls.append((x, tape))
+        return out, tape
+
+    monkeypatch.setattr(nn, "forward", recording)
+    m = tiny_model(seed=37, kind=kind, input_dim=6, truncation=4, hidden=16)
+    means, _ = mdl.generate(m, 200, np.random.default_rng(38))
+    [(x, tape)] = calls
+    assert {arr.dtype for pair in tape.layers for arr in pair} == {np.dtype(np.float32)}
+    assert tape.inputs[0].dtype == np.float32
+    out = tape.outputs[-1]
+    assert out.dtype == np.float32
+    assert means.dtype == np.float64 and means.shape == (200, m.D)
+    if kind == "bernoulli":
+        want = dist.sigmoid(out).astype(np.float64)
+        exact = dist.sigmoid(mdl.decode(m, x[:, :m.K], x[:, m.K:]))
+        assert np.max(np.abs(means - exact)) < 1e-6
+    else:
+        want = mdl.split_decoder_out(out, m.D)[0].astype(np.float64)
+        exact = mdl.split_decoder_out(mdl.decode(m, x[:, :m.K], x[:, m.K:]), m.D)[0]
+        assert np.max(np.abs(means - exact)) < 1e-5 * np.max(np.abs(exact))
+    assert means.tobytes() == want.tobytes()
+    assert np.any(x[:, :m.K] != 0)
 
 
 def test_generate_validates_n():
@@ -321,7 +359,8 @@ def test_checkpoint_manifest_format(tmp_path):
         "encoder", "classifier", "decoder", "sticks"]
     blob = (tmp_path / "model.ckpt.bin").read_bytes()
     total = sum(e["shape"][0] for e in manifest["parameters"])
-    assert len(blob) == 8 * total
+    assert len(blob) == 8 * total == manifest["blob_bytes"]
+    assert manifest["blob_sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 def test_checkpoint_rejects_wrong_version(tmp_path):
@@ -359,3 +398,39 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
     (tmp_path / "model.ckpt.bin").write_bytes(blob[:-8])
     with pytest.raises(ValueError):
         mdl.load_checkpoint(path)
+
+
+def test_checkpoint_save_that_fails_leaves_the_previous_one(tmp_path, monkeypatch):
+    # the blob write fails half-way through the second save: the first
+    # checkpoint still loads bit for bit, and no temporary file is left
+    first, second = tiny_model(seed=39), tiny_model(seed=40)
+    path = str(tmp_path / "model.ckpt")
+    mdl.save_checkpoint(first, path)
+    write = mdl._write_file
+
+    def failing(target, data):
+        if target.endswith(".bin.tmp"):
+            write(target, data[:len(data) // 2])
+            raise OSError("disk full")
+        write(target, data)
+
+    monkeypatch.setattr(mdl, "_write_file", failing)
+    with pytest.raises(OSError, match="disk full"):
+        mdl.save_checkpoint(second, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.bin"]
+    loaded = mdl.load_checkpoint(path)
+    for name, arr in first.parameter_groups().items():
+        assert arr.tobytes() == loaded.parameter_groups()[name].tobytes(), name
+
+
+def test_checkpoint_without_blob_checks_still_loads(tmp_path):
+    # a manifest written before the byte count and sha256 were recorded
+    import json
+    m = tiny_model(seed=42)
+    path = str(tmp_path / "model.ckpt")
+    mdl.save_checkpoint(m, path)
+    manifest = json.loads((tmp_path / "model.ckpt").read_text())
+    del manifest["blob_bytes"], manifest["blob_sha256"]
+    (tmp_path / "model.ckpt").write_text(json.dumps(manifest))
+    loaded = mdl.load_checkpoint(path)
+    assert loaded.decoder.params.tobytes() == m.decoder.params.tobytes()
