@@ -47,13 +47,13 @@ each chunk's values and gradient from one exp of its logits
 the bits of whole-block `bernoulli_log_prob` and `bernoulli_score_grad`;
 the forward-only pass takes the same chunks without the sigmoid.
 
-The spike path (`control_variate_coeffs`, `score_function_grad`,
-`_learning_signals` and the spike prior in `ibp`) computes in place, over
-buffers each function owns and never over an argument, with the operands
-and order of operations of the whole-array expressions that
-`tests/oracles.py` keeps and the tests pin bit for bit; the stick
-functions are plain whole-array expressions.  The spike fit takes its
-signals and scores as contiguous (S, B, K) arrays.
+The spike fit (`control_variate_coeffs`, `score_function_grad`) and the
+spike prior in `ibp` compute in place, over buffers each function owns and
+never over an argument, with the operands and order of operations of the
+whole-array expressions that `tests/oracles.py` keeps and the tests pin
+bit for bit; the learning signals, the slab and its gradients and the
+stick functions are plain whole-array expressions.  The spike fit takes
+its signals and scores as contiguous (S, B, K) arrays.
 """
 
 from dataclasses import dataclass, field
@@ -219,32 +219,6 @@ def _check_finite(name, *arrays):
             raise NumericError(name)
 
 
-def _learning_signals(recon, logp_zhat_k, logq_zhat_k, prior_weight,
-                      expected_spike_priors, logp_v_k, logq_v_k, n_data):
-    """The spikes' learning signal, (S, B, K), the spike fit's layout, and
-    the sticks' signal, (B * S, K), from (B, S)- and (B, S, K)-shaped terms.
-
-    Spike k's signal keeps the reconstruction and its own prior and entropy
-    terms, the latter two weighted by `prior_weight`; the other spikes'
-    terms are independent of its score.  Stick j's signal is its Markov
-    blanket: the spike priors of components k >= j, in expectation over
-    q(zhat) and batch-scaled to the dataset, plus the stick's own prior and
-    entropy.  Both are computed in place, on one new array each.
-    """
-    batch_size, s, k = logp_zhat_k.shape
-    f_zhat = np.empty((s, batch_size, k))
-    f_zhat_bsk = f_zhat.transpose(1, 0, 2)     # the same array as (B, S, K)
-    np.subtract(logp_zhat_k, logq_zhat_k, out=f_zhat_bsk)
-    f_zhat_bsk *= prior_weight
-    f_zhat_bsk += recon[:, :, None]
-    f_v = np.empty((batch_size, s, k))
-    np.cumsum(expected_spike_priors[..., ::-1], axis=2, out=f_v[..., ::-1])  # tails
-    f_v *= n_data
-    f_v += logp_v_k
-    f_v -= logq_v_k
-    return f_zhat, f_v.reshape(-1, k)
-
-
 def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
                             alpha_sup=0.0, prior_weight=1.0, with_grads=True,
                             dtype=np.float64):
@@ -340,9 +314,7 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
     zhat = rng.random(out=spikes[0])
     np.less(zhat, pi_hat[:, None, :], out=zhat)         # 1.0 or 0.0 over the draws
     spikes[1:] = pi_hat[:, None, :]
-    z = sigma[:, None, :] * eps
-    z += mean[:, None, :]                                # ztilde
-    z *= zhat
+    z = (sigma[:, None, :] * eps + mean[:, None, :]) * zhat   # ztilde, masked
 
     log_v, log_1mv = m.sticks.sample((batch_size, s), rng)
 
@@ -430,8 +402,14 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
         return breakdown
 
     # --- the learning signals -------------------------------------------------
-    f_zhat, f_v = _learning_signals(recon, logp_zhat_k, logq_zhat_k, prior_weight,
-                                    spike_priors[1], logp_v_k, logq_v_k, n_data)
+    # the spikes' signal in the spike fit's (S, B, K) layout, its prior and
+    # entropy terms weighted by `prior_weight`; stick j's signal takes the
+    # expected spike priors of components k >= j, batch-scaled
+    f_zhat = np.ascontiguousarray(
+        ((logp_zhat_k - logq_zhat_k) * prior_weight
+         + recon[:, :, None]).transpose(1, 0, 2))
+    tails = np.cumsum(spike_priors[1][..., ::-1], axis=2)[..., ::-1]
+    f_v = (tails * n_data + logp_v_k - logq_v_k).reshape(-1, k)
     _check_finite("term_zhat", f_zhat)
     _check_finite("term_v", f_v)
 
@@ -442,10 +420,9 @@ def estimate_elbo_and_grads(m, x, labels, num_samples, rng, dataset_size,
         f_zhat, np.ascontiguousarray(h_zhat.transpose(1, 0, 2)))   # (B, K)
 
     # --- pathwise gradients for the Gaussian slab, plus those of -KL -------
-    g_ztilde = np.multiply(g_z, zhat, out=g_z)        # masked by the spikes
+    g_ztilde = g_z * zhat                              # masked by the spikes
     g_mean = g_ztilde.sum(axis=1)                      # scale/S folded in
-    g_var = np.multiply(g_ztilde, eps, out=g_ztilde).sum(axis=1)
-    g_var /= 2.0 * sigma
+    g_var = (g_ztilde * eps).sum(axis=1) / (2.0 * sigma)
     g_mean += scale * (-mean)
     g_var += scale * (-0.5 * (1.0 - 1.0 / var))
 

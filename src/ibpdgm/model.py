@@ -50,11 +50,6 @@ class IbpDgm:
         want = input_dim if likelihood_kind == "bernoulli" else 2 * input_dim
         if decoder.output_dim != want:
             raise ValueError("decoder output dim does not match the likelihood kind")
-        if decoder.activations[-1] != "identity":
-            # the output is raw logits or [mean | raw var]; the estimator
-            # also writes the likelihood gradient over it, which only a
-            # linear output layer's backward pass does not read
-            raise ValueError("decoder output activation must be 'identity'")
         if classifier.output_dim != num_classes:
             raise ValueError("classifier must emit C logits")
         self.encoder = encoder
@@ -193,19 +188,18 @@ def save_checkpoint(m, path):
     """Write `path` (JSON manifest) and `path + '.bin'` (parameter blob).
 
     The blob is every group's flat float64 parameters, little-endian, in
-    manifest order; round-trips bit-exactly.  The manifest records the
-    blob's byte count and sha256.  Both files are written in full to
-    temporary files beside them before either is moved into place with
-    `os.replace`, the blob first: a save that fails while writing leaves
-    the previous checkpoint as it was and no temporary file behind, and
-    one cut between the two moves leaves a blob the old manifest's sha256
-    rejects.
+    `parameter_groups()` order; round-trips bit-exactly.  The manifest
+    records the blob's byte count and sha256, and the network dims and
+    truncation that fix every group's size.  Both files are written in
+    full to temporary files beside them before either is moved into place
+    with `os.replace`, the blob first: a save that fails while writing
+    leaves the previous checkpoint as it was and no temporary file behind,
+    and one cut between the two moves leaves a blob the old manifest's
+    sha256 rejects.
     """
-    blob_name = os.path.basename(path) + ".bin"
     blob = np.concatenate(list(m.parameter_groups().values())).astype("<f8").tobytes()
     manifest = {
         "format_version": CHECKPOINT_FORMAT,
-        "blob": blob_name,
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "likelihood_kind": m.likelihood_kind,
@@ -215,19 +209,11 @@ def save_checkpoint(m, path):
         "alpha": m.sticks.alpha,
         "sigma_theta_sq": m.sigma_theta_sq,
         "encoder_dims": m.encoder.dims,
-        "encoder_activations": m.encoder.activations,
         "classifier_dims": m.classifier.dims,
-        "classifier_activations": m.classifier.activations,
         "decoder_dims": m.decoder.dims,
-        "decoder_activations": m.decoder.activations,
-        "parameters": [
-            {"name": name, "shape": [int(arr.size)]}
-            for name, arr in m.parameter_groups().items()
-        ],
     }
     text = json.dumps(manifest, indent=2) + "\n"
-    staged = [(os.path.join(os.path.dirname(path) or ".", blob_name), blob),
-              (path, text.encode("utf-8"))]
+    staged = [(path + ".bin", blob), (path, text.encode("utf-8"))]
     try:
         for final, data in staged:
             _write_file(final + ".tmp", data)
@@ -250,7 +236,8 @@ def _write_file(path, data):
 
 
 def load_checkpoint(path):
-    """Rebuild the model that `save_checkpoint` wrote to `path`.
+    """Rebuild the model that `save_checkpoint` wrote to `path` and
+    `path + '.bin'`; keys an older manifest holds beyond these are ignored.
 
     A manifest or blob that does not parse, that disagrees with itself (a
     blob whose byte count or sha256 is not the manifest's, where it records
@@ -270,8 +257,7 @@ def _read_checkpoint(path):
     if manifest.get("format_version") != CHECKPOINT_FORMAT:
         raise ValueError(
             f"unsupported checkpoint format {manifest.get('format_version')!r}")
-    blob_path = os.path.join(os.path.dirname(path) or ".", manifest["blob"])
-    with open(blob_path, "rb") as fh:
+    with open(path + ".bin", "rb") as fh:
         raw = fh.read()
     if "blob_bytes" in manifest and len(raw) != manifest["blob_bytes"]:
         raise ValueError(f"parameter blob holds {len(raw)} bytes, manifest "
@@ -283,25 +269,21 @@ def _read_checkpoint(path):
     if not np.isfinite(flat).all():
         raise ValueError("parameter blob holds a non-finite value")
 
-    encoder = nn.DenseNet(manifest["encoder_dims"], manifest["encoder_activations"])
-    classifier = nn.DenseNet(manifest["classifier_dims"], manifest["classifier_activations"])
-    decoder = nn.DenseNet(manifest["decoder_dims"], manifest["decoder_activations"])
+    encoder = nn.DenseNet(manifest["encoder_dims"])
+    classifier = nn.DenseNet(manifest["classifier_dims"])
+    decoder = nn.DenseNet(manifest["decoder_dims"])
     sticks = ibp.GlobalSticks(manifest["truncation"], manifest["alpha"])
     m = IbpDgm(encoder, classifier, decoder, sticks,
                manifest["likelihood_kind"], manifest["sigma_theta_sq"],
                manifest["num_classes"], manifest["input_dim"])
 
-    expected = sum(entry["shape"][0] for entry in manifest["parameters"])
+    groups = m.parameter_groups().values()
+    expected = sum(group.size for group in groups)
     if flat.size != expected:
         raise ValueError(
-            f"parameter blob holds {flat.size} values, manifest expects {expected}")
+            f"parameter blob holds {flat.size} values, the model has {expected}")
     off = 0
-    groups = m.parameter_groups()
-    for entry in manifest["parameters"]:
-        n = entry["shape"][0]
-        target = groups[entry["name"]]
-        if target.size != n:
-            raise ValueError(f"group {entry['name']!r} size mismatch")
-        target[:] = flat[off:off + n]
-        off += n
+    for group in groups:
+        group[:] = flat[off:off + group.size]
+        off += group.size
     return m

@@ -1,8 +1,10 @@
 """Dense feedforward networks with manual backpropagation and the AdaM optimizer.
 
-Every network keeps its weights in one flat float64 vector; the layer
-matrices are views into that vector, so an optimizer can treat any
-network (or a bag of networks) as one parameter array.
+Every network is an MLP with a ReLU on each hidden layer and a linear
+output layer; its shape is its list of layer widths.  It keeps its weights
+in one flat float64 vector; the layer matrices are views into that
+vector, so an optimizer can treat any network (or a bag of networks) as
+one parameter array.
 
 A pass computes in the precision of the weights it is given: by default
 the network's own float64 views, or the float32 copy that
@@ -18,17 +20,16 @@ blocks in training, the evaluation passes behind `error_rate` and
 encoder and classifier never read their input gradient, and the decoder's
 caller, which does, multiplies by the first layer's weights itself.
 
-Each array of a pass is held once: `forward` applies a ReLU in place on
-its layer's pre-activation, so a ReLU output is both the tape's record of
-that layer and the next layer's input, and `backward` takes the ReLU mask
-from the output (output > 0 exactly where pre-activation > 0, NaN
-included).  So a ReLU output must not be overwritten before `backward`
-has run on its tape.
+Each array of a pass is held once: `forward` applies the ReLU in place on
+a hidden layer's pre-activation, so a hidden output is both the tape's
+record of that layer and the next layer's input, and `backward` takes the
+ReLU mask from the output (output > 0 exactly where pre-activation > 0,
+NaN included).  So a hidden output must not be overwritten before
+`backward` has run on its tape.
 """
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "identity")
 # AdaM's moment decay rates and denominator offset (Kingma and Ba 2015)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -44,8 +45,8 @@ class Tape:
 
     A layer's output is the next layer's input, the same array; the last
     output is the array `forward` returned.  `backward` reads each ReLU
-    mask from its output, so a caller overwrites no ReLU output before
-    `backward`; a linear output, which it does not read, may be (the
+    mask from a hidden output, so a caller overwrites none before
+    `backward`; the linear output, which it does not read, may be (the
     estimator writes the likelihood gradient over the decoder's).
     """
 
@@ -56,26 +57,21 @@ class Tape:
 
 
 class DenseNet:
-    """MLP with per-layer (W, b, activation); parameters live in one flat array.
+    """ReLU MLP with a linear output layer; parameters live in one flat array.
 
-    `layers` is a list of (out_dim, activation) pairs; weights are W[l] of
-    shape (out, in) and biases b[l] of shape (out,), all views into
-    `self.params` (flat, float64).
+    `dims` lists the layer widths, input first and output last, so the
+    network has len(dims) - 1 layers; weights are W[l] of shape (out, in)
+    and biases b[l] of shape (out,), all views into `self.params` (flat,
+    float64).
     """
 
-    def __init__(self, dims, activations):
+    def __init__(self, dims):
         if len(dims) < 2:
             raise ValueError("need at least input and output dimension")
         for d in dims:
             if int(d) < 1:
                 raise ValueError(f"dimensions must be >= 1, got {d}")
-        if len(activations) != len(dims) - 1:
-            raise ValueError("one activation per layer required")
-        for a in activations:
-            if a not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {a!r}")
         self.dims = [int(d) for d in dims]
-        self.activations = list(activations)
         n = sum(o * i + o for i, o in zip(self.dims[:-1], self.dims[1:]))
         self.params = np.zeros(n, dtype=np.float64)
         self._views = []
@@ -113,12 +109,10 @@ def glorot_init(input_dim, hidden_dims, output_dim, rng):
     """Build a DenseNet with Glorot-uniform weights and zero biases.
 
     Weights of each layer are drawn uniformly from [-b, b] with
-    b = sqrt(6 / (fan_in + fan_out)); hidden layers use ReLU, the output
-    layer is linear.
+    b = sqrt(6 / (fan_in + fan_out)).
     """
     dims = [input_dim, *hidden_dims, output_dim]
-    acts = ["relu"] * len(hidden_dims) + ["identity"]
-    net = DenseNet(dims, acts)
+    net = DenseNet(dims)
     for layer, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         net.weights(layer)[:] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
@@ -141,7 +135,7 @@ def forward(net, x, layers=None):
     The pass computes in the precision of its weights: `layers`, as
     `cast_layers` returns them, or by default the network's own float64
     views.  x is cast to that precision, and the output and the tape are
-    in it.  A ReLU is applied in place on its layer's pre-activation, so
+    in it.  The ReLU is applied in place on each hidden pre-activation, so
     each layer allocates one array, its output, which the tape keeps.
 
     Pure given the parameters: same params + same input give bit-identical
@@ -157,11 +151,11 @@ def forward(net, x, layers=None):
         raise ValueError("non-finite input")
     inputs, outputs = [], []
     h = x
-    for (w, b), act in zip(layers, net.activations):
+    for layer, (w, b) in enumerate(layers):
         inputs.append(h)
         h = h @ w.T
         h += b
-        if act == "relu":
+        if layer < len(layers) - 1:
             np.maximum(h, 0.0, out=h)
         outputs.append(h)
     return h, Tape(layers, inputs, outputs)
@@ -174,11 +168,13 @@ def backward(net, tape, grad_out):
     parameter gradient aligned with net.params, summed over the batch;
     gradient w.r.t. the first layer's pre-activation, (B, fan_out of the
     first layer)).  The pass stops there: a caller that wants the gradient
-    w.r.t. the input x takes `g_pre @ tape.layers[0][0]`.  The ReLU
-    subgradient at exactly 0 is taken as 0.  Each ReLU mask is read from
-    the layer's output on the tape, as output > 0, which equals
-    pre-activation > 0 for every value: a ReLU output overwritten since
-    `forward` would give a wrong gradient.
+    w.r.t. the input x takes `g_pre @ tape.layers[0][0]`.  For a
+    one-layer network that gradient is `grad_out` itself, cast to the
+    tape's dtype (the same array when it has that dtype already), so the
+    caller only reads it.  The ReLU subgradient at exactly 0 is taken as 0.
+    Each ReLU mask is read from the hidden layer's output on the tape, as
+    output > 0, which equals pre-activation > 0 for every value: a hidden
+    output overwritten since `forward` would give a wrong gradient.
 
     The pass runs in the tape's dtype, on the weights the forward pass
     kept on the tape; the parameter gradient is returned as float64 in
@@ -195,17 +191,13 @@ def backward(net, tape, grad_out):
             f"{tape.outputs[-1].shape}")
     grads = np.empty(net.params.size, dtype=dtype)      # every slot is written
     off = net.params.size
-    owned = False             # g is the caller's grad_out until the first g @ w
-    for layer in range(len(net._views) - 1, -1, -1):
+    last = len(net._views) - 1
+    for layer in range(last, -1, -1):
         w, _ = tape.layers[layer]
         if tape.inputs[layer].shape[1] != w.shape[1]:
             raise ValueError("tape does not match network (layer shape)")
-        if net.activations[layer] == "relu":
-            mask = tape.outputs[layer] > 0.0
-            if owned:
-                g *= mask
-            else:
-                g = g * mask
+        if layer < last:
+            g *= tape.outputs[layer] > 0.0      # g is this pass's own g @ w
         fan_out, fan_in = w.shape
         off -= fan_out
         g.sum(axis=0, out=grads[off:off + fan_out])
@@ -214,7 +206,6 @@ def backward(net, tape, grad_out):
                   out=grads[off:off + fan_out * fan_in].reshape(fan_out, fan_in))
         if layer:
             g = g @ w
-            owned = True
     return grads.astype(np.float64, copy=False), g
 
 

@@ -169,7 +169,7 @@ def estimator_fd_worst(kind, rng):
     grads = estimate(True).grads
     # the mean and variance heads: the first 2K rows of the encoder's
     # output layer and their biases
-    heads = nn.DenseNet(m.encoder.dims, m.encoder.activations)
+    heads = nn.DenseNet(m.encoder.dims)
     heads.weights(-1)[:2 * m.K] = 1.0
     heads.biases(-1)[:2 * m.K] = 1.0
     checked = {"encoder": np.flatnonzero(heads.params),
@@ -264,14 +264,16 @@ class FixedSticks:
 
 
 def make_enumerable_toy(seed=7, kind="bernoulli"):
-    """Tiny model whose exact ELBO is computable: D=5, C=2, K=2, smooth decoder."""
+    """Tiny model whose exact ELBO is computable: D=5, C=2, K=2, and a
+    decoder of one linear layer (drawn after x), which has no kink, so the
+    Gauss-Hermite quadrature of `exact_toy_elbo` is exact to rounding."""
     rng = np.random.default_rng(seed)
     m = mdl.build_model(5, 2, 2, 4, kind, 2.0, 1.0, rng)
-    m.decoder.activations[0] = "identity"  # keeps the quadrature oracle exact
     if kind == "bernoulli":
         x = (rng.random(5) < 0.5).astype(np.float64)
     else:
         x = rng.normal(size=5)
+    m.decoder = nn.glorot_init(m.K + m.C, [], m.decoder.output_dim, rng)
     return m, x
 
 

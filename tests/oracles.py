@@ -12,8 +12,9 @@ estimator one point at a time against that ELBO.
 `beta_log_prob_unfused` writes q(v)'s density out with its own lgamma.
 The other `*_unfused` functions are the
 whole-array expressions, one new array per operation, of the spike path
-functions that the library computes in place (`SCORE_PATH_UNFUSED`);
-the tests hold the library to their bits.
+functions that the library computes in place (`SCORE_PATH_UNFUSED`):
+the spike fit and the spike prior; the tests hold the library to their
+bits.
 """
 
 import itertools
@@ -70,19 +71,20 @@ def net_pass_masking_preacts(net, x, grad_out, dtype=np.float64):
     `nn.backward` otherwise, on the weights cast to `dtype`.  Returns
     (output, flat float64 parameter gradient, gradient w.r.t. the first
     layer's pre-activation)."""
+    last = len(net.dims) - 2
     weights = [(net.weights(layer).astype(dtype), net.biases(layer).astype(dtype))
-               for layer in range(len(net.activations))]
+               for layer in range(last + 1)]
     inputs, preacts = [], []
     h = np.asarray(x, dtype=dtype)
-    for (w, b), act in zip(weights, net.activations):
+    for layer, (w, b) in enumerate(weights):
         inputs.append(h)
         z = h @ w.T + b
         preacts.append(z)
-        h = np.maximum(z, 0.0) if act == "relu" else z
+        h = np.maximum(z, 0.0) if layer < last else z
     g = np.asarray(grad_out, dtype=dtype)
     parts = []
-    for layer in range(len(weights) - 1, -1, -1):
-        if net.activations[layer] == "relu":
+    for layer in range(last, -1, -1):
+        if layer < last:
             g = g * (preacts[layer] > 0.0)
         parts.append(np.concatenate([(g.T @ inputs[layer]).ravel(), g.sum(axis=0)]))
         if layer:
@@ -132,24 +134,12 @@ def ibp_prior_log_prob_unfused(zhat, log_v):
     return zhat * on + (1.0 - zhat) * off
 
 
-def learning_signals_unfused(recon, logp_zhat_k, logq_zhat_k, prior_weight,
-                             expected_spike_priors, logp_v_k, logq_v_k, n_data):
-    """`bbvi._learning_signals` as two expressions: the spikes' signal
-    transposed to (S, B, K), the sticks' reversed cumulative sums of the
-    expected spike priors flattened to (B * S, K)."""
-    f_zhat = (logp_zhat_k - logq_zhat_k) * prior_weight + recon[:, :, None]
-    tails = np.cumsum(expected_spike_priors[..., ::-1], axis=2)[..., ::-1]
-    f_v = tails * n_data + logp_v_k - logq_v_k
-    return f_zhat.transpose(1, 0, 2), f_v.reshape(-1, f_v.shape[-1])
-
-
 # (owner, attribute, whole-array stand-in) for every function of the
 # score-function path that computes in place: the spike path
 SCORE_PATH_UNFUSED = [
     (bbvi, "control_variate_coeffs", control_variate_coeffs_unfused),
     (bbvi, "score_function_grad", score_function_grad_unfused),
     (ibp, "ibp_prior_log_prob_from_sticks", ibp_prior_log_prob_unfused),
-    (bbvi, "_learning_signals", learning_signals_unfused),
 ]
 
 

@@ -145,6 +145,7 @@ def _windowed(values, window):
     return np.convolve(values, kernel, mode="valid")
 
 
+@pytest.mark.slow
 def test_criterion_6_training_dynamics(tmp_path):
     start = time.time()
     cfg = training.RunConfig(out=str(tmp_path / "c6"), **CRITERION_6_CONFIG)
@@ -164,6 +165,7 @@ def test_criterion_6_training_dynamics(tmp_path):
               f"in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_9_bit_exact_determinism(tmp_path):
     start = time.time()
     short = dict(CRITERION_6_CONFIG, epochs=8)
@@ -180,6 +182,7 @@ def test_criterion_9_bit_exact_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 # criterion 7: semi-supervised synthetic blobs, test error < 5%
 
+@pytest.mark.slow
 def test_criterion_7_semi_supervised_blobs(tmp_path):
     start = time.time()
     cfg = training.RunConfig(

@@ -7,7 +7,7 @@ import pytest
 from ibpdgm import bbvi, distributions as dist, ibp, model as mdl, selftest
 
 from oracles import control_variate_coeffs_unfused, exact_stick_objective, exact_toy_elbo, \
-    fd_grad_all, learning_signals_unfused, make_enumerable_toy, reference_heads, \
+    fd_grad_all, make_enumerable_toy, reference_heads, \
     reference_log_lik, reference_terms, same_bits, score_function_grad_unfused, \
     weighted_score_coeff, zero_control_variates
 
@@ -114,26 +114,6 @@ def test_score_calls_keep_the_bits_of_the_whole_array_expressions(layout):
             before = [a.copy() for a in args]
             assert same_bits(fn(*args), want), fn.__name__
             assert all(same_bits(a, b) for a, b in zip(args, before)), fn.__name__
-
-
-def test_learning_signals_keep_the_bits_of_the_whole_array_expressions():
-    # the estimator's spike and stick signals, built in place on one new
-    # array each, at the criterion-6 sample count and mid-warm-up
-    rng = np.random.default_rng(17)
-    b, s, k = 5, 32, 4
-    args = (-500.0 + 40.0 * rng.normal(size=(b, s)),      # recon
-            -rng.exponential(size=(b, s, k)),             # logp_zhat_k
-            -rng.exponential(size=(b, s, k)),             # logq_zhat_k
-            0.37,                                         # prior_weight
-            -rng.exponential(size=(b, s, k)),             # expected_spike_priors
-            rng.normal(size=(b, s, k)),                   # logp_v_k
-            rng.normal(size=(b, s, k)),                   # logq_v_k
-            2000)                                         # n_data
-    before = [np.copy(a) for a in args]
-    got, want = bbvi._learning_signals(*args), learning_signals_unfused(*args)
-    assert [g.shape for g in got] == [(s, b, k), (b * s, k)]
-    assert all(same_bits(g, w) for g, w in zip(got, want))
-    assert all(same_bits(np.asarray(a), a0) for a, a0 in zip(args, before))
 
 
 def test_loo_grad_constant_score_is_shift_invariant():
@@ -370,6 +350,18 @@ def test_exact_toy_elbo_shares_no_estimator_likelihood(kind, monkeypatch):
     for owner, name in ESTIMATOR_DENSITIES:
         monkeypatch.setattr(owner, name, forbidden)
     assert elbos() == want
+
+
+@pytest.mark.parametrize("kind", mdl.LIKELIHOODS)
+def test_exact_toy_elbo_is_exact_at_its_quadrature(kind):
+    # the oracle is exact only while its Gauss-Hermite sum has converged,
+    # which a decoder with a kink (a ReLU hidden layer) prevents: more
+    # nodes must not move it
+    v0 = np.array([0.7, 0.5])
+    for seed in (3, 7, 11):
+        m, x = make_enumerable_toy(seed=seed, kind=kind)
+        coarse, fine = (exact_toy_elbo(m, x, -1, v0, gh_nodes=n) for n in (24, 32))
+        assert abs(coarse - fine) <= 1e-10, (seed, coarse - fine)
 
 
 def test_every_distribution_function_is_trained(monkeypatch):

@@ -302,25 +302,18 @@ def test_train_with_more_features_than_dimensions_exits_one(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("command, blob", [
-    ("eval", None), ("report", None), ("train", None), ("eval", ""), ("eval", ".")],
-    ids=["eval_checkpoint", "report_checkpoint", "train_path", "blob_empty", "blob_dot"])
-def test_directory_where_a_file_belongs_exits_two(tmp_path, capsys, command, blob):
+@pytest.mark.parametrize("command", ["eval", "report", "train"],
+                         ids=["eval_checkpoint", "report_checkpoint", "train_path"])
+def test_directory_where_a_file_belongs_exits_two(tmp_path, capsys, command):
     # each command meets the directory tmp_path where it reads a file: as
-    # the checkpoint, as the training data, or as the blob a manifest names
-    ckpt = _make_checkpoint(tmp_path)
+    # the checkpoint or as the training data
     amat = tmp_path / "data.amat"
     amat.write_text("0.1 0.2 0.3 0.4 1\n")
     if command == "train":
         argv = ["train", "--out", str(tmp_path / "run"), "--set", "dataset=amat",
                 "--set", f"train_path={tmp_path}"]
-    elif blob is None:
-        argv = [command, "--checkpoint", str(tmp_path), "--amat", str(amat)]
     else:
-        manifest = json.loads(Path(ckpt).read_text())
-        manifest["blob"] = blob
-        Path(ckpt).write_text(json.dumps(manifest))
-        argv = ["eval", "--checkpoint", ckpt, "--amat", str(amat)]
+        argv = [command, "--checkpoint", str(tmp_path), "--amat", str(amat)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(tmp_path) in err
@@ -333,20 +326,8 @@ def _corrupt_short_blob(ckpt):
     blob.write_bytes(blob.read_bytes()[:-8])
 
 
-def _corrupt_manifest_without_blob(ckpt):
-    manifest = json.loads(Path(ckpt).read_text())
-    del manifest["blob"]
-    Path(ckpt).write_text(json.dumps(manifest))
-
-
 def _corrupt_manifest_not_json(ckpt):
     Path(ckpt).write_text("{not json")
-
-
-def _corrupt_relu_decoder_output(ckpt):
-    manifest = json.loads(Path(ckpt).read_text())
-    manifest["decoder_activations"][-1] = "relu"
-    Path(ckpt).write_text(json.dumps(manifest))
 
 
 def _corrupt_swapped_blob(ckpt):
@@ -371,12 +352,9 @@ def _corrupt_nan_parameter(ckpt):
     Path(ckpt).write_text(json.dumps(manifest))
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_short_blob, _corrupt_manifest_without_blob,
-                                     _corrupt_manifest_not_json,
-                                     _corrupt_relu_decoder_output,
+@pytest.mark.parametrize("corrupt", [_corrupt_short_blob, _corrupt_manifest_not_json,
                                      _corrupt_swapped_blob, _corrupt_nan_parameter],
-                         ids=["short_blob", "no_blob_key", "not_json",
-                              "relu_decoder_output", "swapped_blob", "nan_parameter"])
+                         ids=["short_blob", "not_json", "swapped_blob", "nan_parameter"])
 def test_corrupt_checkpoint_exits_two(tmp_path, capsys, corrupt):
     ckpt = _make_checkpoint(tmp_path)
     corrupt(ckpt)

@@ -92,17 +92,6 @@ def test_decode_zero_everything_gives_half():
     assert np.allclose(dist.sigmoid(out), 0.5)
 
 
-def test_model_rejects_nonlinear_decoder_output():
-    # the decoder output is raw logits or [mean | raw var], and the
-    # estimator writes the likelihood gradient over it, which only a linear
-    # output layer's backward pass leaves unread
-    m = tiny_model()
-    relu_out = nn.DenseNet(m.decoder.dims, ["relu", "relu"])
-    with pytest.raises(ValueError, match="decoder output activation"):
-        mdl.IbpDgm(m.encoder, m.classifier, relu_out, m.sticks, "bernoulli",
-                   1e-2, m.C, m.D)
-
-
 def test_decode_dim_mismatch():
     m = tiny_model()
     with pytest.raises(ValueError):
@@ -355,11 +344,20 @@ def test_checkpoint_manifest_format(tmp_path):
     mdl.save_checkpoint(m, path)
     manifest = json.loads((tmp_path / "model.ckpt").read_text())
     assert manifest["format_version"] == "IBPDGM-1"
-    assert [e["name"] for e in manifest["parameters"]] == [
-        "encoder", "classifier", "decoder", "sticks"]
+    # the blob is always `<path>.bin`, the group sizes follow from the
+    # dims and the truncation, and every network is ReLU...linear: the
+    # manifest restates none of them
+    assert set(manifest) == {
+        "format_version", "blob_bytes", "blob_sha256", "likelihood_kind",
+        "input_dim", "num_classes", "truncation", "alpha", "sigma_theta_sq",
+        "encoder_dims", "classifier_dims", "decoder_dims"}
+    assert manifest["encoder_dims"] == m.encoder.dims
+    assert manifest["classifier_dims"] == m.classifier.dims
+    assert manifest["decoder_dims"] == m.decoder.dims
     blob = (tmp_path / "model.ckpt.bin").read_bytes()
-    total = sum(e["shape"][0] for e in manifest["parameters"])
-    assert len(blob) == 8 * total == manifest["blob_bytes"]
+    want = np.concatenate(list(m.parameter_groups().values())).astype("<f8").tobytes()
+    assert blob == want
+    assert len(blob) == manifest["blob_bytes"]
     assert manifest["blob_sha256"] == hashlib.sha256(blob).hexdigest()
 
 
@@ -424,13 +422,35 @@ def test_checkpoint_save_that_fails_leaves_the_previous_one(tmp_path, monkeypatc
 
 
 def test_checkpoint_without_blob_checks_still_loads(tmp_path):
-    # a manifest written before the byte count and sha256 were recorded
+    # a manifest written before the byte count and sha256 were recorded,
+    # which still names its blob and lists the group sizes: keys the loader
+    # ignores
     import json
     m = tiny_model(seed=42)
     path = str(tmp_path / "model.ckpt")
     mdl.save_checkpoint(m, path)
     manifest = json.loads((tmp_path / "model.ckpt").read_text())
     del manifest["blob_bytes"], manifest["blob_sha256"]
+    manifest["blob"] = "model.ckpt.bin"
+    manifest["parameters"] = [{"name": name, "shape": [int(arr.size)]}
+                              for name, arr in m.parameter_groups().items()]
     (tmp_path / "model.ckpt").write_text(json.dumps(manifest))
     loaded = mdl.load_checkpoint(path)
     assert loaded.decoder.params.tobytes() == m.decoder.params.tobytes()
+
+
+def test_checkpoint_loads_its_own_blob_whatever_its_manifest_names(tmp_path):
+    # an older manifest's `blob` key, here naming another checkpoint's blob
+    # by absolute path, is not followed: the blob is `<path>.bin`
+    import json
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    other, own = tiny_model(seed=43), tiny_model(seed=44)
+    path_a, path_b = str(tmp_path / "a" / "model.ckpt"), str(tmp_path / "b" / "model.ckpt")
+    mdl.save_checkpoint(other, path_a)
+    mdl.save_checkpoint(own, path_b)
+    manifest = json.loads((tmp_path / "b" / "model.ckpt").read_text())
+    manifest["blob"] = path_a + ".bin"
+    (tmp_path / "b" / "model.ckpt").write_text(json.dumps(manifest))
+    loaded = mdl.load_checkpoint(path_b)
+    assert loaded.decoder.params.tobytes() == own.decoder.params.tobytes()

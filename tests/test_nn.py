@@ -38,17 +38,21 @@ def test_glorot_deterministic_under_seed():
 
 
 def test_forward_identity_layer():
-    net = nn.DenseNet([2, 2], ["identity"])
+    net = nn.DenseNet([2, 2])
     net.weights(0)[:] = np.eye(2)
     y, _ = nn.forward(net, np.array([[1.0, 2.0]]))
     assert np.array_equal(y, [[1.0, 2.0]])
 
 
 def test_forward_relu_clamps():
-    net = nn.DenseNet([2, 2], ["relu"])
+    # the hidden layer clamps, the linear output passes negatives through
+    net = nn.DenseNet([2, 2, 2])
     net.weights(0)[:] = np.eye(2)
-    y, _ = nn.forward(net, np.array([[-1.0, 3.0]]))
-    assert np.array_equal(y, [[0.0, 3.0]])
+    net.weights(1)[:] = np.eye(2)
+    net.biases(1)[:] = -1.0
+    y, tape = nn.forward(net, np.array([[-1.0, 3.0]]))
+    assert np.array_equal(tape.outputs[0], [[0.0, 3.0]])
+    assert np.array_equal(y, [[-1.0, 2.0]])
 
 
 def test_forward_pure():
@@ -62,7 +66,7 @@ def test_forward_pure():
 
 def test_forward_rejects_bad_input():
     # a batch is (B, in): one point is a one-row batch, not a vector
-    net = nn.DenseNet([2, 2], ["identity"])
+    net = nn.DenseNet([2, 2])
     with pytest.raises(ValueError):
         nn.forward(net, np.array([[1.0, 2.0, 3.0]]))
     with pytest.raises(ValueError):
@@ -72,7 +76,7 @@ def test_forward_rejects_bad_input():
 
 
 def test_backward_linear_weight_grad_is_input():
-    net = nn.DenseNet([3, 2], ["identity"])
+    net = nn.DenseNet([3, 2])
     net.weights(0)[:] = np.random.default_rng(0).normal(size=(2, 3))
     x = np.array([1.5, -2.0, 0.5])
     _, tape = nn.forward(net, x[None])
@@ -83,7 +87,7 @@ def test_backward_linear_weight_grad_is_input():
 
 
 def test_backward_dead_relu_blocks_gradient():
-    net = nn.DenseNet([2, 2, 1], ["relu", "identity"])
+    net = nn.DenseNet([2, 2, 1])
     net.weights(0)[:] = -np.eye(2)   # all pre-activations negative for x > 0
     net.weights(1)[:] = 1.0
     x = np.array([[1.0, 2.0]])
@@ -134,13 +138,14 @@ def test_backward_batch_matches_sum_of_singles():
     assert batch_pre.shape == (5, 4) and batch_in.shape == (5, 3)
 
 
-@pytest.mark.parametrize("out_act", nn.ACTIVATIONS)
+@pytest.mark.parametrize("dims", [[3, 6, 5, 4], [3, 4]], ids=["depth3", "depth1"])
 @pytest.mark.parametrize("batched", [False, True])
-def test_backward_leaves_grad_out_and_tape_unchanged(out_act, batched):
-    # a ReLU output layer masks the incoming gradient first: the mask must
-    # not be written into the caller's grad_out; unbatched is one row
+def test_backward_leaves_grad_out_and_tape_unchanged(dims, batched):
+    # no mask is written into the caller's grad_out; one layer returns it
+    # as its pre-activation gradient, which the caller only reads; unbatched
+    # is one row
     rng = np.random.default_rng(13)
-    net = nn.DenseNet([3, 6, 5, 4], ["relu", "relu", out_act])
+    net = nn.DenseNet(dims)
     net.params[:] = rng.normal(size=net.num_params)
     rows = 7 if batched else 1
     x = rng.normal(size=(rows, 3))
@@ -148,8 +153,10 @@ def test_backward_leaves_grad_out_and_tape_unchanged(out_act, batched):
     grad_out = rng.normal(size=(rows, 4))
     saved = [grad_out.copy(), [a.copy() for a in tape.inputs],
              [a.copy() for a in tape.outputs]]
-    first, _ = nn.backward(net, tape, grad_out)
+    first, g_pre = nn.backward(net, tape, grad_out)
     assert np.array_equal(grad_out, saved[0])
+    if len(dims) == 2:
+        assert g_pre is grad_out
     for now, before in zip(tape.inputs + tape.outputs, saved[1] + saved[2]):
         assert np.array_equal(now, before)
     again, _ = nn.backward(net, tape, grad_out)
@@ -160,7 +167,7 @@ def test_relu_output_is_held_once():
     # a ReLU layer's output is the next layer's input, the same array, and
     # the last output is the array forward returns: no second copy
     rng = np.random.default_rng(17)
-    net = nn.DenseNet([3, 6, 5, 4], ["relu", "relu", "identity"])
+    net = nn.DenseNet([3, 6, 5, 4])
     net.params[:] = rng.normal(size=net.num_params)
     y, tape = nn.forward(net, rng.normal(size=(7, 3)))
     assert len(tape.outputs) == len(tape.inputs) == 3
@@ -180,14 +187,13 @@ def test_relu_mask_from_output_equals_mask_from_preactivation():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("acts", [["relu", "identity"], ["relu", "relu", "identity"],
-                                  ["relu", "relu", "relu"], ["identity", "relu"]])
-def test_pass_matches_the_preactivation_mask_oracle_bit_for_bit(acts, dtype):
+@pytest.mark.parametrize("dims", [[5, 4], [5, 8, 4], [5, 8, 6, 4]],
+                         ids=["depth1", "depth2", "depth3"])
+def test_pass_matches_the_preactivation_mask_oracle_bit_for_bit(dims, dtype):
     # masking on the ReLU output instead of the pre-activation changes no
     # bit of the output or of either gradient
-    rng = np.random.default_rng(len(acts))
-    dims = [5, 8, 6, 4][:len(acts) + 1]
-    net = nn.DenseNet(dims, acts)
+    rng = np.random.default_rng(len(dims) - 1)
+    net = nn.DenseNet(dims)
     net.params[:] = rng.normal(size=net.num_params)
     x = rng.normal(size=(9, dims[0]))
     grad_out = rng.normal(size=(9, dims[-1]))
@@ -197,9 +203,8 @@ def test_pass_matches_the_preactivation_mask_oracle_bit_for_bit(acts, dtype):
     assert same_bits(y, want_y)
     assert same_bits(grads, want_grads)
     assert same_bits(g_pre, want_pre)
-    # every ReLU layer masks some units
-    assert all(np.any(out == 0.0) for out, act in zip(tape.outputs, acts)
-               if act == "relu")
+    # every hidden layer masks some units
+    assert all(np.any(out == 0.0) for out in tape.outputs[:-1])
 
 
 def test_pass_runs_in_the_precision_of_its_weights():
