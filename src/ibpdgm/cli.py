@@ -7,9 +7,10 @@ IBPDGM_<KEY> (only those naming a `RunConfig` field are read, so other
 IBPDGM_ variables such as IBPDGM_MNIST_DIR pass through), and flag
 overrides, in that precedence order.  `report` writes `report.json` only
 when some source sets `out`.  `eval` and `selftest` read no configuration;
-`eval` and `report` load `--amat` files under the checkpoint's likelihood.
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric
-failure.
+`eval` and `report` take one dataset source, `--amat` or both `--images`
+and `--labels`, and load `--amat` files under the checkpoint's likelihood.
+Exit codes: 0 success, 1 usage/config error (a second dataset source or
+a missing one among them), 2 data error, 3 numeric failure.
 """
 
 import argparse
@@ -141,12 +142,12 @@ def make_parser():
 def _load_eval_dataset(args, m, num_classes=None):
     """The dataset the flags name, checked against the checkpoint: its width,
     and its labels against `num_classes` when the command reads them."""
-    if args.amat:
+    if args.amat and not (args.images or args.labels):
         name, dataset = args.amat, dio.load_amat(args.amat, kind=m.likelihood_kind)
-    elif args.images and args.labels:
+    elif args.images and args.labels and not args.amat:
         name, dataset = args.images, dio.load_idx(args.images, args.labels)
     else:
-        raise UsageError("provide --amat or both --images and --labels")
+        raise UsageError("provide either --amat or both --images and --labels")
     dio.check_fits(dataset, name, "the checkpoint", m.D, num_classes)
     return dataset
 
@@ -175,21 +176,14 @@ def cmd_report(args):
     print(f"tau: {report.tau}")
     print(f"active_count: {report.count}")
     print("component,mean,std,active")
+    active = set(report.active.tolist())
     for k in range(m.K):
-        print(f"{k},{report.mean[k]:.6f},{report.std[k]:.6f},"
-              f"{int(k in set(report.active.tolist()))}")
+        print(f"{k},{report.mean[k]:.6f},{report.std[k]:.6f},{int(k in active)}")
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
-        payload = {
-            "tau": report.tau,
-            "active": [int(i) for i in report.active],
-            "count": report.count,
-            "mean": report.mean.tolist(),
-            "std": report.std.tolist(),
-        }
         path = os.path.join(cfg.out, "report.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(vars(report), fh, indent=2, default=np.ndarray.tolist)
         print(f"written: {path}")
     return EXIT_OK
 

@@ -2,15 +2,18 @@
 
 Two on-disk formats are supported:
 
-* IDX (MNIST binary): big-endian; images carry magic 0x00000803 then
-  u32 count/rows/cols and u8 pixels, labels carry magic 0x00000801 then
-  u32 count and u8 labels.  Pixels are scaled to [0, 1] by /255.
+* IDX (MNIST binary): big-endian; a magic, the u32 dimensions that its
+  low byte counts, then u8 values, as many as their product: images
+  0x00000803 and count/rows/cols, labels 0x00000801 and count.  Pixels
+  are scaled to [0, 1] by /255.  A malformed file is a DataFormatError
+  that names it.
 * amat: whitespace-separated numeric text, one row per example, features
   first and an integer class label in the last column.
 
 Labels use -1 as the "unlabeled" sentinel.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -61,53 +64,40 @@ class Dataset:
                        self.num_classes, self.kind)
 
 
-def _read_u32(fh, path, what):
-    offset = fh.tell()
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise DataFormatError(f"{path}: truncated reading {what} at offset {offset}")
-    return struct.unpack(">I", raw)[0]
+def _read_idx(path, magic, what):
+    """Read the IDX file at `path`, whose magic must be `magic`: returns its
+    dimensions, the big-endian u32s that the magic's low byte counts, and
+    its payload, a flat u8 array whose length is their product."""
+    header = 4 + 4 * (magic & 0xFF)
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+        if len(head) >= 4 and (found := struct.unpack_from(">I", head)[0]) != magic:
+            raise DataFormatError(f"{path}: bad {what} magic 0x{found:08x} at offset 0")
+        if len(head) < header:
+            raise DataFormatError(f"{path}: truncated {what} header: it ends at "
+                                  f"offset {len(head)}, expected {header} bytes")
+        dims = struct.unpack_from(f">{magic & 0xFF}I", head, 4)
+        payload = np.frombuffer(fh.read(), dtype=np.uint8)
+    if payload.size != math.prod(dims):
+        raise DataFormatError(f"{path}: expected {math.prod(dims)} {what} bytes "
+                              f"from offset {header}, found {payload.size}")
+    return dims, payload
 
 
 def load_idx(images_path, labels_path):
     """Load an MNIST-style IDX image/label file pair as a Bernoulli dataset
     of ten classes."""
-    with open(images_path, "rb") as fh:
-        magic = _read_u32(fh, images_path, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} at offset 0")
-        count = _read_u32(fh, images_path, "count")
-        rows = _read_u32(fh, images_path, "rows")
-        cols = _read_u32(fh, images_path, "cols")
-        if count * rows * cols == 0:
-            raise DataFormatError(f"{images_path}: empty file ({count} images "
-                                  f"of {rows} x {cols} pixels)")
-        offset = fh.tell()
-        raw = fh.read()
-        if len(raw) != count * rows * cols:
-            raise DataFormatError(
-                f"{images_path}: expected {count * rows * cols} pixel bytes "
-                f"from offset {offset}, found {len(raw)}")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    with open(labels_path, "rb") as fh:
-        magic = _read_u32(fh, labels_path, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x} at offset 0")
-        n_labels = _read_u32(fh, labels_path, "count")
-        offset = fh.tell()
-        raw = fh.read()
-        if len(raw) != n_labels:
-            raise DataFormatError(
-                f"{labels_path}: expected {n_labels} label bytes from offset "
-                f"{offset}, found {len(raw)}")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
+    if pixels.size == 0:
+        raise DataFormatError(f"{images_path}: empty file ({count} images "
+                              f"of {rows} x {cols} pixels)")
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if n_labels != count:
         raise DataFormatError(
             f"{images_path}: {count} images but {n_labels} labels")
     try:
-        return Dataset(images.astype(np.float64) / 255.0, labels, 10, "bernoulli")
+        return Dataset(pixels.reshape(count, rows * cols).astype(np.float64) / 255.0,
+                       labels, 10, "bernoulli")
     except ValueError as exc:   # the pixels lie in [0, 1]: a label is out of range
         raise DataFormatError(f"{labels_path}: {exc}") from None
 

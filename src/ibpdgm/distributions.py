@@ -29,8 +29,8 @@ def _float_array(x):
 
 def _exp_neg_abs(x, out):
     """exp(-|x|) into `out`, shaped and typed like x: the one exp from which
-    `sigmoid` takes sigmoid(x), and the Bernoulli likelihood both sigmoid(x)
-    and softplus(x)."""
+    `sigmoid` takes sigmoid(x), `softplus` softplus(x), and the Bernoulli
+    likelihood both."""
     np.negative(x, out=out)
     np.minimum(x, out, out=out)       # -|x|; unlike -abs(x), keeps a NaN's sign
     return np.exp(out, out=out)
@@ -59,14 +59,12 @@ def sigmoid(x):
 
 
 def softplus(x):
-    """log(1 + exp(x)) as log1p(exp(-|x|)) + max(x, 0), so no exp overflows.
-    Keeps a float32 array in float32, like `sigmoid`."""
+    """log(1 + exp(x)) as log1p(exp(-|x|)) + max(x, 0), from `_exp_neg_abs`'s
+    one exp, so no exp overflows.  Keeps a float32 array in float32, like
+    `sigmoid`."""
     x = _float_array(x)
-    # -abs(x) here, not `_exp_neg_abs`'s form: a NaN comes out negative, as
-    # it always has; the two forms differ only in that sign
-    e = np.abs(x, out=np.empty_like(x))
-    np.negative(e, out=e)
-    return _softplus_from_exp(x, np.exp(e, out=e), out=e)
+    e = _exp_neg_abs(x, np.empty_like(x))
+    return _softplus_from_exp(x, e, out=e)
 
 
 def softmax(logits):

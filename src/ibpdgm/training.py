@@ -136,22 +136,17 @@ class RunConfig:
 
 def load_datasets(cfg, rng):
     """Materialize (train, test) datasets for a run configuration."""
-    if cfg.dataset == "synth-ibp":
-        if cfg.synth_features > cfg.synth_dim:
+    if cfg.dataset.startswith("synth-"):   # one draw, split into train and test
+        n = cfg.synth_n + cfg.synth_test_n
+        if cfg.dataset == "synth-blobs":   # two classes, centers 4 from the origin
+            full = dio.synth_blobs(n, 2, cfg.synth_dim, 4.0, rng)
+        elif cfg.synth_features > cfg.synth_dim:
             raise ValueError(f"synth_features = {cfg.synth_features!r}: "
                              f"must be at most synth_dim = {cfg.synth_dim!r}")
-        synth = dio.synth_ibp_data(cfg.synth_n + cfg.synth_test_n,
-                                   cfg.synth_features, cfg.synth_dim,
-                                   cfg.synth_noise, rng)
-        full = synth.dataset
-        train = full.subset(np.arange(cfg.synth_n))
-        test = full.subset(np.arange(cfg.synth_n, full.n))
-        return train, test
-    if cfg.dataset == "synth-blobs":
-        # two classes, centers 4 from the origin; train and test share them
-        joint = dio.synth_blobs(cfg.synth_n + cfg.synth_test_n, 2, cfg.synth_dim, 4.0, rng)
-        return (joint.subset(np.arange(cfg.synth_n)),
-                joint.subset(np.arange(cfg.synth_n, joint.n)))
+        else:
+            full = dio.synth_ibp_data(n, cfg.synth_features, cfg.synth_dim,
+                                      cfg.synth_noise, rng).dataset
+        return full.subset(np.arange(cfg.synth_n)), full.subset(np.arange(cfg.synth_n, n))
     # the file keys are checked before any file is read, a pair as a pair
     if cfg.dataset == "idx":
         if not (cfg.images and cfg.labels):

@@ -61,7 +61,7 @@ def softplus_unfused(x):
     """log(1 + exp(-|x|)) + max(x, 0), one temporary per operation, in the
     precision `sigmoid_masked` takes."""
     x = _float_array(x)
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
+    return np.log1p(np.exp(np.minimum(x, -x))) + np.maximum(x, 0.0)
 
 
 def net_pass_masking_preacts(net, x, grad_out, dtype=np.float64):

@@ -21,6 +21,7 @@ import scipy.integrate
 from ibpdgm import bbvi, distributions as dist, ibp, selftest, training
 
 from oracles import zero_control_variates
+from test_bits import on_recorded_platform
 
 
 def report(criterion, detail):
@@ -165,6 +166,9 @@ def test_criterion_6_training_dynamics(tmp_path):
               f"in {elapsed:.1f}s")
 
 
+CRITERION_9_SHA256 = "f18954f6ae9343786eb66a8567be6f940c531dd8a578c7c6d068a9793817b4bd"
+
+
 @pytest.mark.slow
 def test_criterion_9_bit_exact_determinism(tmp_path):
     start = time.time()
@@ -174,9 +178,12 @@ def test_criterion_9_bit_exact_determinism(tmp_path):
     bytes_a = open(a.metrics_path, "rb").read()
     bytes_b = open(b.metrics_path, "rb").read()
     assert bytes_a == bytes_b
+    sha256 = hashlib.sha256(bytes_a).hexdigest()
+    if on_recorded_platform():   # the bits of `test_bits`' recorded platform
+        assert sha256 == CRITERION_9_SHA256
     elapsed = time.time() - start
     report(9, f"two runs, metrics files byte-identical in {elapsed:.1f}s, "
-              f"sha256 {hashlib.sha256(bytes_a).hexdigest()}")
+              f"sha256 {sha256}")
 
 
 # ---------------------------------------------------------------------------

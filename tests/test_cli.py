@@ -429,6 +429,24 @@ def test_eval_takes_only_checkpoint_and_data_flags(tmp_path, capsys, command, fl
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "report"])
+@pytest.mark.parametrize("idx_flags", [["--images", "--labels"], ["--images"]],
+                         ids=["pair", "images"])
+def test_a_second_dataset_source_is_usage_error(tmp_path, capsys, command, idx_flags):
+    # IDX flags beside --amat are refused before any file is read, even
+    # files that do not exist, rather than silently ignored
+    argv = [command, "--checkpoint", _make_checkpoint(tmp_path),
+            "--amat", _normal_amat(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    for flag in idx_flags:
+        argv += [flag, str(tmp_path / ("missing" + flag))]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: provide either --amat or both --images and --labels\n")
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("mc_samples", "1", "mc_samples = 1: must lie in [2, inf)"),
     ("epochs", "-1", "epochs = -1: must lie in [0, inf)"),

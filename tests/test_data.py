@@ -57,6 +57,14 @@ def test_load_idx_truncated(tmp_path):
         dio.load_idx(img, lbl)
 
 
+def test_load_idx_truncated_label_header(tmp_path):
+    img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
+    open(lbl, "wb").write(open(lbl, "rb").read()[:6])   # the header is 8 bytes
+    with pytest.raises(dio.DataFormatError,
+                       match=re.escape(f"{lbl}: truncated label header")):
+        dio.load_idx(img, lbl)
+
+
 def test_load_idx_count_mismatch(tmp_path):
     images = np.zeros((2, 2, 2), dtype=np.uint8)
     img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2])
